@@ -3,10 +3,9 @@ of N-to-M universal quantum cloning circuits."""
 
 __version__ = "0.1.0"
 
-from .circuit import Circuit, Control, Gate, apply, cnot_cost, inverse
+from .circuit import Circuit, Control, Gate, RegisterLayout, apply, cnot_cost, inverse
 from .cloner_math import (CloneCoefficients, CloneSpec, FeasibilityCheck,
-                          GateCountBound, SymmetricBasisIndex, alphas,
-                          basis_count, feasibility, gate_count_bound,
+                          GateCountBound, alphas, basis_count, feasibility, gate_count_bound,
                           ideal_output, theoretical_fidelity, weight_components)
 from .ion_budget import (EmissionProbabilities, IonSpecies, ScanRow, TrapParams,
                          cloning_time, elementary_gate_time, emission_probability,
@@ -27,8 +26,8 @@ __all__ = [
     "AngleTree", "BasisLayout", "Circuit", "CloneCoefficients", "CloneSpec",
     "Control", "DensityMatrix", "EmissionProbabilities", "FeasibilityCheck",
     "Gate", "GateCountBound", "IonSpecies", "PermutationPlan", "PermutationSpec",
-    "PlanError", "PrepTarget", "ScanRow", "ScheduleError", "StateVector",
-    "SymmetricBasisIndex", "SynthesisError", "SynthesisResult", "TrapParams",
+    "PlanError", "PrepTarget", "RegisterLayout", "ScanRow", "ScheduleError",
+    "StateVector", "SynthesisError", "SynthesisResult", "TrapParams",
     "VerificationReport",
     "alphas", "apply", "basis_count", "build_permutation", "cloning_time",
     "cnot_cost", "compile_moves", "elementary_gate_time", "emission_probability",

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cloner_math import CloneSpec
 from .statevec import StateVector
 
 CIRCUIT_SCHEMA = "uqcm-circuit/1"
@@ -28,8 +29,6 @@ CIRCUIT_SCHEMA = "uqcm-circuit/1"
 ROTATION_KINDS = ("roty", "utheta")
 FLIP_KINDS = ("x", "cnot", "mcx")
 KINDS = ROTATION_KINDS + FLIP_KINDS
-
-ROLE_NAMES = ("input", "blank", "machine", "aux", "ancilla-flag")
 
 _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -114,14 +113,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.n_qubits, self.gates + other.gates, self.roles or other.roles)
-
-    def apply(self, state: StateVector) -> StateVector:
-        return apply(self, state)
-
     def remapped(self, n_qubits: int, offset: int) -> "Circuit":
         """Embed into a wider register, shifting every qubit index by ``offset``."""
         gates = tuple(
@@ -135,6 +126,62 @@ class Circuit:
         if self.roles is None or name not in self.roles:
             return ()
         return self.roles[name]
+
+
+@dataclass(frozen=True)
+class RegisterLayout:
+    """Qubit roles of an N->M cloner circuit, qubit 0 first:
+        [ input (N) | blank (M-N) | machine (M-N) | aux (n_aux) | ancilla-flag ]
+    The first 2M-N qubits are the cloner proper; after the run the clones are
+    the first M of them.  Aux and flag qubits trail them, start in |0> and must
+    end there.
+    """
+
+    spec: CloneSpec
+    n_aux: int = 0
+    flag: bool = True
+
+    @property
+    def n_qubits(self) -> int:
+        return self.spec.total_qubits + self.n_aux + int(self.flag)
+
+    @property
+    def trailing(self) -> tuple[int, ...]:
+        """The aux and flag qubits."""
+        return tuple(range(self.spec.total_qubits, self.n_qubits))
+
+    def roles(self) -> dict[str, tuple[int, ...]]:
+        n, m = self.spec.n_in, self.spec.m_out
+        roles = {"input": tuple(range(n)), "blank": tuple(range(n, m)),
+                 "machine": tuple(range(m, self.spec.total_qubits))}
+        if self.n_aux:
+            roles["aux"] = self.trailing[:self.n_aux]
+        if self.flag:
+            roles["ancilla-flag"] = (self.n_qubits - 1,)
+        return roles
+
+    def input_state(self, psi: StateVector) -> StateVector:
+        """psi on each of the N inputs, |0> on every other qubit."""
+        reg = psi
+        for _ in range(self.spec.n_in - 1):
+            reg = reg.tensor(psi)
+        return reg.tensor(StateVector.basis(self.n_qubits - self.spec.n_in, 0))
+
+    def embed(self, ideal: np.ndarray) -> np.ndarray:
+        """Amplitudes over the 2M-N cloner qubits, with the trailing qubits in |0>."""
+        out = np.zeros(2 ** self.n_qubits, dtype=complex)
+        out[np.arange(ideal.size) << len(self.trailing)] = ideal
+        return out
+
+    @classmethod
+    def of(cls, spec: CloneSpec, circuit: "Circuit") -> "RegisterLayout":
+        """The layout ``circuit`` carries; ValueError unless it is one for ``spec``."""
+        roles = circuit.roles or {}
+        layout = cls(spec, len(roles.get("aux", ())), "ancilla-flag" in roles)
+        if roles != layout.roles() or circuit.n_qubits != layout.n_qubits:
+            raise ValueError(
+                f"qubit roles {roles} on {circuit.n_qubits} qubits are not a {spec} cloner layout")
+        return layout
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .circuit import from_json, to_json
+from .circuit import RegisterLayout, from_json, to_json
 from .cloner_math import CloneSpec, basis_count, feasibility, gate_count_bound
 from .ion_budget import (DEFAULT_FEASIBLE_THRESHOLD, SPECIES_ENV_VAR, TrapParams,
                          cloning_time, elementary_gate_time, emission_probability,
@@ -78,8 +78,10 @@ def cmd_synth(args) -> int:
     counts = result.gate_counts()
     bound = gate_count_bound(spec, aux_qubits=1 if result.n_aux else 0)
     rel = "<=" if check.feasible_without_aux else ">"
-    print(f"spec: N={spec.n_in} M={spec.m_out} data_qubits={result.circuit.n_qubits - 1} "
-          f"aux={result.n_aux} flag=1")
+    register = RegisterLayout.of(spec, result.circuit)
+    print(f"spec: N={spec.n_in} M={spec.m_out} "
+          f"data_qubits={register.n_qubits - int(register.flag)} "
+          f"aux={register.n_aux} flag={int(register.flag)}")
     print(f"feasible: {check.lhs} {rel} {check.rhs}"
           + ("" if check.feasible_without_aux else " (aux variant used)"))
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
@@ -101,16 +103,12 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             _fail(f"cannot load circuit {args.circuit!r}: {exc}")
     else:
-        cached = _artifact_path(args, spec, args.aux)
-        if cached.exists():
-            circuit = from_json(cached.read_text())
-        else:
-            try:
-                result = synthesize_cloner(spec, allow_aux=args.aux)
-            except (ScheduleError, ValueError) as exc:
-                _fail(str(exc))
-            circuit = result.circuit
-            gate_counts = result.gate_counts()
+        try:
+            result = synthesize_cloner(spec, allow_aux=args.aux)
+        except (ScheduleError, ValueError) as exc:
+            _fail(str(exc))
+        circuit = result.circuit
+        gate_counts = result.gate_counts()
     report = verify(spec, circuit, n_samples=args.samples, seed=args.seed,
                     gate_counts=gate_counts)
     print(report.format_table())
@@ -241,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a circuit against the ideal transformation")
     _add_spec_args(p)
-    p.add_argument("--circuit", default=None, help="circuit JSON to verify")
+    p.add_argument("--circuit", default=None,
+                   help="circuit JSON to verify (default: synthesize one)")
     p.add_argument("--aux", action="store_true", help="allow auxiliary prep qubits")
     p.add_argument("--samples", type=int, default=50, help="random input samples")
     p.add_argument("--seed", type=int, default=7, help="random stream seed")
-    p.add_argument("--artifacts", default="uqcm-artifacts", help="artifact directory")
     p.add_argument("--json-out", default=None, help="write the report as JSON")
     p.set_defaults(func=cmd_verify)
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .statevec import StateVector
+from .statevec import MAX_QUBITS, StateVector
 
 AMP_EPS = 1e-11  # amplitudes below this are treated as exact zeros
 
@@ -96,56 +96,6 @@ def alphas(spec: CloneSpec) -> CloneCoefficients:
     return CloneCoefficients(tuple(vals))
 
 
-def weight_bitstrings(n_bits: int, weight: int) -> list[int]:
-    """All n-bit integers with exactly ``weight`` ones, ascending."""
-    out = []
-    for ones in combinations(range(n_bits), weight):
-        v = 0
-        for pos in ones:
-            v |= 1 << (n_bits - 1 - pos)
-        out.append(v)
-    return sorted(out)
-
-
-@dataclass(frozen=True)
-class SymmetricBasisIndex:
-    """Enumerations behind level j: clone-register and machine-register bases.
-
-    Level j of the ideal output places j flipped qubits among the M clones
-    (uniform superposition over all placements) and j flipped qubits among
-    the M - N machine qubits.
-    """
-
-    spec: CloneSpec
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.j <= self.spec.m_out - self.spec.n_in:
-            raise ValueError(f"level {self.j} out of range for {self.spec}")
-
-    @property
-    def clone_count(self) -> int:
-        return math.comb(self.spec.m_out, self.j)
-
-    @property
-    def machine_count(self) -> int:
-        return math.comb(self.spec.m_out - self.spec.n_in, self.j)
-
-    def clone_bases(self) -> list[int]:
-        return weight_bitstrings(self.spec.m_out, self.j)
-
-    def machine_bases(self) -> list[int]:
-        return weight_bitstrings(self.spec.m_out - self.spec.n_in, self.j)
-
-    @property
-    def clone_amplitude(self) -> float:
-        return 1.0 / math.sqrt(self.clone_count)
-
-    @property
-    def machine_amplitude(self) -> float:
-        return 1.0 / math.sqrt(self.machine_count)
-
-
 def _symmetric_product_state(n_bits: int, j: int, base: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """Uniform superposition of the C(n, j) placements of ``flipped`` among ``base``."""
     out = np.zeros(2 ** n_bits, dtype=complex)
@@ -171,6 +121,9 @@ def ideal_output(spec: CloneSpec, psi: StateVector,
     exercised by the standard worked examples: the 1->2 network leaves the
     bits as-is while the 2->4 construction complements them.
     """
+    if spec.total_qubits > MAX_QUBITS:
+        raise ValueError(f"{spec} needs {spec.total_qubits} qubits, above the "
+                         f"dense-representation cap of {MAX_QUBITS} (statevec.MAX_QUBITS)")
     if psi.n_qubits != 1:
         raise ValueError("psi must be a single-qubit state")
     a, b = complex(psi.amps[0]), complex(psi.amps[1])
@@ -289,6 +242,11 @@ def gate_count_bound(spec: CloneSpec, aux_qubits: int = 0) -> GateCountBound:
     pattern per populated basis; an extra auxiliary qubit drops the
     multi-control cost from quadratic to linear in the register size).
     The clone term is rounded up to an integer.
+
+    The prep term equals the paper's (``ion_budget.formula_gate_count`` at
+    epsilon = 1), but the clone term scales with (2M-N)^2 where the paper
+    has (2(M-N))^2, so the two counts differ; ``verify`` and ``count`` print
+    this one as the bound.
     """
     if aux_qubits not in (0, 1):
         raise ValueError("aux_qubits must be 0 or 1")

@@ -55,7 +55,6 @@ class TrapParams:
     epsilon: float = 100.0     # gate-count proportionality factor
     delta2: float = 1e13       # detuning from level 2 [1/s]
     gamma1: float | None = None
-    omega_rabi_x: float | None = None   # operating point x = Omega_1 / sqrt(Gamma_1)
 
     def __post_init__(self) -> None:
         if not 0 < self.eta <= 1:
@@ -102,10 +101,9 @@ def elementary_gate_time(spec: CloneSpec, params: TrapParams, omega1_rabi: float
 
 
 def formula_gate_count(spec: CloneSpec, epsilon: float) -> float:
-    """Asymptotic CNOT count epsilon 2^(2M+2) (M-N)^2 (2^-2N + 1/sqrt(pi M))."""
-    n, m = spec.n_in, spec.m_out
-    return (epsilon * 2 ** (2 * m + 2) * (m - n) ** 2
-            * (2.0 ** (-2 * n) + 1.0 / math.sqrt(math.pi * m)))
+    """Asymptotic CNOT count epsilon 2^(2M+2) (M-N)^2 (2^-2N + 1/sqrt(pi M)),
+    written as 4 epsilon lhs_mmax(spec) / (2M-N)."""
+    return 4 * epsilon * lhs_mmax(spec) / spec.total_qubits
 
 
 def cloning_time(spec: CloneSpec, params: TrapParams, omega1_rabi: float,
@@ -137,8 +135,6 @@ def emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapParam
     if params.gamma1 is None:
         raise ValueError("params.gamma1 is required for intensity-resolved probabilities")
     gamma1 = params.gamma1
-    if x is None:
-        x = params.omega_rabi_x
     if x is None and omega1_rabi is not None:
         x = omega1_rabi / math.sqrt(gamma1)
     if x is None or x <= 0:
@@ -156,11 +152,11 @@ def min_emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapP
                              gate_count_override: int | float | None = None) -> float:
     """Intensity-optimal total emission probability (independent of Gamma_1).
 
-    With the asymptotic gate count:
-      (pi eps / eta) (w1/w2)^(3/2) (Gamma_2/Delta_2)
-        * 2^(2M+4) (2M-N) (M-N)^2 (2^-2N + 1/sqrt(pi M));
-    with an explicit count G the circuit factor collapses to
+    For a gate count G:
       (4 pi / eta) G (2M-N) (w1/w2)^(3/2) (Gamma_2/Delta_2).
+    With the asymptotic count G = 4 eps lhs_mmax / (2M-N) this is
+      (16 pi eps / eta) lhs_mmax (w1/w2)^(3/2) (Gamma_2/Delta_2)
+        = lhs_mmax(spec) / feasibility_threshold(species, params).
     """
     count = formula_gate_count(spec, params.epsilon) if gate_count_override is None \
         else gate_count_override

@@ -20,9 +20,8 @@ Destination choice per input pattern:
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,19 +61,6 @@ class PermutationSpec:
             if not (0 <= s < dim and 0 <= d < dim):
                 raise ValueError(f"entry {s}->{d} out of range for {self.n_qubits} qubits")
 
-    @property
-    def sources(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
-    @property
-    def dests(self) -> frozenset[int]:
-        return frozenset(self.mapping.values())
-
-    def free_bases(self) -> frozenset[int]:
-        """Bases untouched by both the initial and the final occupation."""
-        busy = self.sources | self.dests
-        return frozenset(z for z in range(2 ** self.n_qubits) if z not in busy)
-
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -82,7 +68,6 @@ class PermutationPlan:
 
     n_qubits: int
     moves: tuple[tuple[int, int], ...]
-    buffer_bases: frozenset[int] = field(default_factory=frozenset)
 
 
 def _value_groups(values: list[float]) -> list[float]:
@@ -261,8 +246,7 @@ def schedule(perm: PermutationSpec) -> PermutationPlan:
             occupied.discard(s0)
             occupied.add(buf)
             pending[buf] = pending.pop(s0)
-    return PermutationPlan(n_qubits=perm.n_qubits, moves=tuple(moves),
-                           buffer_bases=perm.free_bases())
+    return PermutationPlan(n_qubits=perm.n_qubits, moves=tuple(moves))
 
 
 def validate_plan(perm: PermutationSpec, moves: tuple[tuple[int, int], ...] | PermutationPlan) -> None:
@@ -311,27 +295,5 @@ def compile_moves(plan: PermutationPlan, n_qubits: int) -> Circuit:
             if (diff >> (n_qubits - 1 - q)) & 1:
                 gates.append(Gate("cnot", q, (Control(flag, True),)))
         gates.append(Gate("mcx", flag, pattern_d))
-    roles = {"data": tuple(range(n_qubits)), "ancilla-flag": (flag,)}
-    return Circuit(n_qubits + 1, tuple(gates), roles)
+    return Circuit(n_qubits + 1, tuple(gates))
 
-
-def mapping_to_json(perm: PermutationSpec) -> str:
-    return json.dumps(
-        {
-            "schema": "uqcm-permutation/1",
-            "n_qubits": perm.n_qubits,
-            "universal_routing": perm.universal_routing,
-            "pairs": [{"source": s, "dest": d} for s, d in sorted(perm.mapping.items())],
-        },
-        indent=2, sort_keys=True)
-
-
-def plan_to_json(plan: PermutationPlan) -> str:
-    return json.dumps(
-        {
-            "schema": "uqcm-plan/1",
-            "n_qubits": plan.n_qubits,
-            "moves": [{"source": s, "dest": d} for s, d in plan.moves],
-            "buffer_bases": sorted(plan.buffer_bases),
-        },
-        indent=2, sort_keys=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import Circuit, Control, Gate
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, feasibility, weight_components
-from .statevec import StateVector, qubit_count_for
+from .statevec import qubit_count_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +36,6 @@ class PrepTarget:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "n_qubits", n)
-
-    def as_state(self) -> StateVector:
-        return StateVector(self.coeffs.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,7 @@ class BasisLayout:
         return c
 
     @classmethod
-    def packed(cls, spec: CloneSpec, allow_aux: bool = False,
-               machine_complement: bool = True) -> "BasisLayout":
+    def packed(cls, spec: CloneSpec, allow_aux: bool = False) -> "BasisLayout":
         """Amplitudes in descending order onto the smallest basis indices.
 
         Without auxiliary qubits this requires the counting condition to
@@ -174,8 +170,7 @@ class BasisLayout:
                     f"{spec} is infeasible without auxiliary qubits: "
                     f"{check.lhs} > {check.rhs} bases; re-run with the aux variant")
         placements = tuple((k, v) for k, v in enumerate(values))
-        return cls(spec=spec, n_aux=n_aux, placements=placements,
-                   machine_complement=machine_complement)
+        return cls(spec=spec, n_aux=n_aux, placements=placements)
 
     @classmethod
     def custom(cls, spec: CloneSpec, placements, n_aux: int = 0,
@@ -200,9 +195,8 @@ def _required_values(spec: CloneSpec) -> list[float]:
     return vals
 
 
-def prep_for_spec(spec: CloneSpec, layout: BasisLayout | None = None,
-                  allow_aux: bool = False) -> PrepTarget:
+def prep_for_spec(spec: CloneSpec, layout: BasisLayout | None = None) -> PrepTarget:
     """Preparation target carrying every amplitude of the ideal output."""
     if layout is None:
-        layout = BasisLayout.packed(spec, allow_aux=allow_aux)
+        layout = BasisLayout.packed(spec)
     return PrepTarget(layout.coefficients())

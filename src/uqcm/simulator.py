@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply, cnot_cost
+from .circuit import Circuit, RegisterLayout, apply, cnot_cost
 from .cloner_math import CloneSpec, gate_count_bound, ideal_output, theoretical_fidelity
 from .statevec import StateVector, fidelity_against_pure, partial_trace
 
@@ -89,30 +89,6 @@ class VerificationReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _check_roles(spec: CloneSpec, circuit: Circuit) -> tuple[int, list[int]]:
-    """Validate canonical register layout; return (#aux+flag, clone qubits)."""
-    n, m = spec.n_in, spec.m_out
-    if circuit.roles is None:
-        raise ValueError("circuit carries no qubit roles")
-    inp = circuit.role_qubits("input")
-    blank = circuit.role_qubits("blank")
-    machine = circuit.role_qubits("machine")
-    aux = circuit.role_qubits("aux")
-    flag = circuit.role_qubits("ancilla-flag")
-    expected = {
-        "input": tuple(range(n)),
-        "blank": tuple(range(n, m)),
-        "machine": tuple(range(m, 2 * m - n)),
-    }
-    got = {"input": inp, "blank": blank, "machine": machine}
-    if got != expected:
-        raise ValueError(f"qubit roles {got} do not match the layout for {spec}")
-    trailing = len(aux) + len(flag)
-    if tuple(sorted(aux + flag)) != tuple(range(2 * m - n, circuit.n_qubits)):
-        raise ValueError("aux/flag qubits must trail the machine register")
-    return trailing, list(range(m))
-
-
 def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
            seed: int = 7, gate_counts: dict | None = None,
            machine_complement: bool | None = None) -> VerificationReport:
@@ -125,21 +101,16 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     state comparison; by default either of the two equivalent conventions is
     accepted (the smaller error counts).
     """
-    n, m = spec.n_in, spec.m_out
-    trailing, clones = _check_roles(spec, circuit)
-    pad = StateVector.basis(circuit.n_qubits - n, 0)
+    m = spec.m_out
+    layout = RegisterLayout.of(spec, circuit)
 
     def run(psi: StateVector) -> StateVector:
-        reg = psi
-        for _ in range(n - 1):
-            reg = reg.tensor(psi)
-        return apply(circuit, reg.tensor(pad))
+        return apply(circuit, layout.input_state(psi))
 
     conventions = (False, True) if machine_complement is None else (machine_complement,)
 
     def state_error(out: StateVector, ideal: np.ndarray) -> float:
-        ext = np.zeros(2 ** circuit.n_qubits, dtype=complex)
-        ext[np.arange(ideal.size) << trailing] = ideal
+        ext = layout.embed(ideal)
         anchor = int(np.argmax(np.abs(ext)))
         phase = out.amps[anchor] / ext[anchor]
         if abs(abs(phase) - 1) > 1e-6:
@@ -159,19 +130,18 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     fidelities = []
     symmetry_error = 0.0
     ancilla_error = 0.0
-    anc_qubits = list(range(2 * m - n, circuit.n_qubits))
     for i in range(n_samples):
         psi = haar_random_qubit(seed, i)
         out = run(psi)
-        rhos = [partial_trace(out, {q}) for q in clones]
+        rhos = [partial_trace(out, {q}) for q in range(m)]
         fidelities.append(float(np.mean([fidelity_against_pure(r, psi) for r in rhos])))
         for a in range(m):
             for b in range(a + 1, m):
                 symmetry_error = max(
                     symmetry_error,
                     float(np.max(np.abs(rhos[a].elements - rhos[b].elements))))
-        if anc_qubits:
-            anc = partial_trace(out, anc_qubits)
+        if layout.trailing:
+            anc = partial_trace(out, layout.trailing)
             delta = anc.elements.copy()
             delta[0, 0] -= 1.0
             ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))

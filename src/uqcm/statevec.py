@@ -60,14 +60,6 @@ class StateVector:
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amps, other.amps))
 
-    def permute_qubits(self, order: Iterable[int]) -> "StateVector":
-        """Reorder qubits so new qubit i is old qubit ``order[i]``."""
-        order = list(order)
-        if sorted(order) != list(range(self.n_qubits)):
-            raise ValueError(f"order {order} is not a permutation of 0..{self.n_qubits - 1}")
-        t = self.amps.reshape([2] * self.n_qubits).transpose(order)
-        return StateVector(t.reshape(-1))
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
@@ -98,9 +90,6 @@ class DensityMatrix:
         el.flags.writeable = False
         object.__setattr__(self, "elements", el)
         object.__setattr__(self, "n_qubits", n)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.elements)
 
 
 def tensor_power(single: StateVector, k: int) -> StateVector:
@@ -161,17 +150,6 @@ def states_close(a: StateVector, b: StateVector, atol: float = ASSERT_ATOL) -> b
     ov = complex(np.vdot(b.amps, a.amps))
     phase = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
     return bool(np.max(np.abs(a.amps - phase * b.amps)) <= atol)
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """(x, y, z) expectation values of a one-qubit density matrix."""
-    if rho.n_qubits != 1:
-        raise ValueError("bloch_vector requires a one-qubit density matrix")
-    el = rho.elements
-    x = 2 * el[0, 1].real
-    y = -2 * el[0, 1].imag
-    z = (el[0, 0] - el[1, 1]).real
-    return np.array([x, y, z])
 
 
 def qubit_count_for(length: int) -> int:

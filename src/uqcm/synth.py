@@ -1,16 +1,14 @@
 """End-to-end cloner synthesis: preparation stage + cloning stage + roles.
 
-Register layout of a synthesized circuit (qubit 0 first):
-    [ input (N) | blank (M-N) | machine (M-N) | aux (n_aux) | ancilla-flag ]
-After the circuit runs, the clones are the first M qubits and the machine
-register the next M-N; auxiliary and flag qubits end disentangled in |0>.
+A synthesized circuit carries the ``RegisterLayout`` of its spec, with the
+aux qubits of its preparation register and one flag qubit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Gate, cnot_cost
+from .circuit import Circuit, Control, Gate, RegisterLayout, cnot_cost
 from .cloner_math import CloneSpec, FeasibilityCheck, feasibility
 from .perm import (PermutationPlan, PermutationSpec, ScheduleError,
                    build_permutation, compile_moves, schedule, validate_plan)
@@ -75,19 +73,10 @@ def synthesize_cloner(spec: CloneSpec, allow_aux: bool = True,
         plan = schedule(perm)
     validate_plan(perm, plan)
 
-    n, m = spec.n_in, spec.m_out
-    n_data = n + layout.prep_qubits
-    n_total = n_data + 1
-    prep_embedded = prep_core.remapped(n_total, offset=n)
-    clone_stage = compile_moves(plan, n_data)
-    roles = {
-        "input": tuple(range(n)),
-        "blank": tuple(range(n, m)),
-        "machine": tuple(range(m, 2 * m - n)),
-        "ancilla-flag": (n_data,),
-    }
-    if layout.n_aux:
-        roles["aux"] = tuple(range(2 * m - n, n_data))
+    register = RegisterLayout(spec, layout.n_aux)
+    n_total, roles = register.n_qubits, register.roles()
+    prep_embedded = prep_core.remapped(n_total, offset=spec.n_in)
+    clone_stage = compile_moves(plan, n_total - 1)  # every qubit but the flag
     circuit = Circuit(n_total, prep_embedded.gates + clone_stage.gates, roles)
     prep_only = Circuit(n_total, prep_embedded.gates, roles)
     clone_only = Circuit(n_total, clone_stage.gates, roles)
@@ -118,5 +107,4 @@ def reference_one_to_two() -> Circuit:
         Gate("cnot", 0, (Control(1, True),)),
         Gate("cnot", 0, (Control(2, True),)),
     )
-    roles = {"input": (0,), "blank": (1,), "machine": (2,)}
-    return Circuit(3, gates, roles)
+    return Circuit(3, gates, RegisterLayout(CloneSpec(1, 2), flag=False).roles())

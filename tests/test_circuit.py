@@ -96,7 +96,7 @@ class TestCost:
     def test_additive_over_concatenation(self):
         a = random_circuit(4, 20, seed=1)
         b = random_circuit(4, 20, seed=2)
-        assert cnot_cost(a + b) == cnot_cost(a) + cnot_cost(b)
+        assert cnot_cost(Circuit(4, a.gates + b.gates)) == cnot_cost(a) + cnot_cost(b)
 
 
 class TestInverse:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uqcm import CloneSpec, synthesize_cloner
+from uqcm import CloneSpec, __version__, synthesize_cloner
 from uqcm.circuit import to_json
 from uqcm.cli import main
 
@@ -51,17 +51,29 @@ class TestSynth:
 class TestVerify:
     def test_verify_passes_for_one_to_two(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["verify", "-N", "1", "-M", "2", "--samples", "40", "--seed", "7",
-             "--artifacts", str(tmp_path)], capsys)
+            ["verify", "-N", "1", "-M", "2", "--samples", "40", "--seed", "7"], capsys)
         assert code == 0
         assert "0.833333333" in out
         assert "PASS" in out
 
     def test_verify_uses_cached_artifact(self, tmp_path, capsys):
-        run_cli(["synth", "-N", "1", "-M", "3", "--artifacts", str(tmp_path)], capsys)
+        # the artifact synth writes is what verify --circuit reads back
+        path = tmp_path / "one_to_three.json"
+        run_cli(["synth", "-N", "1", "-M", "3", "--out", str(path)], capsys)
         code, out, _ = run_cli(
             ["verify", "-N", "1", "-M", "3", "--samples", "10",
-             "--artifacts", str(tmp_path)], capsys)
+             "--circuit", str(path)], capsys)
+        assert code == 0
+        assert "PASS" in out
+
+    def test_verify_ignores_a_stale_artifact(self, tmp_path, monkeypatch, capsys):
+        # without --circuit, verify checks a fresh synthesis, not whatever
+        # sits at synth's default output path
+        monkeypatch.chdir(tmp_path)
+        stale = tmp_path / "uqcm-artifacts" / f"cloner_N1_M2_aux0_v{__version__}.json"
+        stale.parent.mkdir()
+        stale.write_text(to_json(synthesize_cloner(CloneSpec(1, 2)).prep_circuit))
+        code, out, _ = run_cli(["verify", "-N", "1", "-M", "2", "--samples", "10"], capsys)
         assert code == 0
         assert "PASS" in out
 
@@ -86,7 +98,7 @@ class TestVerify:
         report_path = tmp_path / "report.json"
         code, _, _ = run_cli(
             ["verify", "-N", "1", "-M", "2", "--samples", "10",
-             "--artifacts", str(tmp_path), "--json-out", str(report_path)], capsys)
+             "--json-out", str(report_path)], capsys)
         assert code == 0
         assert json.loads(report_path.read_text())["passed"] is True
 

@@ -4,11 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from uqcm import (CloneSpec, StateVector, SymmetricBasisIndex, alphas,
-                  basis_count, feasibility, fidelity_against_pure,
-                  gate_count_bound, ideal_output, partial_trace,
-                  theoretical_fidelity, weight_components)
-from uqcm.cloner_math import AMP_EPS, weight_bitstrings
+from uqcm import (CloneSpec, StateVector, alphas, basis_count, feasibility,
+                  fidelity_against_pure, gate_count_bound, ideal_output,
+                  partial_trace, theoretical_fidelity, weight_components)
+from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import haar_random_qubit
 
 
@@ -49,23 +48,6 @@ class TestAlphas:
         for spec in all_specs(max_total_qubits=23, max_m=12):
             total = sum(v * v for v in alphas(spec))
             assert abs(total - 1.0) < 1e-12, spec
-
-
-class TestSymmetricBasisIndex:
-    def test_counts_and_weights(self):
-        level = SymmetricBasisIndex(CloneSpec(2, 4), 1)
-        assert level.clone_count == 4 and level.machine_count == 2
-        assert level.clone_bases() == [0b0001, 0b0010, 0b0100, 0b1000]
-        assert level.machine_bases() == [0b01, 0b10]
-        assert level.clone_amplitude == pytest.approx(0.5)
-
-    def test_weight_bitstrings_exhaustive(self):
-        assert weight_bitstrings(3, 2) == [0b011, 0b101, 0b110]
-        for n in range(1, 7):
-            for w in range(n + 1):
-                strings = weight_bitstrings(n, w)
-                assert len(strings) == math.comb(n, w)
-                assert all(bin(s).count("1") == w for s in strings)
 
 
 class TestIdealOutput:

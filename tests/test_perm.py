@@ -194,15 +194,3 @@ class TestCompileMoves:
         perm = PermutationSpec(3, {0: 1})
         with pytest.raises(ValueError):
             compile_moves(schedule(perm), 4)
-
-
-def test_json_serialization_deterministic():
-    import json
-    from uqcm.perm import mapping_to_json, plan_to_json
-    perm = PermutationSpec(3, dict(ONE_TO_TWO_TABLE))
-    plan = schedule(perm)
-    assert mapping_to_json(perm) == mapping_to_json(perm)
-    data = json.loads(mapping_to_json(perm))
-    assert data["pairs"][1] == {"source": 1, "dest": 5}
-    moves = json.loads(plan_to_json(plan))["moves"]
-    assert len(moves) == len(plan.moves)

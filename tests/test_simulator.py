@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from uqcm import (CloneSpec, StateVector, apply, haar_random_qubit,
-                  partial_trace, reference_one_to_two, tensor_power,
+from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
+                  haar_random_qubit, partial_trace, reference_one_to_two,
                   theoretical_fidelity, verify)
-from uqcm.statevec import bloch_vector
 
 
 def flag_residue(result, seed, samples=10):
     """Worst population outside |0> on the flag qubit over random inputs."""
-    circuit, n = result.circuit, result.spec.n_in
-    flag = circuit.role_qubits("ancilla-flag")[0]
+    circuit = result.circuit
+    layout = RegisterLayout.of(result.spec, circuit)
+    flag = layout.roles()["ancilla-flag"][0]
     worst = 0.0
     for i in range(samples):
         psi = haar_random_qubit(seed, i)
-        reg = tensor_power(psi, n) if n > 1 else psi
-        out = apply(circuit, reg.tensor(StateVector.basis(circuit.n_qubits - n, 0)))
+        out = apply(circuit, layout.input_state(psi))
         rho = partial_trace(out, {flag}).elements
         worst = max(worst, float(abs(rho[1, 1])))
     return worst
@@ -37,7 +36,8 @@ class TestHaarSampling:
         total = np.zeros(3)
         n = 10_000
         for i in range(n):
-            total += bloch_vector(haar_random_qubit(2026, i).density())
+            rho = haar_random_qubit(2026, i).density().elements
+            total += [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
         assert np.linalg.norm(total / n) < 0.05
 
 
@@ -123,12 +123,10 @@ def test_three_to_six_aux_variant_is_basis_exact():
 
 def test_clone_marginals_equal_on_basis_inputs(sweep_results):
     for nm, res in sweep_results.items():
-        n, m = nm
+        m = res.spec.m_out
+        layout = RegisterLayout.of(res.spec, res.circuit)
         for b in (0, 1):
-            psi = StateVector.basis(1, b)
-            reg = tensor_power(psi, n) if n > 1 else psi
-            inp = reg.tensor(StateVector.basis(res.circuit.n_qubits - n, 0))
-            out = apply(res.circuit, inp)
+            out = apply(res.circuit, layout.input_state(StateVector.basis(1, b)))
             rhos = [partial_trace(out, {q}).elements for q in range(m)]
             for i in range(m):
                 for j in range(i + 1, m):

@@ -5,7 +5,6 @@ import pytest
 
 from uqcm import (DensityMatrix, StateVector, fidelity_against_pure,
                   partial_trace, tensor_power)
-from uqcm.statevec import bloch_vector, states_close
 
 SQ23 = math.sqrt(2 / 3)
 SQ16 = math.sqrt(1 / 6)
@@ -86,7 +85,7 @@ class TestPartialTrace:
             amps = rng.normal(size=32) + 1j * rng.normal(size=32)
             state = StateVector(amps / np.linalg.norm(amps))
             rho = partial_trace(state, {0, 2})
-            assert rho.eigenvalues().min() >= -1e-10
+            assert np.linalg.eigvalsh(rho.elements).min() >= -1e-10
 
     @pytest.mark.parametrize("keep", [set(), {0, 0}, {5}])
     def test_bad_keep_sets(self, keep):
@@ -140,17 +139,3 @@ class TestValidation:
         state = StateVector.basis(2, 0)
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
-
-
-def test_permute_qubits_roundtrip():
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector(amps / np.linalg.norm(amps))
-    swapped = state.permute_qubits([2, 0, 1])
-    back = swapped.permute_qubits([1, 2, 0])
-    assert states_close(back, state, atol=1e-14)
-
-
-def test_bloch_vector_of_basis_states():
-    np.testing.assert_allclose(bloch_vector(StateVector.basis(1, 0).density()), [0, 0, 1], atol=1e-15)
-    np.testing.assert_allclose(bloch_vector(StateVector.basis(1, 1).density()), [0, 0, -1], atol=1e-15)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from uqcm import (CloneSpec, ScheduleError, StateVector, apply, cnot_cost,
-                  ideal_output, reference_one_to_two, synthesize_cloner)
+from uqcm import (CloneSpec, RegisterLayout, ScheduleError, StateVector, apply,
+                  cnot_cost, ideal_output, reference_one_to_two, synthesize_cloner)
 from uqcm.circuit import to_json
+from uqcm.statevec import MAX_QUBITS
 
 
 class TestSynthesize:
@@ -64,20 +65,16 @@ class TestSynthesize:
 
     def test_basis_inputs_reach_ideal_output(self, sweep_results):
         for (n, m), res in sweep_results.items():
-            spec = res.spec
-            trailing = res.circuit.n_qubits - spec.total_qubits
+            layout = RegisterLayout.of(res.spec, res.circuit)
             for b in (0, 1):
                 psi = StateVector.basis(1, b)
-                reg = psi
-                for _ in range(n - 1):
-                    reg = reg.tensor(psi)
-                inp = reg.tensor(StateVector.basis(res.circuit.n_qubits - n, 0))
-                out = apply(res.circuit, inp)
-                ideal = ideal_output(spec, psi, machine_complement=True).amps
-                ext = np.zeros(2 ** res.circuit.n_qubits, dtype=complex)
-                ext[np.arange(ideal.size) << trailing] = ideal
-                assert np.max(np.abs(out.amps - ext)) < 1e-10, (n, m, b)
+                out = apply(res.circuit, layout.input_state(psi))
+                ideal = ideal_output(res.spec, psi, machine_complement=True).amps
+                assert np.max(np.abs(out.amps - layout.embed(ideal))) < 1e-10, (n, m, b)
 
+    def test_oversized_spec_rejected_before_synthesis(self):
+        with pytest.raises(ValueError, match=rf"cap of {MAX_QUBITS} \(statevec\.MAX_QUBITS\)"):
+            synthesize_cloner(CloneSpec(1, 11))
 
     def test_custom_layout_honored_end_to_end(self):
         # placing the amplitudes the way the hand-made network does reproduces
@@ -105,6 +102,17 @@ class TestSynthesize:
         state = StateVector(amps / np.linalg.norm(amps))
         back = apply(inverse(res.circuit), apply(res.circuit, state))
         assert np.max(np.abs(back.amps - state.amps)) < 1e-10
+
+
+class TestRegisterLayout:
+    def test_round_trips_every_circuit(self, sweep_results):
+        for res in sweep_results.values():
+            layout = RegisterLayout.of(res.spec, res.circuit)
+            assert layout == RegisterLayout(res.spec, res.n_aux)
+            assert layout.roles() == res.circuit.roles
+        ref = RegisterLayout.of(CloneSpec(1, 2), reference_one_to_two())
+        assert ref == RegisterLayout(CloneSpec(1, 2), flag=False)
+        assert ref.trailing == ()
 
 
 class TestReferenceNetwork:
