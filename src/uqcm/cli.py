@@ -18,7 +18,6 @@ from .ion_budget import (DEFAULT_FEASIBLE_THRESHOLD, SPECIES_ENV_VAR, TrapParams
                          feasibility_scan, feasibility_threshold, lhs_mmax,
                          load_species, min_emission_probability,
                          render_scan_table, scan_to_json)
-from .perm import ScheduleError
 from .simulator import verify
 from .synth import synthesize_cloner
 
@@ -36,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _artifact_path(args, spec: CloneSpec, aux: bool) -> Path:
-    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{int(aux)}_v{__version__}.json"
+def _artifact_path(args, spec: CloneSpec, n_aux: int) -> Path:
+    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{n_aux}_v{__version__}.json"
     return Path(args.artifacts) / name
 
 
@@ -69,12 +68,7 @@ def _species_selection(args):
 def cmd_synth(args) -> int:
     spec = CloneSpec(args.n_in, args.m_out)
     check = feasibility(spec)
-    if not check.feasible_without_aux and not args.aux:
-        _fail(f"requires --aux ({check.lhs} > {check.rhs})")
-    try:
-        result = synthesize_cloner(spec, allow_aux=args.aux)
-    except ScheduleError as exc:
-        _fail(f"{exc} (use --aux)")
+    result = synthesize_cloner(spec)
     counts = result.gate_counts()
     bound = gate_count_bound(spec, aux_qubits=1 if result.n_aux else 0)
     rel = "<=" if check.feasible_without_aux else ">"
@@ -87,7 +81,7 @@ def cmd_synth(args) -> int:
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
     print(f"gates measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
     print(f"gates bound:    prep={bound.prep} clone={bound.clone} total={bound.total}")
-    path = Path(args.out) if args.out else _artifact_path(args, spec, args.aux)
+    path = Path(args.out) if args.out else _artifact_path(args, spec, result.n_aux)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_json(result.circuit))
     print(f"wrote: {path}")
@@ -103,10 +97,7 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             _fail(f"cannot load circuit {args.circuit!r}: {exc}")
     else:
-        try:
-            result = synthesize_cloner(spec, allow_aux=args.aux)
-        except (ScheduleError, ValueError) as exc:
-            _fail(str(exc))
+        result = synthesize_cloner(spec)
         circuit = result.circuit
         gate_counts = result.gate_counts()
     report = verify(spec, circuit, n_samples=args.samples, seed=args.seed,
@@ -128,8 +119,8 @@ def cmd_count(args) -> int:
         bound = gate_count_bound(spec, aux_qubits=aux)
         print(f"bound aux={aux}: prep={bound.prep} clone={bound.clone} total={bound.total}")
     try:
-        result = synthesize_cloner(spec, allow_aux=args.aux)
-    except (ScheduleError, ValueError) as exc:
+        result = synthesize_cloner(spec)
+    except ValueError as exc:
         print(f"synthesis unavailable: {exc}")
         return EXIT_OK
     for aux_cost in (False, True):
@@ -189,8 +180,8 @@ def cmd_scan(args) -> int:
     elif args.measured:
         for spec in specs:
             try:
-                result = synthesize_cloner(spec, allow_aux=True)
-            except (ScheduleError, ValueError):
+                result = synthesize_cloner(spec)
+            except ValueError:
                 continue
             measured[(spec.n_in, spec.m_out)] = result.gate_counts(args.aux)["total"]
     rows = feasibility_scan(species_list, params, specs, aux=args.aux, etas=etas,
@@ -232,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a cloning circuit")
     _add_spec_args(p)
-    p.add_argument("--aux", action="store_true", help="allow auxiliary prep qubits")
     p.add_argument("--artifacts", default="uqcm-artifacts", help="artifact directory")
     p.add_argument("--out", default=None, help="explicit output path")
     p.set_defaults(func=cmd_synth)
@@ -241,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--circuit", default=None,
                    help="circuit JSON to verify (default: synthesize one)")
-    p.add_argument("--aux", action="store_true", help="allow auxiliary prep qubits")
     p.add_argument("--samples", type=int, default=50, help="random input samples")
     p.add_argument("--seed", type=int, default=7, help="random stream seed")
     p.add_argument("--json-out", default=None, help="write the report as JSON")
@@ -249,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="gate counts and feasibility for a spec")
     _add_spec_args(p)
-    p.add_argument("--aux", action="store_true", help="allow auxiliary prep qubits")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("budget", help="emission budget for one spec")
@@ -265,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Lamb-Dicke values to scan")
     p.add_argument("--aux", action="store_true",
                    help="use the auxiliary-workspace multi-control cost model")
-    p.add_argument("--measured", action="store_true", default=True,
-                   help="include measured counts from synthesized circuits")
-    p.add_argument("--no-measured", dest="measured", action="store_false")
+    p.add_argument("--no-measured", dest="measured", action="store_false",
+                   help="skip measured counts from synthesized circuits")
     p.add_argument("--json-out", default=None, help="write rows as JSON")
     p.set_defaults(func=cmd_scan)
     return parser
@@ -280,7 +267,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -61,6 +61,8 @@ class TrapParams:
             raise ValueError("eta must lie in (0, 1]")
         if self.epsilon <= 0 or self.delta2 <= 0:
             raise ValueError("epsilon and delta2 must be positive")
+        if self.gamma1 is not None and self.gamma1 <= 0:
+            raise ValueError("gamma1 must be positive")
 
 
 def load_species(path: str | os.PathLike | None = None) -> dict[str, IonSpecies]:
@@ -106,14 +108,20 @@ def formula_gate_count(spec: CloneSpec, epsilon: float) -> float:
     return 4 * epsilon * lhs_mmax(spec) / spec.total_qubits
 
 
+def _gate_count(spec: CloneSpec, params: TrapParams,
+                override: int | float | None) -> float:
+    """The override if given, else the formula count; a negative count raises."""
+    count = formula_gate_count(spec, params.epsilon) if override is None else override
+    if count < 0:
+        raise ValueError("gate count must be nonnegative")
+    return count
+
+
 def cloning_time(spec: CloneSpec, params: TrapParams, omega1_rabi: float,
                  gate_count_override: int | float | None = None) -> float:
     """Total sequential run time: elementary gate time times the gate count."""
-    count = formula_gate_count(spec, params.epsilon) if gate_count_override is None \
-        else gate_count_override
-    if count < 0:
-        raise ValueError("gate count must be nonnegative")
-    return elementary_gate_time(spec, params, omega1_rabi) * count
+    return elementary_gate_time(spec, params, omega1_rabi) \
+        * _gate_count(spec, params, gate_count_override)
 
 
 @dataclass(frozen=True)
@@ -158,8 +166,7 @@ def min_emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapP
       (16 pi eps / eta) lhs_mmax (w1/w2)^(3/2) (Gamma_2/Delta_2)
         = lhs_mmax(spec) / feasibility_threshold(species, params).
     """
-    count = formula_gate_count(spec, params.epsilon) if gate_count_override is None \
-        else gate_count_override
+    count = _gate_count(spec, params, gate_count_override)
     ratio = (species.omega1 / species.omega2) ** 1.5
     return (4 * math.pi / params.eta) * count * spec.total_qubits \
         * ratio * species.gamma2 / params.delta2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Control, Gate
-from .cloner_math import AMP_EPS, CloneSpec, basis_count, feasibility, weight_components
+from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
 
@@ -149,28 +149,16 @@ class BasisLayout:
         return c
 
     @classmethod
-    def packed(cls, spec: CloneSpec, allow_aux: bool = False) -> "BasisLayout":
+    def packed(cls, spec: CloneSpec) -> "BasisLayout":
         """Amplitudes in descending order onto the smallest basis indices.
 
-        Without auxiliary qubits this requires the counting condition to
-        hold; with them, the register grows one qubit at a time until a
-        strictly free basis remains (needed later as a permutation buffer).
+        The register takes the fewest auxiliary qubits that leave a strictly
+        free basis, which the move scheduler needs as a buffer.  No move
+        changes the number of occupied bases, so the scheduler always finds it.
         """
         values = _required_values(spec)
-        n_aux = 0
-        if allow_aux:
-            while len(values) >= 2 ** (spec.prep_qubits + n_aux):
-                n_aux += 1
-            if spec.prep_qubits + n_aux > spec.total_qubits:
-                raise ValueError(f"{spec}: auxiliary register would exceed {spec.total_qubits} qubits")
-        else:
-            check = feasibility(spec)
-            if not check.feasible_without_aux:
-                raise ValueError(
-                    f"{spec} is infeasible without auxiliary qubits: "
-                    f"{check.lhs} > {check.rhs} bases; re-run with the aux variant")
-        placements = tuple((k, v) for k, v in enumerate(values))
-        return cls(spec=spec, n_aux=n_aux, placements=placements)
+        n_aux = max(0, len(values).bit_length() - spec.prep_qubits)
+        return cls(spec=spec, n_aux=n_aux, placements=tuple(enumerate(values)))
 
     @classmethod
     def custom(cls, spec: CloneSpec, placements, n_aux: int = 0,

@@ -101,6 +101,8 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     state comparison; by default either of the two equivalent conventions is
     accepted (the smaller error counts).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     m = spec.m_out
     layout = RegisterLayout.of(spec, circuit)
 

@@ -9,10 +9,10 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, Gate, RegisterLayout, cnot_cost
-from .cloner_math import CloneSpec, FeasibilityCheck, feasibility
-from .perm import (PermutationPlan, PermutationSpec, ScheduleError,
-                   build_permutation, compile_moves, schedule, validate_plan)
-from .prep import BasisLayout, PrepTarget, emit_prep_circuit, prep_for_spec, solve_angles
+from .cloner_math import CloneSpec
+from .perm import (PermutationPlan, PermutationSpec, build_permutation, compile_moves,
+                   schedule, validate_plan)
+from .prep import BasisLayout, emit_prep_circuit, prep_for_spec, solve_angles
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,9 @@ class SynthesisResult:
     circuit: Circuit
     prep_circuit: Circuit
     clone_circuit: Circuit
-    prep_target: PrepTarget
     layout: BasisLayout
     permutation: PermutationSpec
     plan: PermutationPlan
-    feasibility: FeasibilityCheck
 
     @property
     def n_aux(self) -> int:
@@ -43,34 +41,16 @@ class SynthesisResult:
         return {"prep": prep, "clone": clone, "total": prep + clone}
 
 
-def synthesize_cloner(spec: CloneSpec, allow_aux: bool = True,
-                      layout: BasisLayout | None = None) -> SynthesisResult:
+def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     """Build the full cloning circuit for ``spec``.
 
-    With ``allow_aux`` the preparation register grows beyond 2(M-N) qubits
-    when the populated bases would not otherwise fit, or would leave no free
-    basis for the move scheduler.  With ``allow_aux=False`` such cases raise.
+    The preparation register grows beyond 2(M-N) qubits exactly when the
+    populated bases would otherwise leave no free basis (``BasisLayout.packed``).
     """
-    check = feasibility(spec)
-    if layout is None:
-        layout = BasisLayout.packed(spec, allow_aux=allow_aux)
-    target = prep_for_spec(spec, layout)
-    prep_core = emit_prep_circuit(solve_angles(target))
-
+    layout = BasisLayout.packed(spec)
+    prep_core = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)))
     perm = build_permutation(spec, layout)
-    try:
-        plan = schedule(perm)
-    except ScheduleError:
-        if not allow_aux or layout.n_aux > 0:
-            raise
-        # counting condition holds with equality: every basis is populated,
-        # so cycle-breaking needs one auxiliary qubit of headroom
-        layout = BasisLayout.custom(spec, layout.placements, n_aux=1,
-                                    machine_complement=layout.machine_complement)
-        target = prep_for_spec(spec, layout)
-        prep_core = emit_prep_circuit(solve_angles(target))
-        perm = build_permutation(spec, layout)
-        plan = schedule(perm)
+    plan = schedule(perm)
     validate_plan(perm, plan)
 
     register = RegisterLayout(spec, layout.n_aux)
@@ -82,8 +62,7 @@ def synthesize_cloner(spec: CloneSpec, allow_aux: bool = True,
     clone_only = Circuit(n_total, clone_stage.gates, roles)
     return SynthesisResult(
         spec=spec, circuit=circuit, prep_circuit=prep_only, clone_circuit=clone_only,
-        prep_target=target, layout=layout, permutation=perm, plan=plan,
-        feasibility=check)
+        layout=layout, permutation=perm, plan=plan)
 
 
 def reference_one_to_two() -> Circuit:

@@ -9,4 +9,4 @@ SWEEP = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (2, 5))
 @pytest.fixture(scope="session")
 def sweep_results():
     """Synthesized cloners for the standard spec sweep, shared across tests."""
-    return {nm: synthesize_cloner(CloneSpec(*nm), allow_aux=True) for nm in SWEEP}
+    return {nm: synthesize_cloner(CloneSpec(*nm)) for nm in SWEEP}

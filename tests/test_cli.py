@@ -36,16 +36,32 @@ class TestSynth:
         assert artifact.read_bytes() == first
 
     def test_infeasible_without_aux_flag(self, tmp_path, capsys):
-        code, _, err = run_cli(
+        # 84 populated bases overflow the 2^6 prep register: one aux qubit is
+        # added without being asked for, and the artifact name records it
+        code, out, _ = run_cli(
             ["synth", "-N", "3", "-M", "6", "--artifacts", str(tmp_path)], capsys)
-        assert code == 1
-        assert "requires --aux (84 > 64)" in err
+        assert code == 0
+        assert "aux=1" in out
+        assert "84 > 64 (aux variant used)" in out
+        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N3_M6_aux1_v{__version__}.json"]
 
     def test_aux_allowed_even_when_unneeded(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["synth", "-N", "2", "-M", "4", "--aux", "--artifacts", str(tmp_path)], capsys)
+            ["synth", "-N", "2", "-M", "4", "--artifacts", str(tmp_path)], capsys)
         assert code == 0
-        assert "aux=0" in out  # permission granted, no aux actually required
+        assert "aux=0" in out  # 15 bases fit in the 2^4 prep register
+        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N2_M4_aux0_v{__version__}.json"]
+
+    def test_removed_flags_are_rejected(self, capsys):
+        # the register size follows from the spec, so only scan keeps --aux
+        # (it picks a cost model there), and scan measures by default
+        for argv in (["synth", "-N", "2", "-M", "4", "--aux"],
+                     ["verify", "-N", "2", "-M", "4", "--aux"],
+                     ["count", "-N", "2", "-M", "4", "--aux"],
+                     ["scan", "--measured"]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 1, argv
+            assert "unrecognized arguments" in err, argv
 
 
 class TestVerify:
@@ -153,3 +169,27 @@ class TestValidationErrors:
     def test_scan_requires_paired_spec_flags(self, capsys):
         code, _, err = run_cli(["scan", "-N", "1", "--species", "Ca+"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--gates", "-5"],
+        ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--gates", "-5"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--gamma1", "-1",
+         "--omega1", "1e6"],
+    ])
+    def test_bad_physics_inputs_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "p_min" not in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_needs_a_sample(self, samples, capsys):
+        code, _, err = run_cli(["verify", "-N", "1", "-M", "2", "--samples", samples], capsys)
+        assert code == 1
+        assert "n_samples" in err
+
+    def test_missing_species_db(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, _, err = run_cli(["scan", "--species-db", str(missing), "--no-measured"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "absent.json" in err

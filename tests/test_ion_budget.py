@@ -81,12 +81,24 @@ class TestCloningTime:
         tau = elementary_gate_time(SPEC12, params, 1e6)
         assert cloning_time(SPEC12, params, 1e6) == pytest.approx(tau * want, rel=1e-12)
 
+    def test_negative_gate_count_rejected(self, species):
+        params = TrapParams()
+        with pytest.raises(ValueError, match="nonnegative"):
+            cloning_time(SPEC12, params, 1e6, gate_count_override=-5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_emission_probability(SPEC12, species["Ca+"], params, gate_count_override=-5)
+
 
 class TestEmissionProbability:
     def test_requires_gamma1(self):
         params = TrapParams()
         with pytest.raises(ValueError):
             emission_probability(SPEC12, load_species()["Ca+"], params, x=1.0)
+
+    @pytest.mark.parametrize("gamma1", [0.0, -1.0])
+    def test_nonpositive_gamma1_rejected(self, gamma1):
+        with pytest.raises(ValueError, match="gamma1"):
+            TrapParams(gamma1=gamma1)
 
     def test_linear_in_run_time(self, species):
         params = TrapParams(gamma1=1.0)

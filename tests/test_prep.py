@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm import (BasisLayout, CloneSpec, PrepTarget, apply, cnot_cost,
+from uqcm import (BasisLayout, CloneSpec, PrepTarget, apply, basis_count, cnot_cost,
                   emit_prep_circuit, prep_for_spec, solve_angles)
 from uqcm.statevec import StateVector
 
@@ -105,20 +105,25 @@ class TestPrepForSpec:
         target = prep_for_spec(CloneSpec(2, 4))
         np.testing.assert_allclose(target.coeffs, eq_two_to_four_target().coeffs, atol=1e-14)
 
-    def test_infeasible_without_aux_raises_with_counts(self):
-        with pytest.raises(ValueError, match="84 > 64"):
-            prep_for_spec(CloneSpec(3, 6))
-
     def test_aux_variant_enlarges_register(self):
-        layout = BasisLayout.packed(CloneSpec(3, 6), allow_aux=True)
+        layout = BasisLayout.packed(CloneSpec(3, 6))
         assert layout.n_aux == 1 and layout.prep_qubits == 7
         target = prep_for_spec(CloneSpec(3, 6), layout)
         assert target.n_qubits == 7
         assert int(np.sum(target.coeffs > 0)) == 84
 
     def test_boundary_spec_gets_aux_headroom(self):
-        layout = BasisLayout.packed(CloneSpec(2, 3), allow_aux=True)
+        layout = BasisLayout.packed(CloneSpec(2, 3))
         assert layout.n_aux == 1  # all four bases would otherwise be populated
+
+    def test_aux_is_the_fewest_qubits_leaving_a_free_basis(self):
+        for n in range(1, 5):
+            for m in range(n + 1, 7):
+                spec = CloneSpec(n, m)
+                layout = BasisLayout.packed(spec)
+                count = basis_count(spec)
+                assert count < 2 ** layout.prep_qubits, spec
+                assert layout.n_aux == 0 or count >= 2 ** (layout.prep_qubits - 1), spec
 
     def test_custom_layout_must_match_multiset(self):
         spec = CloneSpec(1, 2)

@@ -106,6 +106,11 @@ class TestVerifySynthesized:
         with pytest.raises(ValueError):
             verify(CloneSpec(1, 3), sweep_results[(1, 2)].circuit, n_samples=1)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_needs_at_least_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=n_samples)
+
     def test_deterministic_given_seed(self, sweep_results):
         res = sweep_results[(1, 3)]
         r1 = verify(res.spec, res.circuit, n_samples=10, seed=3)
@@ -115,7 +120,7 @@ class TestVerifySynthesized:
 
 def test_three_to_six_aux_variant_is_basis_exact():
     from uqcm import synthesize_cloner
-    res = synthesize_cloner(CloneSpec(3, 6), allow_aux=True)
+    res = synthesize_cloner(CloneSpec(3, 6))
     report = verify(res.spec, res.circuit, n_samples=5, seed=19)
     assert report.max_state_error < 1e-9
     assert flag_residue(res, seed=19, samples=5) < 1e-12

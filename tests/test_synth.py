@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqcm import (CloneSpec, RegisterLayout, ScheduleError, StateVector, apply,
+from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
                   cnot_cost, ideal_output, reference_one_to_two, synthesize_cloner)
 from uqcm.circuit import to_json
 from uqcm.statevec import MAX_QUBITS
@@ -31,16 +31,8 @@ class TestSynthesize:
         assert res.n_aux == 1
         assert res.circuit.roles["aux"] == (4,)
 
-    def test_boundary_spec_without_aux_raises(self):
-        with pytest.raises(ScheduleError):
-            synthesize_cloner(CloneSpec(2, 3), allow_aux=False)
-
-    def test_infeasible_spec_without_aux_raises(self):
-        with pytest.raises(ValueError, match="84 > 64"):
-            synthesize_cloner(CloneSpec(3, 6), allow_aux=False)
-
     def test_infeasible_spec_with_aux_synthesizes(self):
-        res = synthesize_cloner(CloneSpec(3, 6), allow_aux=True)
+        res = synthesize_cloner(CloneSpec(3, 6))
         assert res.n_aux == 1
         assert res.circuit.n_qubits == 3 + 7 + 1
 
@@ -75,23 +67,6 @@ class TestSynthesize:
     def test_oversized_spec_rejected_before_synthesis(self):
         with pytest.raises(ValueError, match=rf"cap of {MAX_QUBITS} \(statevec\.MAX_QUBITS\)"):
             synthesize_cloner(CloneSpec(1, 11))
-
-    def test_custom_layout_honored_end_to_end(self):
-        # placing the amplitudes the way the hand-made network does reproduces
-        # its uncomplemented machine convention through the full pipeline
-        import math
-        from uqcm import BasisLayout
-        spec = CloneSpec(1, 2)
-        layout = BasisLayout.custom(
-            spec,
-            [(0b00, math.sqrt(2 / 3)), (0b01, math.sqrt(1 / 6)), (0b11, math.sqrt(1 / 6))],
-            machine_complement=False)
-        res = synthesize_cloner(spec, layout=layout)
-        for b in (0, 1):
-            inp = StateVector.basis(1, b).tensor(StateVector.basis(3, 0))
-            out = apply(res.circuit, inp)
-            ideal = ideal_output(spec, StateVector.basis(1, b)).amps
-            np.testing.assert_allclose(out.amps[0::2], ideal, atol=1e-12)
 
     def test_full_circuit_inverts(self, sweep_results):
         from uqcm import inverse
