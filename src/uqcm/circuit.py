@@ -55,6 +55,8 @@ class Gate:
             raise ValueError(f"duplicate control qubits in {qs}")
         if self.target in qs:
             raise ValueError(f"target {self.target} also appears as a control")
+        if min(qs + [self.target]) < 0:
+            raise ValueError(f"negative qubit index in target {self.target} or controls {qs}")
         if self.kind in ROTATION_KINDS:
             if self.theta is None:
                 raise ValueError(f"{self.kind} gate requires theta")
@@ -240,6 +242,12 @@ def to_dict(circuit: Circuit) -> dict:
     }
 
 
+def _polarity(name: str) -> bool:
+    if name not in ("positive", "negative"):
+        raise ValueError(f"control polarity must be 'positive' or 'negative', got {name!r}")
+    return name == "positive"
+
+
 def from_dict(data: dict) -> Circuit:
     if data.get("schema") != CIRCUIT_SCHEMA:
         raise ValueError(f"unsupported circuit schema {data.get('schema')!r}")
@@ -247,7 +255,7 @@ def from_dict(data: dict) -> Circuit:
         Gate(
             gd["kind"],
             gd["target"],
-            tuple(Control(cd["q"], cd["polarity"] == "positive") for cd in gd["controls"]),
+            tuple(Control(cd["q"], _polarity(cd["polarity"])) for cd in gd["controls"]),
             gd.get("theta"),
         )
         for gd in data["gates"]

@@ -70,7 +70,7 @@ def cmd_synth(args) -> int:
     check = feasibility(spec)
     result = synthesize_cloner(spec)
     counts = result.gate_counts()
-    bound = gate_count_bound(spec, aux_qubits=1 if result.n_aux else 0)
+    bound = gate_count_bound(spec)  # the quadratic model of gate_counts()
     rel = "<=" if check.feasible_without_aux else ">"
     register = RegisterLayout.of(spec, result.circuit)
     print(f"spec: N={spec.n_in} M={spec.m_out} "
@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
     if args.circuit:
         try:
             circuit = from_json(Path(args.circuit).read_text())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             _fail(f"cannot load circuit {args.circuit!r}: {exc}")
     else:
         result = synthesize_cloner(spec)
@@ -136,22 +136,24 @@ def cmd_budget(args) -> int:
     spec = CloneSpec(args.n_in, args.m_out)
     params = _params_from(args)
     species_list = _species_selection(args)
-    _print_params(params, args.threshold)
-    print(f"spec: N={spec.n_in} M={spec.m_out}  circuit factor (lhs): {lhs_mmax(spec):.6g}")
+    # every figure is computed before the first print, so bad input prints nothing
+    lines = [f"spec: N={spec.n_in} M={spec.m_out}  circuit factor (lhs): {lhs_mmax(spec):.6g}"]
     if args.omega1:
         tau = elementary_gate_time(spec, params, args.omega1)
         total = cloning_time(spec, params, args.omega1, args.gates)
-        print(f"elementary gate time: {tau:.6g} s   run time: {total:.6g} s")
+        lines.append(f"elementary gate time: {tau:.6g} s   run time: {total:.6g} s")
     for sp in species_list:
         pmin = min_emission_probability(spec, sp, params, gate_count_override=args.gates)
         thr = feasibility_threshold(sp, params)
         verdict = "feasible" if pmin < args.threshold else "not feasible"
-        print(f"{sp.name}: p_min={pmin:.6g} ({verdict}); species threshold={thr:.6g}")
+        lines.append(f"{sp.name}: p_min={pmin:.6g} ({verdict}); species threshold={thr:.6g}")
         if args.omega1 and params.gamma1:
             probs = emission_probability(spec, sp, params, omega1_rabi=args.omega1,
                                          gate_count_override=args.gates)
-            print(f"    at omega1={args.omega1:g}: p1={probs.p1:.6g} "
-                  f"p2={probs.p2:.6g} p_total={probs.p_total:.6g}")
+            lines.append(f"    at omega1={args.omega1:g}: p1={probs.p1:.6g} "
+                         f"p2={probs.p2:.6g} p_total={probs.p_total:.6g}")
+    _print_params(params, args.threshold)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -165,13 +167,6 @@ def cmd_scan(args) -> int:
     else:
         _fail("give both -N and -M, or neither")
     etas = args.eta_list or [params.eta]
-    _print_params(params, args.threshold)
-    print("species thresholds:")
-    for eta in etas:
-        for sp in species_list:
-            thr = feasibility_threshold(sp, TrapParams(eta=eta, epsilon=params.epsilon,
-                                                       delta2=params.delta2))
-            print(f"  {sp.name} (eta={eta:g}): {thr:.6g}")
     measured = {}
     if args.gates is not None:
         if len(specs) != 1:
@@ -184,8 +179,16 @@ def cmd_scan(args) -> int:
             except ValueError:
                 continue
             measured[(spec.n_in, spec.m_out)] = result.gate_counts(args.aux)["total"]
+    # the scan checks every input, so it runs before the first print
     rows = feasibility_scan(species_list, params, specs, aux=args.aux, etas=etas,
                             measured_counts=measured, threshold=args.threshold)
+    _print_params(params, args.threshold)
+    print("species thresholds:")
+    for eta in etas:
+        for sp in species_list:
+            thr = feasibility_threshold(sp, TrapParams(eta=eta, epsilon=params.epsilon,
+                                                       delta2=params.delta2))
+            print(f"  {sp.name} (eta={eta:g}): {thr:.6g}")
     print(render_scan_table(rows))
     if args.json_out:
         Path(args.json_out).write_text(scan_to_json(rows))

@@ -7,19 +7,25 @@ destination bases of the target output, scheduled as sequential amplitude
 moves (a move may only land on a currently empty basis), and compiled into
 flag-ancilla gadgets of three multi-qubit steps each.
 
-Destination choice per input pattern:
-  * all-zeros pattern: value-matched against the target output amplitudes,
-    preferring fixed points inside equal-amplitude groups;
-  * all-ones pattern: bitwise complement of the all-zeros assignment;
-  * mixed patterns (N >= 2): value-matched the same way whenever the
-    excitation-weight component of the ideal output has matching amplitude
-    multiplicities, otherwise routed to free bases.  The matched case is
-    exactly the condition for the finished circuit to clone arbitrary
-    superposition inputs; the fallback keeps the circuit faithful on
-    computational inputs and is reported via ``universal_routing``.
+Destinations are chosen in one pass over (pattern, complement) pairs; the
+complement pattern always gets the bitwise complement of its partner's
+assignment.  Routing order:
+  1. value-matched pairs: the all-zeros pattern, and any mixed pattern (N >= 2)
+     whose excitation-weight component of the ideal output has matching
+     amplitude multiplicities, take destinations of equal amplitude,
+     preferring fixed points inside equal-amplitude groups;
+  2. the remaining mixed patterns go to free bases: the source's own basis
+     when it is free and aux-clean, else the next free basis, aux-clean first.
+Matched pairs go first, so their destination pools are used up before any
+free basis is taken.  Matching every pattern is exactly the condition for the
+finished circuit to clone arbitrary superposition inputs; the fallback keeps
+the circuit faithful on computational inputs and is reported via
+``universal_routing``.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,12 +85,12 @@ def _value_groups(values: list[float]) -> list[float]:
     return reps
 
 
-def _group_key(reps: list[float], v: float) -> int:
-    import bisect
+def _group_key(reps: list[float], v: float) -> int | None:
+    """Index of the value group matching ``v``, or None when none does."""
     i = bisect.bisect_left(reps, v - VALUE_TOL)
     if i < len(reps) and abs(reps[i] - v) <= VALUE_TOL * 2:
         return i
-    raise SynthesisError(f"amplitude {v!r} matches no expected value group")
+    return None
 
 
 def build_permutation(spec: CloneSpec, layout: BasisLayout) -> PermutationSpec:
@@ -94,123 +100,91 @@ def build_permutation(spec: CloneSpec, layout: BasisLayout) -> PermutationSpec:
     register; destinations are target-output bases shifted left by the number
     of auxiliary qubits, which therefore end in |0>.
     """
-    n, p_qubits = spec.n_in, layout.prep_qubits
-    n_aux = layout.n_aux
+    n, p_qubits, n_aux = spec.n_in, layout.prep_qubits, layout.n_aux
     n_data = n + p_qubits
     comps = weight_components(spec, layout.machine_complement)
     cvec = layout.coefficients()
     nz = [int(k) for k in np.nonzero(cvec > AMP_EPS)[0]]
-    n_amp = len(nz)
 
     reps = _value_groups([float(v) for v in comps[0] if v > AMP_EPS])
-
-    # per-weight destination pools keyed by amplitude group, embedded with aux zeros
-    pools: list[dict[int, list[int]]] = []
-    matchable: list[bool] = []
-    c_counts: dict[int, int] = {}
+    # populated prep bases by amplitude group, in basis order
+    by_group: dict[int | None, list[int]] = {}
     for k in nz:
-        c_counts[_group_key(reps, float(cvec[k]))] = (
-            c_counts.get(_group_key(reps, float(cvec[k])), 0) + 1)
+        by_group.setdefault(_group_key(reps, float(cvec[k])), []).append(k)
+
+    # per-weight destination pools keyed by amplitude group (None: negative or
+    # unmatched), embedded with aux zeros; matchable: C(N, w) x the sources per group
+    pools: list[dict[int | None, list[int]]] = []
+    matchable: list[bool] = []
     for w, comp in enumerate(comps):
-        pool: dict[int, list[int]] = {}
-        ok = True
+        pool: dict[int | None, list[int]] = {}
         for z in np.nonzero(np.abs(comp) > AMP_EPS)[0]:
             v = float(comp[z])
-            if v < 0:
-                ok = False
-                continue
-            try:
-                gid = _group_key(reps, v)
-            except SynthesisError:
-                ok = False
-                continue
+            gid = None if v < 0 else _group_key(reps, v)
             pool.setdefault(gid, []).append(int(z) << n_aux)
-        mult = math.comb(n, w)
-        if ok:
-            ok = all(len(pool.get(g, ())) == mult * cnt for g, cnt in c_counts.items()) and (
-                sum(len(zs) for zs in pool.values()) == mult * n_amp)
-        pools.append({g: sorted(zs) for g, zs in pool.items()})
-        matchable.append(ok)
+        pools.append(pool)
+        matchable.append(None not in pool and {g: len(zs) for g, zs in pool.items()}
+                         == {g: math.comb(n, w) * len(ks) for g, ks in by_group.items()})
     if not matchable[0]:
         raise SynthesisError(
             f"{spec}: preparation amplitudes do not match the target output multiset")
 
-    data_mask = (1 << n_data) - 1
+    full = (1 << n) - 1
     aux_mask = (1 << n_aux) - 1
-    flip_mask = data_mask & ~aux_mask  # complements pattern + output bits, keeps aux
+    flip_mask = ((1 << n_data) - 1) & ~aux_mask  # complements pattern + output bits, keeps aux
+    pattern_flip = full << p_qubits  # a source's partner: complement pattern, same prep basis
 
     mapping: dict[int, int] = {}
-    used: set[int] = set()
-    # destinations of matchable weight classes are reserved for matched routing
-    reserved: set[int] = set()
-    for w, pool in enumerate(pools):
-        if matchable[w]:
-            for zs in pool.values():
-                reserved.update(zs)
+    used: set[int] = set()  # closed under the flip: assign adds both halves
 
-    universal = all(matchable)
-
-    def assign(s: int, sbar: int, pick: int) -> None:
+    def assign(s: int, pick: int) -> None:
         mapping[s] = pick
-        mapping[sbar] = pick ^ flip_mask
-        used.add(pick)
-        used.add(pick ^ flip_mask)
-
-    def available(z: int, avoid_reserved: bool = False) -> bool:
-        if z in used or (z ^ flip_mask) in used:
-            return False
-        if avoid_reserved and (z in reserved or (z ^ flip_mask) in reserved):
-            return False
-        return True
+        mapping[s ^ pattern_flip] = pick ^ flip_mask
+        used.update((pick, pick ^ flip_mask))
 
     # free destinations scanned aux-clean-first so the auxiliary register ends
-    # in |0> whenever the counting allows it
-    free_order = sorted(range(2 ** n_data), key=lambda z: ((z & aux_mask) != 0, z))
-    free_pos = 0
-    for pattern in range(2 ** n):
-        pbar = pattern ^ ((1 << n) - 1)
-        if pbar < pattern:
-            continue  # assigned together with its complement
+    # in |0> whenever the counting allows it; `used` only grows, so a basis
+    # skipped once stays taken
+    free = (z for z in itertools.chain(range(0, 2 ** n_data, aux_mask + 1),
+                                       (z for z in range(2 ** n_data) if z & aux_mask))
+            if z not in used)
+
+    # each pattern with its complement; matched pairs first (a stable sort), so
+    # their pools are used up before any mixed pattern takes a free basis
+    pairs = sorted((p for p in range(2 ** n) if p < p ^ full),
+                   key=lambda p: not matchable[bin(p).count("1")])
+    for pattern in pairs:
         w = bin(pattern).count("1")
         shift = pattern << p_qubits
-        shift_bar = pbar << p_qubits
         if matchable[w]:
-            by_group: dict[int, list[int]] = {}
-            for k in nz:
-                by_group.setdefault(_group_key(reps, float(cvec[k])), []).append(k)
-            for gid in sorted(by_group):
-                group_pool = pools[w].get(gid, [])
-                ks = by_group[gid]
-                # fixed points first: sources already sitting on a wanted basis
-                rest = []
+            for gid, ks in sorted(by_group.items()):
+                group_pool = pools[w][gid]
+                # fixed points first: sources already sitting on a free wanted basis
+                fixed = set(group_pool).intersection(shift | k for k in ks) - used
+                for s in sorted(fixed):
+                    assign(s, s)
+                open_pool = (z for z in group_pool if z not in used)
                 for k in ks:
-                    s = shift | k
-                    if s in group_pool and available(s):
-                        assign(s, shift_bar | k, s)
-                    else:
-                        rest.append(k)
-                for k in rest:
-                    s = shift | k
-                    pick = next((z for z in group_pool if available(z)), None)
+                    if shift | k in fixed:
+                        continue
+                    pick = next(open_pool, None)
                     if pick is None:
                         raise SynthesisError(
                             f"{spec}: destination pool exhausted for pattern {pattern:0{n}b}")
-                    assign(s, shift_bar | k, pick)
+                    assign(shift | k, pick)
         else:
+            # the source's own basis when free and aux-clean, else the next free one
             for k in nz:
                 s = shift | k
-                if (s & aux_mask) == 0 and available(s, avoid_reserved=True):
+                if (s & aux_mask) == 0 and s not in used:
                     pick = s
                 else:
-                    while free_pos < len(free_order) and not available(
-                            free_order[free_pos], avoid_reserved=True):
-                        free_pos += 1
-                    if free_pos == len(free_order):
+                    pick = next(free, None)
+                    if pick is None:
                         raise SynthesisError(
                             f"{spec}: no free destination left for pattern {pattern:0{n}b}")
-                    pick = free_order[free_pos]
-                assign(s, shift_bar | k, pick)
-    return PermutationSpec(n_qubits=n_data, mapping=mapping, universal_routing=universal)
+                assign(s, pick)
+    return PermutationSpec(n_qubits=n_data, mapping=mapping, universal_routing=all(matchable))
 
 
 def schedule(perm: PermutationSpec) -> PermutationPlan:

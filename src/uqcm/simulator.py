@@ -90,16 +90,11 @@ class VerificationReport:
 
 
 def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
-           seed: int = 7, gate_counts: dict | None = None,
-           machine_complement: bool | None = None) -> VerificationReport:
+           seed: int = 7, gate_counts: dict | None = None) -> VerificationReport:
     """Compare a circuit against the ideal transformation.
 
     Deterministic given ``seed``; the random inputs come from a counter-based
     stream so runs are reproducible regardless of sample count.
-
-    ``machine_complement`` pins the machine-bit convention for the exact
-    state comparison; by default either of the two equivalent conventions is
-    accepted (the smaller error counts).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -109,8 +104,6 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     def run(psi: StateVector) -> StateVector:
         return apply(circuit, layout.input_state(psi))
 
-    conventions = (False, True) if machine_complement is None else (machine_complement,)
-
     def state_error(out: StateVector, ideal: np.ndarray) -> float:
         ext = layout.embed(ideal)
         anchor = int(np.argmax(np.abs(ext)))
@@ -119,13 +112,14 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
             phase = 1.0
         return float(np.max(np.abs(out.amps - phase * ext)))
 
-    # (a) exact match on computational-basis inputs, up to global phase
+    # (a) exact match on computational-basis inputs, up to global phase, under
+    # either machine-bit convention (the smaller error counts)
     max_state_error = 0.0
     for b in (0, 1):
         out = run(StateVector.basis(1, b))
         err = min(
             state_error(out, ideal_output(spec, StateVector.basis(1, b), mc).amps)
-            for mc in conventions)
+            for mc in (False, True))
         max_state_error = max(max_state_error, err)
 
     # (b)-(d) statistics over Haar-random inputs

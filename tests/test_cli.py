@@ -44,6 +44,8 @@ class TestSynth:
         assert "aux=1" in out
         assert "84 > 64 (aux variant used)" in out
         assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N3_M6_aux1_v{__version__}.json"]
+        # the bound uses the same quadratic cost model as the measured count
+        assert "gates bound:    prep=2304 clone=76418 total=78722" in out
 
     def test_aux_allowed_even_when_unneeded(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -94,12 +96,27 @@ class TestVerify:
         assert "PASS" in out
 
     def test_corrupted_circuit_file(self, tmp_path, capsys):
+        # unparsable JSON, and single-field edits of the synthesized 1->2
+        # circuit: each is an input error (exit 1), not a traceback or a
+        # verification FAIL (exit 2)
+        good = to_json(synthesize_cloner(CloneSpec(1, 2)).circuit)
+        edits = [lambda d: d["gates"][-1].update(target=-1),
+                 lambda d: d["gates"][-1]["controls"][0].update(q=-2),
+                 lambda d: d["gates"][-1]["controls"][0].update(polarity="sideways"),
+                 lambda d: d.update(n_qubits="4"),
+                 lambda d: d["gates"][-1].update(target="1")]
+        texts = ["{ not json"]
+        for edit in edits:
+            data = json.loads(good)
+            edit(data)
+            texts.append(json.dumps(data))
         bad = tmp_path / "broken.json"
-        bad.write_text("{ not json")
-        code, _, err = run_cli(
-            ["verify", "-N", "1", "-M", "2", "--circuit", str(bad)], capsys)
-        assert code == 1
-        assert "cannot load circuit" in err
+        for text in texts:
+            bad.write_text(text)
+            code, _, err = run_cli(
+                ["verify", "-N", "1", "-M", "2", "--circuit", str(bad)], capsys)
+            assert code == 1, text[:200]
+            assert "cannot load circuit" in err, text[:200]
 
     def test_verification_failure_exit_code(self, tmp_path, capsys):
         broken = tmp_path / "prep_only.json"
@@ -175,12 +192,14 @@ class TestValidationErrors:
         ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--gates", "-5"],
         ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--gamma1", "-1",
          "--omega1", "1e6"],
+        ["scan", "--species", "Ca+", "--gates", "5"],
+        ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--eta-list", "0"],
     ])
     def test_bad_physics_inputs_rejected(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert err.startswith("error: ")
-        assert "p_min" not in out
+        assert out == ""  # rejected before any part of the report
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_needs_a_sample(self, samples, capsys):

@@ -54,15 +54,28 @@ class TestBuildPermutation:
         assert len(perm.mapping) == 6
         assert perm.universal_routing
 
-    def test_flip_symmetry_between_complementary_patterns(self):
-        spec = CloneSpec(2, 4)
+    def test_flip_symmetry_between_complementary_patterns(self, sweep_results):
+        # the complement pattern (same prep basis) lands on the complemented
+        # destination, with the aux bits left as they are
+        for (n, _), result in sweep_results.items():
+            perm, layout = result.permutation, result.layout
+            pattern_flip = ((1 << n) - 1) << layout.prep_qubits
+            flip_mask = ((1 << perm.n_qubits) - 1) & ~((1 << layout.n_aux) - 1)
+            for s, d in perm.mapping.items():
+                assert perm.mapping[s ^ pattern_flip] == d ^ flip_mask, (result.spec, s)
+
+    def test_two_to_three_mixed_pattern_routing(self):
+        # pins the fallback for a pattern that cannot be value-matched: the
+        # mixed source 0b01000's own basis already receives the all-zeros
+        # source 0b00010, so it goes to the first free aux-clean basis, 0b00000
+        spec = CloneSpec(2, 3)
         perm = build_permutation(spec, BasisLayout.packed(spec))
-        p_bits, flip = spec.prep_qubits, (1 << spec.total_qubits) - 1
-        for k in range(16):
-            s = k
-            if s in perm.mapping:
-                partner = (0b11 << p_bits) | k
-                assert perm.mapping[partner] == perm.mapping[s] ^ flip
+        assert perm.mapping == {
+            0b00000: 0b00010, 0b00001: 0b00100, 0b00010: 0b01000, 0b00011: 0b10000,
+            0b01000: 0b00000, 0b01001: 0b00110, 0b01010: 0b01010, 0b01011: 0b01100,
+            0b10000: 0b11110, 0b10001: 0b11000, 0b10010: 0b10100, 0b10011: 0b10010,
+            0b11000: 0b11100, 0b11001: 0b11010, 0b11010: 0b10110, 0b11011: 0b01110}
+        assert not perm.universal_routing
 
     def test_mixed_patterns_flagged_when_not_value_matchable(self):
         spec = CloneSpec(2, 4)
