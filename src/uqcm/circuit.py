@@ -162,13 +162,6 @@ class RegisterLayout:
             roles["ancilla-flag"] = (self.n_qubits - 1,)
         return roles
 
-    def input_state(self, psi: StateVector) -> StateVector:
-        """psi on each of the N inputs, |0> on every other qubit."""
-        reg = psi
-        for _ in range(self.spec.n_in - 1):
-            reg = reg.tensor(psi)
-        return reg.tensor(StateVector.basis(self.n_qubits - self.spec.n_in, 0))
-
     def embed(self, ideal: np.ndarray) -> np.ndarray:
         """Amplitudes over the 2M-N cloner qubits, with the trailing qubits in |0>."""
         out = np.zeros(2 ** self.n_qubits, dtype=complex)
@@ -186,29 +179,40 @@ class RegisterLayout:
         return layout
 
 
-def apply(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply gates in order; returns a new state (unitary, norm-preserving)."""
-    if state.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"dimension mismatch: circuit on {circuit.n_qubits} qubits, "
-            f"state on {state.n_qubits}")
+def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np.ndarray:
+    """Apply gates in order; returns a new state (unitary, norm-preserving).
+
+    ``state`` is a StateVector, or a ``(k, 2**n)`` array of k amplitude rows
+    that are all run at once (the result is a new array of the same shape).
+    The rows are viewed as a ``(k,) + (2,)*n`` tensor, batch axis first, and
+    each gate acts on the two views where its controls hold and its target is
+    0 or 1: basic slicing, so no gate builds an index or mask over 2**n.
+    """
     n = circuit.n_qubits
-    amps = state.amps.copy()
-    idx = np.arange(2 ** n)
+    rows = state.amps[np.newaxis] if isinstance(state, StateVector) else np.asarray(state)
+    if rows.ndim != 2 or rows.shape[1] != 2 ** n:
+        raise ValueError(
+            f"dimension mismatch: circuit on {n} qubits, state of shape {rows.shape}")
+    t = rows.astype(complex).reshape((len(rows),) + (2,) * n)
     for g in circuit.gates:
-        sel = np.ones(2 ** n, dtype=bool)
+        idx = [slice(None)] * (n + 1)
         for q, positive in g.controls:
-            bit = (idx >> (n - 1 - q)) & 1
-            sel &= bit == (1 if positive else 0)
-        tmask = 1 << (n - 1 - g.target)
-        i0 = idx[sel & ((idx & tmask) == 0)]
-        i1 = i0 | tmask
-        m = g.matrix()
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
-        amps[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(amps)
+            idx[q + 1] = int(positive)
+        idx[g.target + 1] = 0
+        a0 = t[tuple(idx)]
+        idx[g.target + 1] = 1
+        a1 = t[tuple(idx)]
+        if g.kind in FLIP_KINDS:
+            swap = a0.copy()
+            a0[...] = a1
+            a1[...] = swap
+        else:
+            m = g.matrix()
+            b0 = m[0, 0] * a0 + m[0, 1] * a1
+            a1[...] = m[1, 0] * a0 + m[1, 1] * a1
+            a0[...] = b0
+    out = t.reshape(rows.shape)
+    return StateVector(out[0]) if isinstance(state, StateVector) else out
 
 
 def cnot_cost(circuit: Circuit, aux_available: bool = False) -> int:
@@ -248,20 +252,36 @@ def _polarity(name: str) -> bool:
     return name == "positive"
 
 
+def _index(value: object, what: str) -> int:
+    # exactly int: JSON gives no other integer type, and bool is not an index
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _theta(value: object) -> float | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not math.isfinite(value)):
+        raise ValueError(f"theta must be a finite real number, got {value!r}")
+    return value
+
+
 def from_dict(data: dict) -> Circuit:
     if data.get("schema") != CIRCUIT_SCHEMA:
         raise ValueError(f"unsupported circuit schema {data.get('schema')!r}")
     gates = tuple(
         Gate(
             gd["kind"],
-            gd["target"],
-            tuple(Control(cd["q"], _polarity(cd["polarity"])) for cd in gd["controls"]),
-            gd.get("theta"),
+            _index(gd["target"], "gate target"),
+            tuple(Control(_index(cd["q"], "control qubit"), _polarity(cd["polarity"]))
+                  for cd in gd["controls"]),
+            _theta(gd.get("theta")),
         )
         for gd in data["gates"]
     )
-    roles = {name: tuple(qs) for name, qs in data.get("roles", {}).items()} or None
-    return Circuit(data["n_qubits"], gates, roles)
+    roles = {name: tuple(_index(q, f"{name} qubit") for q in qs)
+             for name, qs in data.get("roles", {}).items()} or None
+    return Circuit(_index(data["n_qubits"], "n_qubits"), gates, roles)
 
 
 def to_json(circuit: Circuit) -> str:

@@ -1,0 +1,127 @@
+"""Slow reference implementations that the library's fast paths are checked against.
+
+``input_state`` builds a cloner's input one Kronecker factor at a time;
+``apply_by_mask`` applies each gate through a 2^n boolean mask over basis
+indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
+verification report by running that oracle once per basis input and once per
+Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
+``random_circuit`` makes the structureless circuits they are compared on.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector,
+                  VerificationReport, cnot_cost, fidelity_against_pure, gate_count_bound,
+                  haar_random_qubit, ideal_output, partial_trace)
+from uqcm.circuit import ROTATION_KINDS
+
+
+def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
+    """psi on each of the N inputs, |0> on every other qubit."""
+    reg = psi
+    for _ in range(layout.spec.n_in - 1):
+        reg = reg.tensor(psi)
+    return reg.tensor(StateVector.basis(layout.n_qubits - layout.spec.n_in, 0))
+
+
+def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:
+    """Apply gates in order, selecting each gate's amplitude pairs by a mask."""
+    if state.n_qubits != circuit.n_qubits:
+        raise ValueError(
+            f"dimension mismatch: circuit on {circuit.n_qubits} qubits, "
+            f"state on {state.n_qubits}")
+    n = circuit.n_qubits
+    amps = state.amps.copy()
+    idx = np.arange(2 ** n)
+    for g in circuit.gates:
+        sel = np.ones(2 ** n, dtype=bool)
+        for q, positive in g.controls:
+            bit = (idx >> (n - 1 - q)) & 1
+            sel &= bit == (1 if positive else 0)
+        tmask = 1 << (n - 1 - g.target)
+        i0 = idx[sel & ((idx & tmask) == 0)]
+        i1 = i0 | tmask
+        m = g.matrix()
+        a0 = amps[i0]
+        a1 = amps[i1]
+        amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
+        amps[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    return StateVector(amps)
+
+
+def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
+                      seed: int = 7, gate_counts: dict | None = None) -> VerificationReport:
+    """The report ``uqcm.verify`` gives, computed one circuit run per input."""
+    m = spec.m_out
+    layout = RegisterLayout.of(spec, circuit)
+
+    def run(psi: StateVector) -> StateVector:
+        return apply_by_mask(circuit, input_state(layout, psi))
+
+    def state_error(out: StateVector, ideal: np.ndarray) -> float:
+        ext = layout.embed(ideal)
+        anchor = int(np.argmax(np.abs(ext)))
+        phase = out.amps[anchor] / ext[anchor]
+        if abs(abs(phase) - 1) > 1e-6:
+            phase = 1.0
+        return float(np.max(np.abs(out.amps - phase * ext)))
+
+    max_state_error = 0.0
+    for b in (0, 1):
+        out = run(StateVector.basis(1, b))
+        err = min(
+            state_error(out, ideal_output(spec, StateVector.basis(1, b), mc).amps)
+            for mc in (False, True))
+        max_state_error = max(max_state_error, err)
+
+    fidelities = []
+    symmetry_error = 0.0
+    ancilla_error = 0.0
+    for i in range(n_samples):
+        psi = haar_random_qubit(seed, i)
+        out = run(psi)
+        rhos = [partial_trace(out, {q}) for q in range(m)]
+        fidelities.append(float(np.mean([fidelity_against_pure(r, psi) for r in rhos])))
+        for a in range(m):
+            for b in range(a + 1, m):
+                symmetry_error = max(
+                    symmetry_error,
+                    float(np.max(np.abs(rhos[a].elements - rhos[b].elements))))
+        if layout.trailing:
+            anc = partial_trace(out, layout.trailing)
+            delta = anc.elements.copy()
+            delta[0, 0] -= 1.0
+            ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))
+
+    counts = dict(gate_counts) if gate_counts else {"total": cnot_cost(circuit)}
+    counts.setdefault("total", cnot_cost(circuit))
+    counts["bound"] = gate_count_bound(spec).total
+    return VerificationReport(
+        spec=spec,
+        max_state_error=max_state_error,
+        clone_fidelity_mean=float(np.mean(fidelities)),
+        clone_fidelity_std=float(np.std(fidelities)),
+        clone_symmetry_error=symmetry_error,
+        ancilla_purity_error=ancilla_error,
+        gate_counts=counts,
+        n_samples=n_samples,
+        seed=seed,
+    )
+
+
+def random_circuit(n, n_gates, seed, roles=None):
+    """Every gate kind, 0 to n-1 controls of mixed polarity where the kind allows."""
+    rng = np.random.default_rng(seed)
+    kinds = ["roty", "utheta", "x"] + (["cnot", "mcx"] if n > 1 else [])
+    gates = []
+    for _ in range(n_gates):
+        kind = kinds[rng.integers(len(kinds))]
+        qubits = rng.permutation(n)
+        k = {"x": 0, "cnot": 1}.get(kind, int(rng.integers(n)))
+        controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, int(qubits[0]), controls, theta))
+    return Circuit(n, tuple(gates), roles)

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from oracle import random_circuit
 
 from uqcm import Circuit, Control, Gate, StateVector, apply, cnot_cost, inverse
 from uqcm.circuit import from_json, to_json
@@ -12,25 +14,6 @@ def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return StateVector(amps / np.linalg.norm(amps))
-
-
-def random_circuit(n, n_gates, seed):
-    rng = np.random.default_rng(seed)
-    gates = []
-    for _ in range(n_gates):
-        kind = rng.choice(["roty", "utheta", "x", "cnot", "mcx"])
-        qubits = rng.permutation(n)
-        target = int(qubits[0])
-        if kind == "x":
-            controls = ()
-        elif kind == "cnot":
-            controls = (Control(int(qubits[1]), bool(rng.integers(2))),)
-        else:
-            k = int(rng.integers(0, min(3, n - 1) + 1))
-            controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
-        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ("roty", "utheta") else None
-        gates.append(Gate(kind, target, controls, theta))
-    return Circuit(n, tuple(gates))
 
 
 class TestApply:
@@ -187,6 +170,24 @@ class TestSerialization:
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             from_json('{"schema": "bogus", "n_qubits": 1, "gates": []}')
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(n_qubits=True),
+        lambda d: d.update(n_qubits=2.0),
+        lambda d: d["gates"][0].update(target=True),
+        lambda d: d["gates"][0]["controls"][0].update(q=1.0),
+        lambda d: d["gates"][0].update(theta=float("inf")),
+        lambda d: d["gates"][0].update(theta=True),
+        lambda d: d["gates"][0].update(theta=[0.5]),
+        lambda d: d["roles"].update(input=[0.0]),
+    ])
+    def test_rejects_non_integer_index_and_non_finite_theta(self, edit):
+        circ = Circuit(2, (Gate("roty", 0, (Control(1, True),), 0.5),),
+                       roles={"input": (0,), "ancilla-flag": (1,)})
+        data = json.loads(to_json(circ))
+        edit(data)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(data))
 
     def test_apply_equivalence_after_round_trip(self):
         circ = random_circuit(4, 25, seed=19)

@@ -97,14 +97,19 @@ class TestVerify:
 
     def test_corrupted_circuit_file(self, tmp_path, capsys):
         # unparsable JSON, and single-field edits of the synthesized 1->2
-        # circuit: each is an input error (exit 1), not a traceback or a
-        # verification FAIL (exit 2)
+        # circuit: each is an input error (exit 1), not a traceback, a
+        # verification FAIL (exit 2) or a silently coerced index
+        # (gate 0 is a rotation, gate 1's control is qubit 1)
         good = to_json(synthesize_cloner(CloneSpec(1, 2)).circuit)
         edits = [lambda d: d["gates"][-1].update(target=-1),
                  lambda d: d["gates"][-1]["controls"][0].update(q=-2),
                  lambda d: d["gates"][-1]["controls"][0].update(polarity="sideways"),
                  lambda d: d.update(n_qubits="4"),
-                 lambda d: d["gates"][-1].update(target="1")]
+                 lambda d: d["gates"][-1].update(target="1"),
+                 lambda d: d["gates"][0].update(theta="0.5"),
+                 lambda d: d["gates"][1]["controls"][0].update(q=1.5),
+                 lambda d: d["gates"][0].update(target=1.5),
+                 lambda d: d["gates"][0].update(theta=float("nan"))]
         texts = ["{ not json"]
         for edit in edits:
             data = json.loads(good)

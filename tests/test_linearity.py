@@ -1,0 +1,91 @@
+"""Differential tests of the fast simulation path against the slow oracle.
+
+The slice-indexed ``apply`` must match the masked ``apply_by_mask`` on random
+circuits, one state or a batch of rows at a time; and ``verify``, which runs
+the circuit once on the 2^N input patterns and combines the outputs linearly,
+must give the report that one oracle run per sample gives.
+"""
+import numpy as np
+import pytest
+from oracle import apply_by_mask, random_circuit, verify_per_sample
+
+from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
+                  reference_one_to_two, verify)
+
+
+def random_rows(k, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, 2 ** n)) + 1j * rng.normal(size=(k, 2 ** n))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def assert_slice_matches_mask(n, n_gates, k, seed):
+    circ = random_circuit(n, n_gates, seed)
+    rows = random_rows(k, n, seed + 1)
+    before = rows.copy()
+    batch = apply(circ, rows)
+    np.testing.assert_array_equal(rows, before)   # the input is not modified
+    assert batch.shape == rows.shape
+    for row, got in zip(rows, batch):
+        want = apply_by_mask(circ, StateVector(row)).amps
+        assert np.max(np.abs(apply(circ, StateVector(row)).amps - want)) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_slice_apply_matches_mask_oracle(n):
+    for seed in range(4):
+        assert_slice_matches_mask(n, n_gates=40, k=1 + seed % 3, seed=1000 * n + seed)
+
+
+def test_slice_apply_matches_mask_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=st.integers(1, 8), n_gates=st.integers(0, 30),
+                      k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def check(n, n_gates, k, seed):
+        assert_slice_matches_mask(n, n_gates, k, seed)
+
+    check()
+
+
+def test_batch_shape_must_match_register():
+    circ = Circuit(2, (Gate("x", 0),))
+    for bad in (np.zeros(4), np.zeros((2, 8)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply(circ, bad)
+
+
+def assert_reports_match(spec, circuit, n_samples, seed, gate_counts=None):
+    fast = verify(spec, circuit, n_samples=n_samples, seed=seed,
+                  gate_counts=gate_counts).to_dict()
+    slow = verify_per_sample(spec, circuit, n_samples=n_samples, seed=seed,
+                             gate_counts=gate_counts).to_dict()
+    assert fast.keys() == slow.keys()
+    for key, value in slow.items():
+        if isinstance(value, float):
+            assert abs(fast[key] - value) <= 1e-12, (key, fast[key], value)
+        else:
+            assert fast[key] == value, key
+    return fast
+
+
+def test_linear_verify_matches_per_sample_on_sweep(sweep_results):
+    for res in sweep_results.values():
+        assert_reports_match(res.spec, res.circuit, 10, 11, res.gate_counts())
+
+
+def test_linear_verify_matches_per_sample_on_reference():
+    assert_reports_match(CloneSpec(1, 2), reference_one_to_two(), 40, 11)
+
+
+def test_linear_verify_matches_per_sample_on_random_circuit():
+    # no structure to lean on: a wrong pattern order or coefficient shows up
+    # in fidelities that differ widely from sample to sample
+    layout = RegisterLayout(CloneSpec(2, 3), n_aux=1)
+    circ = random_circuit(layout.n_qubits, 60, seed=5, roles=layout.roles())
+    report = assert_reports_match(layout.spec, circ, 20, 3)
+    assert report["clone_fidelity_std"] > 1e-2
+    assert report["ancilla_purity_error"] > 1e-2

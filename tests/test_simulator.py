@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import input_state
 
 from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
                   haar_random_qubit, partial_trace, reference_one_to_two,
@@ -14,7 +15,7 @@ def flag_residue(result, seed, samples=10):
     worst = 0.0
     for i in range(samples):
         psi = haar_random_qubit(seed, i)
-        out = apply(circuit, layout.input_state(psi))
+        out = apply(circuit, input_state(layout, psi))
         rho = partial_trace(out, {flag}).elements
         worst = max(worst, float(abs(rho[1, 1])))
     return worst
@@ -131,8 +132,20 @@ def test_clone_marginals_equal_on_basis_inputs(sweep_results):
         m = res.spec.m_out
         layout = RegisterLayout.of(res.spec, res.circuit)
         for b in (0, 1):
-            out = apply(res.circuit, layout.input_state(StateVector.basis(1, b)))
+            out = apply(res.circuit, input_state(layout, StateVector.basis(1, b)))
             rhos = [partial_trace(out, {q}).elements for q in range(m)]
             for i in range(m):
                 for j in range(i + 1, m):
                     assert np.max(np.abs(rhos[i] - rhos[j])) < 1e-10, (nm, b)
+
+
+def test_one_to_seven_verifies_fifty_samples():
+    # 14 qubits and 32 673 gates: affordable because verify runs the circuit
+    # once on the two input patterns, not once per sample
+    from uqcm import synthesize_cloner
+    spec = CloneSpec(1, 7)
+    res = synthesize_cloner(spec)
+    report = verify(spec, res.circuit, n_samples=50, seed=23, gate_counts=res.gate_counts())
+    assert report.passed, report.format_table()
+    assert report.clone_fidelity_mean == pytest.approx(theoretical_fidelity(spec), abs=1e-9)
+    assert report.clone_fidelity_std < 1e-9
