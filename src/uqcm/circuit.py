@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -46,21 +47,34 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        # the rules a circuit file is loaded by, so whatever to_json writes
+        # from_json reads back: indices exactly int (bool is not an index),
+        # polarities bool, theta a finite int or float
         if self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        controls = tuple(Control(int(q), bool(p)) for q, p in self.controls)
-        object.__setattr__(self, "controls", controls)
+        controls = self.controls
+        if type(controls) is not tuple:
+            controls = tuple(controls)
+            object.__setattr__(self, "controls", controls)
+        for c in controls:
+            if type(c) is not Control or type(c.q) is not int or type(c.positive) is not bool:
+                raise ValueError(f"control {c!r} is not a Control(int qubit, bool polarity)")
+        target = self.target
+        if type(target) is not int:
+            raise ValueError(f"gate target must be an integer, got {target!r}")
         qs = [c.q for c in controls]
         if len(set(qs)) != len(qs):
             raise ValueError(f"duplicate control qubits in {qs}")
-        if self.target in qs:
-            raise ValueError(f"target {self.target} also appears as a control")
-        if min(qs + [self.target]) < 0:
-            raise ValueError(f"negative qubit index in target {self.target} or controls {qs}")
+        if target in qs:
+            raise ValueError(f"target {target} also appears as a control")
+        if min(qs + [target]) < 0:
+            raise ValueError(f"negative qubit index in target {target} or controls {qs}")
+        theta = self.theta
         if self.kind in ROTATION_KINDS:
-            if self.theta is None:
-                raise ValueError(f"{self.kind} gate requires theta")
-        elif self.theta is not None:
+            if (type(theta) is bool or not isinstance(theta, (int, float))
+                    or not math.isfinite(theta)):
+                raise ValueError(f"{self.kind} gate requires a finite real theta, got {theta!r}")
+        elif theta is not None:
             raise ValueError(f"{self.kind} gate takes no theta")
         if self.kind == "cnot" and len(controls) != 1:
             raise ValueError("cnot requires exactly one control")
@@ -100,6 +114,8 @@ class Circuit:
     roles: dict[str, tuple[int, ...]] | None = field(default=None)
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int:
+            raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         for g in gates:
@@ -109,6 +125,10 @@ class Circuit:
             roles = {name: tuple(qs) for name, qs in self.roles.items()}
             object.__setattr__(self, "roles", roles)
             claimed = [q for qs in roles.values() for q in qs]
+            if not all(type(name) is str for name in roles):
+                raise ValueError(f"role names must be strings, got {list(roles)}")
+            if not all(type(q) is int for q in claimed):
+                raise ValueError(f"role qubits must be integers, got {roles}")
             if sorted(claimed) != list(range(self.n_qubits)):
                 raise ValueError(f"roles {roles} do not partition qubits 0..{self.n_qubits - 1}")
 
@@ -226,67 +246,98 @@ def inverse(circuit: Circuit) -> Circuit:
                    circuit.roles)
 
 
-def to_dict(circuit: Circuit) -> dict:
-    return {
-        "schema": CIRCUIT_SCHEMA,
-        "n_qubits": circuit.n_qubits,
-        "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()},
-        "gates": [
-            {
-                "kind": g.kind,
-                **({"theta": g.theta} if g.theta is not None else {}),
-                "target": g.target,
-                "controls": [
-                    {"q": c.q, "polarity": "positive" if c.positive else "negative"}
-                    for c in g.controls
-                ],
-            }
-            for g in circuit.gates
-        ],
-    }
+# Fragments of the uqcm-circuit/1 text, which is json.dumps of the circuit's
+# dict with indent=2 and sort_keys=True: gates sit at depth 2, keys in sorted
+# order (controls, kind, target, theta; polarity, q).
+_CONTROL = '        {\n          "polarity": "%s",\n          "q": %d\n        }'
+_CONTROLS_OPEN = '    {\n      "controls": [\n'
+_KIND_AFTER_CONTROLS = {kind: f'\n      ],\n      "kind": "{kind}",\n      "target": '
+                        for kind in KINDS}
+_KIND_NO_CONTROLS = {kind: f'    {{\n      "controls": [],\n      "kind": "{kind}",\n      "target": '
+                     for kind in KINDS}
 
 
-def _polarity(name: str) -> bool:
+def _number(value: int | float) -> str:
+    # as json.dumps writes it: float.__repr__ for floats and their subclasses
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def to_json(circuit: Circuit) -> str:
+    """The circuit as ``uqcm-circuit/1`` text, one fragment per gate, joined once.
+
+    The text is byte for byte ``json.dumps(d, indent=2, sort_keys=True)`` of
+    the dict ``{"schema", "n_qubits", "roles", "gates"}`` (the test oracle
+    ``to_json_by_dumps`` builds it that way); the stdlib takes its pure-Python
+    encoder for ``indent``, which is slow and memory-hungry on large circuits.
+    """
+    control_text = [(_CONTROL % ("negative", q), _CONTROL % ("positive", q))
+                    for q in range(circuit.n_qubits)]
+    parts = ['{\n  "gates": [']
+    sep = "\n"
+    for g in circuit.gates:
+        if g.controls:
+            head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
+                    + _KIND_AFTER_CONTROLS[g.kind])
+        else:
+            head = _KIND_NO_CONTROLS[g.kind]
+        if g.theta is None:
+            parts.append(f"{sep}{head}{g.target}\n    }}")
+        else:
+            parts.append(f'{sep}{head}{g.target},\n      "theta": {_number(g.theta)}\n    }}')
+        sep = ",\n"
+    roles = ",\n".join(
+        f"    {encode_basestring_ascii(name)}: "
+        + ("[\n" + ",\n".join(f"      {q}" for q in qs) + "\n    ]" if qs else "[]")
+        for name, qs in sorted((circuit.roles or {}).items()))
+    parts.append(("\n  ]" if circuit.gates else "]")
+                 + f',\n  "n_qubits": {circuit.n_qubits},\n  "roles": '
+                 + ("{\n" + roles + "\n  }" if roles else "{}")
+                 + f',\n  "schema": {encode_basestring_ascii(CIRCUIT_SCHEMA)}\n}}')
+    return "".join(parts)
+
+
+def _polarity(name: object) -> bool:
     if name not in ("positive", "negative"):
         raise ValueError(f"control polarity must be 'positive' or 'negative', got {name!r}")
     return name == "positive"
 
 
-def _index(value: object, what: str) -> int:
-    # exactly int: JSON gives no other integer type, and bool is not an index
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _theta(value: object) -> float | None:
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
-                              or not math.isfinite(value)):
-        raise ValueError(f"theta must be a finite real number, got {value!r}")
-    return value
-
-
-def from_dict(data: dict) -> Circuit:
+def from_json(text: str) -> Circuit:
+    """Load ``uqcm-circuit/1`` text.  ValueError (KeyError for a missing field)
+    unless it is a circuit ``to_json`` could have written."""
+    data = json.loads(text)
+    if type(data) is not dict:
+        raise ValueError(f"a circuit file must hold a JSON object, got {type(data).__name__}")
     if data.get("schema") != CIRCUIT_SCHEMA:
         raise ValueError(f"unsupported circuit schema {data.get('schema')!r}")
-    gates = tuple(
-        Gate(
-            gd["kind"],
-            _index(gd["target"], "gate target"),
-            tuple(Control(_index(cd["q"], "control qubit"), _polarity(cd["polarity"]))
-                  for cd in gd["controls"]),
-            _theta(gd.get("theta")),
-        )
-        for gd in data["gates"]
-    )
-    roles = {name: tuple(_index(q, f"{name} qubit") for q in qs)
-             for name, qs in data.get("roles", {}).items()} or None
-    return Circuit(_index(data["n_qubits"], "n_qubits"), gates, roles)
-
-
-def to_json(circuit: Circuit) -> str:
-    return json.dumps(to_dict(circuit), indent=2, sort_keys=True)
-
-
-def from_json(text: str) -> Circuit:
-    return from_dict(json.loads(text))
+    roles = data.get("roles", {})
+    if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
+        raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")
+    if type(data["gates"]) is not list:
+        raise ValueError("gates must be a list")
+    # Each distinct gate object is built and checked once, and each distinct
+    # control object once.  Keys keep each value's type and spelling: 1, 1.0
+    # and true are equal dict keys, and so are 0.0 and -0.0, so bare values
+    # would let a 1.0 or true index reuse a checked gate, or load a -0.0 angle
+    # as 0.0.
+    memo: dict[tuple, Gate] = {}
+    controls: dict[tuple, Control] = {}
+    gates = []
+    for gd in data["gates"]:
+        try:
+            cds = gd["controls"]
+            cks = [(cd["q"], type(cd["q"]), cd["polarity"]) for cd in cds]
+            key = (gd["kind"], gd["target"], type(gd["target"]), repr(gd.get("theta")),
+                   type(cds), *cks)
+            gate = memo.get(key)
+        except TypeError:   # not an object, or a list or object where a scalar goes
+            raise ValueError(f"malformed gate {str(gd)[:200]}") from None
+        if gate is None:
+            if type(cds) is not list:
+                raise ValueError(f"gate controls must be a list, got {cds!r}")
+            ctl = tuple([controls.get(ck)
+                         or controls.setdefault(ck, Control(ck[0], _polarity(ck[2])))
+                         for ck in cks])
+            gate = memo[key] = Gate(gd["kind"], gd["target"], ctl, gd.get("theta"))
+        gates.append(gate)
+    return Circuit(data["n_qubits"], tuple(gates), roles or None)

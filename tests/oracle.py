@@ -5,10 +5,13 @@
 indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
-``random_circuit`` makes the structureless circuits they are compared on.
+``to_json_by_dumps`` writes a circuit file through the circuit's dict and
+``json.dumps``.  ``random_circuit`` makes the structureless circuits they are
+compared on.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector,
                   VerificationReport, cnot_cost, fidelity_against_pure, gate_count_bound,
                   haar_random_qubit, ideal_output, partial_trace)
-from uqcm.circuit import ROTATION_KINDS
+from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
 
 
 def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
@@ -110,6 +113,28 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
         n_samples=n_samples,
         seed=seed,
     )
+
+
+def to_json_by_dumps(circuit: Circuit) -> str:
+    """The ``uqcm-circuit/1`` text: the circuit's dict through ``json.dumps``."""
+    data = {
+        "schema": CIRCUIT_SCHEMA,
+        "n_qubits": circuit.n_qubits,
+        "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()},
+        "gates": [
+            {
+                "kind": g.kind,
+                **({"theta": g.theta} if g.theta is not None else {}),
+                "target": g.target,
+                "controls": [
+                    {"q": c.q, "polarity": "positive" if c.positive else "negative"}
+                    for c in g.controls
+                ],
+            }
+            for g in circuit.gates
+        ],
+    }
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def random_circuit(n, n_gates, seed, roles=None):

@@ -1,0 +1,178 @@
+"""Differential tests of the circuit-file writer and loader.
+
+``to_json`` writes the ``uqcm-circuit/1`` text one fragment per gate; it must
+give, byte for byte, what ``oracle.to_json_by_dumps`` (the circuit's dict
+through ``json.dumps``) gives.  ``from_json`` builds each distinct gate once;
+a later gate that differs only in a value's type or sign must not reuse it.
+And whatever ``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+from oracle import random_circuit, to_json_by_dumps
+
+from uqcm import Circuit, Control, Gate, reference_one_to_two
+from uqcm.circuit import KINDS, from_json, to_json
+
+
+def assert_writes_like_dumps(circ):
+    text = to_json(circ)
+    assert text == to_json_by_dumps(circ)
+    again = from_json(text)
+    assert again == circ
+    assert to_json(again) == text
+
+
+class TestWriter:
+    def test_sweep_circuits(self, sweep_results):
+        for res in sweep_results.values():
+            for circ in (res.circuit, res.prep_circuit, res.clone_circuit):
+                assert_writes_like_dumps(circ)
+
+    def test_reference_network(self):
+        assert_writes_like_dumps(reference_one_to_two())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_circuits(self, n):
+        for seed in range(4):
+            roles = {"input": tuple(range(n))} if seed % 2 else None
+            assert_writes_like_dumps(random_circuit(n, 30, seed=100 * n + seed, roles=roles))
+
+    @pytest.mark.parametrize("circ", [
+        Circuit(3, ()),
+        Circuit(2, (Gate("x", 1),)),
+        Circuit(2, (), roles={"input": (0, 1), "blank": ()}),
+        Circuit(2, (Gate("x", 0),), roles={'qu"bit\\ñ 𝜓': (1,), "a": (0,)}),
+        Circuit(2, tuple(Gate("roty", 0, (Control(1, False),), t)
+                         for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70))),
+        Circuit(1, (Gate("utheta", 0, (), np.float64(0.125)),)),
+    ], ids=["no-gates", "no-roles", "empty-role", "escaped-role-name", "theta-edges",
+            "numpy-theta"])
+    def test_edge_cases(self, circ):
+        assert_writes_like_dumps(circ)
+
+    def test_writer_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def circuits(draw):
+            n = draw(st.integers(1, 6))
+            gates = []
+            for _ in range(draw(st.integers(0, 12))):
+                kind = draw(st.sampled_from(KINDS if n > 1 else ("roty", "utheta", "x")))
+                target, *others = draw(st.permutations(range(n)))
+                k = {"x": 0, "cnot": 1}.get(kind)
+                if k is None:
+                    k = draw(st.integers(0, n - 1))
+                controls = tuple(Control(q, draw(st.booleans())) for q in others[:k])
+                theta = None
+                if kind in ("roty", "utheta"):
+                    theta = draw(st.floats(allow_nan=False, allow_infinity=False)
+                                 | st.integers(-2 ** 70, 2 ** 70))
+                gates.append(Gate(kind, target, controls, theta))
+            roles = None
+            if draw(st.booleans()):
+                names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
+                owner = [draw(st.integers(0, len(names) - 1)) for _ in range(n)]
+                roles = {name: tuple(q for q in range(n) if owner[q] == i)
+                         for i, name in enumerate(names)}
+            return Circuit(n, tuple(gates), roles)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(circ=circuits())
+        def check(circ):
+            assert_writes_like_dumps(circ)
+
+        check()
+
+
+def twice(gate, edit):
+    """A file of ``gate`` twice, the second copy edited."""
+    data = json.loads(to_json(Circuit(3, (gate, gate))))
+    edit(data["gates"][1])
+    return json.dumps(data)
+
+
+class TestLoaderMemo:
+    @pytest.mark.parametrize("gate, edit", [
+        (Gate("mcx", 1, (Control(0, True), Control(2, False))),
+         lambda g: g.update(target=True)),
+        (Gate("cnot", 0, (Control(1, True),)),
+         lambda g: g["controls"][0].update(q=1.0)),
+        (Gate("cnot", 0, (Control(1, True),)),
+         lambda g: g["controls"][0].update(q=True)),
+        (Gate("cnot", 0, (Control(1, True),)),
+         lambda g: g.update(controls={})),
+        (Gate("x", 0), lambda g: g.update(controls="")),
+    ], ids=["true-target", "float-control", "true-control", "object-controls",
+            "string-controls"])
+    def test_reused_gate_does_not_excuse_a_bad_copy(self, gate, edit):
+        with pytest.raises(ValueError):
+            from_json(twice(gate, edit))
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
+    def test_equal_angles_of_another_spelling_stay_distinct(self, first, second):
+        data = json.loads(to_json(Circuit(1, (Gate("roty", 0, (), first),) * 2)))
+        data["gates"][1]["theta"] = second
+        text = json.dumps(data, indent=2, sort_keys=True)
+        circ = from_json(text)
+        for gate, want in zip(circ.gates, (first, second)):
+            assert type(gate.theta) is type(want)
+            assert math.copysign(1, gate.theta) == math.copysign(1, want)
+        assert to_json(circ) == text
+
+    def test_repeated_gates_are_shared(self, sweep_results):
+        circ = from_json(to_json(sweep_results[(2, 4)].circuit))
+        assert len({id(g) for g in circ.gates}) == len(set(circ.gates)) < len(circ.gates)
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": [], "gates": []}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {"input": 0}, "gates": []}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": {}}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": [5]}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": [[]]}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 2, "roles": {}, "gates": '
+        '[{"kind": "cnot", "target": 1, "controls": [[0, "positive"]]}]}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": 2, "roles": {}, "gates": '
+        '[{"kind": "cnot", "target": [1], "controls": [{"q": 0, "polarity": "positive"}]}]}',
+    ], ids=["array", "roles-array", "role-not-list", "gates-object", "gate-number",
+            "gate-array", "control-array", "unhashable-target"])
+    def test_rejects_malformed_structure(self, text):
+        with pytest.raises(ValueError):
+            from_json(text)
+
+
+class TestConstructorMatchesLoader:
+    """Whatever ``to_json`` is given, ``from_json`` reads back."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Circuit(3, (Gate("x", 1.5),)),
+        lambda: Gate("x", True),
+        lambda: Gate("x", np.int64(1)),
+        lambda: Gate("cnot", 0, (Control(1.0, True),)),
+        lambda: Gate("cnot", 0, (Control(1, 1),)),
+        lambda: Gate("cnot", 0, ((1, True),)),
+        lambda: Gate("roty", 0, (), float("nan")),
+        lambda: Gate("utheta", 0, (), float("-inf")),
+        lambda: Gate("roty", 0, (), True),
+        lambda: Gate("roty", 0, (), "0.5"),
+        lambda: Circuit(2.0, ()),
+        lambda: Circuit(1, (), roles={"input": (0.0,)}),
+        lambda: Circuit(1, (), roles={1: (0,)}),
+    ])
+    def test_rejects_what_the_loader_rejects(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("gate", [
+        Gate("roty", 0, (), 3),
+        Gate("roty", 0, (), -0.0),
+        Gate("utheta", 0, (Control(1, True),), np.float64(-1.25)),
+        Gate("mcx", 0, [Control(1, False)]),
+    ])
+    def test_accepted_gates_round_trip(self, gate):
+        assert_writes_like_dumps(Circuit(2, (gate,)))

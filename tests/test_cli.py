@@ -109,8 +109,9 @@ class TestVerify:
                  lambda d: d["gates"][0].update(theta="0.5"),
                  lambda d: d["gates"][1]["controls"][0].update(q=1.5),
                  lambda d: d["gates"][0].update(target=1.5),
-                 lambda d: d["gates"][0].update(theta=float("nan"))]
-        texts = ["{ not json"]
+                 lambda d: d["gates"][0].update(theta=float("nan")),
+                 lambda d: d.update(roles=[])]
+        texts = ["{ not json", "[]"]
         for edit in edits:
             data = json.loads(good)
             edit(data)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracle import input_state
@@ -41,6 +43,17 @@ class TestSynthesize:
         a = synthesize_cloner(CloneSpec(2, 4))
         b = synthesize_cloner(CloneSpec(2, 4))
         assert to_json(a.circuit) == to_json(b.circuit)
+
+    @pytest.mark.parametrize("nm, digest", [
+        ((1, 4), "3b11e3170123a995f69516dc1cf42d48c0bc43ff89bd0f0b04f21154cd4e1f97"),
+        ((2, 4), "cba12395ef077ed04f83a29e1c9f70041c03396fdbd8ac2ab39412f337f767ad"),
+        ((3, 6), "e6e33a1d7d8741f15937aa30643d0b690b96c16bd08f7c536a17ba68b89fa04a"),
+    ])
+    def test_artifact_bytes_are_pinned(self, nm, digest):
+        # a writer or synthesis change that moves a single byte of an emitted
+        # circuit file fails here; re-pin only on a deliberate circuit change
+        text = to_json(synthesize_cloner(CloneSpec(*nm)).circuit)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_measured_counts_track_the_asymptotic_bound(self, sweep_results):
         # order-of-magnitude agreement between the closed-form bound and the
