@@ -4,9 +4,9 @@ of N-to-M universal quantum cloning circuits."""
 __version__ = "0.1.0"
 
 from .circuit import Circuit, Control, Gate, RegisterLayout, apply, cnot_cost, inverse
-from .cloner_math import (CloneCoefficients, CloneSpec, FeasibilityCheck,
-                          GateCountBound, alphas, basis_count, feasibility, gate_count_bound,
-                          ideal_output, theoretical_fidelity, weight_components)
+from .cloner_math import (CloneCoefficients, CloneSpec, FeasibilityCheck, alphas,
+                          basis_count, feasibility, ideal_output, theoretical_fidelity,
+                          weight_components)
 from .ion_budget import (EmissionProbabilities, IonSpecies, ScanRow, TrapParams,
                          cloning_time, elementary_gate_time, emission_probability,
                          feasibility_scan, feasibility_threshold, lhs_mmax,
@@ -25,14 +25,14 @@ __all__ = [
     "__version__",
     "AngleTree", "BasisLayout", "Circuit", "CloneCoefficients", "CloneSpec",
     "Control", "DensityMatrix", "EmissionProbabilities", "FeasibilityCheck",
-    "Gate", "GateCountBound", "IonSpecies", "PermutationPlan", "PermutationSpec",
+    "Gate", "IonSpecies", "PermutationPlan", "PermutationSpec",
     "PlanError", "PrepTarget", "RegisterLayout", "ScanRow", "ScheduleError",
     "StateVector", "SynthesisError", "SynthesisResult", "TrapParams",
     "VerificationReport",
     "alphas", "apply", "basis_count", "build_permutation", "cloning_time",
     "cnot_cost", "compile_moves", "elementary_gate_time", "emission_probability",
     "emit_prep_circuit", "feasibility", "feasibility_scan", "feasibility_threshold",
-    "fidelity_against_pure", "gate_count_bound", "haar_random_qubit", "ideal_output",
+    "fidelity_against_pure", "haar_random_qubit", "ideal_output",
     "inverse", "lhs_mmax", "load_species", "min_emission_probability",
     "partial_trace", "prep_for_spec", "reference_one_to_two", "schedule",
     "solve_angles", "states_close", "synthesize_cloner", "tensor_power",

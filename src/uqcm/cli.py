@@ -12,11 +12,11 @@ from pathlib import Path
 
 from . import __version__
 from .circuit import RegisterLayout, from_json, to_json
-from .cloner_math import CloneSpec, basis_count, feasibility, gate_count_bound
+from .cloner_math import CloneSpec, basis_count, feasibility
 from .ion_budget import (DEFAULT_FEASIBLE_THRESHOLD, SPECIES_ENV_VAR, TrapParams,
                          cloning_time, elementary_gate_time, emission_probability,
-                         feasibility_scan, feasibility_threshold, lhs_mmax,
-                         load_species, min_emission_probability,
+                         feasibility_scan, feasibility_threshold, formula_gate_count,
+                         lhs_mmax, load_species, min_emission_probability,
                          render_scan_table, scan_to_json)
 from .simulator import verify
 from .synth import synthesize_cloner
@@ -70,7 +70,6 @@ def cmd_synth(args) -> int:
     check = feasibility(spec)
     result = synthesize_cloner(spec)
     counts = result.gate_counts()
-    bound = gate_count_bound(spec)  # the quadratic model of gate_counts()
     rel = "<=" if check.feasible_without_aux else ">"
     register = RegisterLayout.of(spec, result.circuit)
     print(f"spec: N={spec.n_in} M={spec.m_out} "
@@ -80,7 +79,7 @@ def cmd_synth(args) -> int:
           + ("" if check.feasible_without_aux else " (aux variant used)"))
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
     print(f"gates measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
-    print(f"gates bound:    prep={bound.prep} clone={bound.clone} total={bound.total}")
+    print(f"gates paper:    {formula_gate_count(spec, 1.0):.6g}")
     path = Path(args.out) if args.out else _artifact_path(args, spec, result.n_aux)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_json(result.circuit))
@@ -115,18 +114,14 @@ def cmd_count(args) -> int:
     print(f"spec: N={spec.n_in} M={spec.m_out} total_qubits={spec.total_qubits}")
     print(f"bases populated: {basis_count(spec)}")
     print(f"prep register fits: {check}")
-    for aux in (0, 1):
-        bound = gate_count_bound(spec, aux_qubits=aux)
-        print(f"bound aux={aux}: prep={bound.prep} clone={bound.clone} total={bound.total}")
+    print(f"gates paper: {formula_gate_count(spec, 1.0):.6g}")
     try:
         result = synthesize_cloner(spec)
     except ValueError as exc:
         print(f"synthesis unavailable: {exc}")
         return EXIT_OK
-    for aux_cost in (False, True):
-        counts = result.gate_counts(aux_cost)
-        print(f"measured (aux_cost={'on' if aux_cost else 'off'}): "
-              f"prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
+    counts = result.gate_counts()
+    print(f"measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
     print(f"moves: {len(result.plan.moves)}  aux_qubits: {result.n_aux}  "
           f"universal: {'yes' if result.universal else 'no'}")
     return EXIT_OK
@@ -178,9 +173,9 @@ def cmd_scan(args) -> int:
                 result = synthesize_cloner(spec)
             except ValueError:
                 continue
-            measured[(spec.n_in, spec.m_out)] = result.gate_counts(args.aux)["total"]
+            measured[(spec.n_in, spec.m_out)] = result.gate_counts()["total"]
     # the scan checks every input, so it runs before the first print
-    rows = feasibility_scan(species_list, params, specs, aux=args.aux, etas=etas,
+    rows = feasibility_scan(species_list, params, specs, etas=etas,
                             measured_counts=measured, threshold=args.threshold)
     _print_params(params, args.threshold)
     print("species thresholds:")
@@ -254,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(p)
     p.add_argument("--eta-list", type=float, nargs="*", default=None,
                    help="Lamb-Dicke values to scan")
-    p.add_argument("--aux", action="store_true",
-                   help="use the auxiliary-workspace multi-control cost model")
     p.add_argument("--no-measured", dest="measured", action="store_false",
                    help="skip measured counts from synthesized circuits")
     p.add_argument("--json-out", default=None, help="write rows as JSON")

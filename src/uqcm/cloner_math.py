@@ -224,33 +224,3 @@ def feasibility(spec: CloneSpec) -> FeasibilityCheck:
     rhs = spec.d_prep
     return FeasibilityCheck(feasible_without_aux=lhs <= rhs, lhs=lhs, rhs=rhs)
 
-
-@dataclass(frozen=True)
-class GateCountBound:
-    """Asymptotic CNOT-count bounds with unit constants."""
-
-    prep: int
-    clone: int
-    total: int
-
-
-def gate_count_bound(spec: CloneSpec, aux_qubits: int = 0) -> GateCountBound:
-    """Order-of-magnitude CNOT counts for the two stages, constants set to 1.
-
-    prep  = d_prep * (log2 d_prep)^2  (arbitrary real-amplitude preparation),
-    clone = 2^(2M) / sqrt(pi M) * (2M-N)^(2 - aux) (one multi-controlled
-    pattern per populated basis; an extra auxiliary qubit drops the
-    multi-control cost from quadratic to linear in the register size).
-    The clone term is rounded up to an integer.
-
-    The prep term equals the paper's (``ion_budget.formula_gate_count`` at
-    epsilon = 1), but the clone term scales with (2M-N)^2 where the paper
-    has (2(M-N))^2, so the two counts differ; ``verify`` and ``count`` print
-    this one as the bound.
-    """
-    if aux_qubits not in (0, 1):
-        raise ValueError("aux_qubits must be 0 or 1")
-    n, m = spec.n_in, spec.m_out
-    prep = spec.d_prep * (2 * (m - n)) ** 2
-    clone = math.ceil(2 ** (2 * m) / math.sqrt(math.pi * m) * spec.total_qubits ** (2 - aux_qubits))
-    return GateCountBound(prep=prep, clone=clone, total=prep + clone)

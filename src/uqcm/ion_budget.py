@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from .cloner_math import CloneSpec
@@ -200,30 +200,19 @@ class ScanRow:
     gates_measured: int | None = None
     p_min_measured: float | None = None
     feasible_measured: bool | None = None
-    aux_cost_model: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "species": self.species, "n_in": self.n_in, "m_out": self.m_out,
-            "eta": self.eta, "p_min_formula": self.p_min_formula,
-            "feasible_formula": self.feasible_formula,
-            "gates_measured": self.gates_measured,
-            "p_min_measured": self.p_min_measured,
-            "feasible_measured": self.feasible_measured,
-            "aux_cost_model": self.aux_cost_model,
-        }
+        return asdict(self)
 
 
-def feasibility_scan(species_list, params: TrapParams, specs, aux: bool = False,
-                     etas=(None,), measured_counts=None,
+def feasibility_scan(species_list, params: TrapParams, specs, etas=(None,),
+                     measured_counts=None,
                      threshold: float = DEFAULT_FEASIBLE_THRESHOLD) -> list[ScanRow]:
     """Minimum emission probability per (species, spec, eta) cell.
 
     ``measured_counts`` optionally maps (N, M) to a measured circuit size in
     CNOT-equivalents; cells with a measured count also report the measured
-    variant.  ``aux`` records which multi-control cost model (quadratic or,
-    with a workspace qubit, linear) produced those counts.  Feasible means
-    p_min below ``threshold``.
+    variant.  Feasible means p_min below ``threshold``.
     """
     measured_counts = measured_counts or {}
     rows: list[ScanRow] = []
@@ -242,8 +231,7 @@ def feasibility_scan(species_list, params: TrapParams, specs, aux: bool = False,
                     p_meas = min_emission_probability(spec, species, cell_params,
                                                       gate_count_override=g)
                     row = replace(row, gates_measured=g, p_min_measured=p_meas,
-                                  feasible_measured=p_meas < threshold,
-                                  aux_cost_model=aux)
+                                  feasible_measured=p_meas < threshold)
                 rows.append(row)
     return rows
 
@@ -269,5 +257,5 @@ def render_scan_table(rows: list[ScanRow]) -> str:
 
 
 def scan_to_json(rows: list[ScanRow]) -> str:
-    return json.dumps({"schema": "uqcm-scan/1", "rows": [r.to_dict() for r in rows]},
+    return json.dumps({"schema": "uqcm-scan/2", "rows": [r.to_dict() for r in rows]},
                       indent=2, sort_keys=True)

@@ -213,8 +213,8 @@ def schedule(perm: PermutationSpec) -> PermutationPlan:
             buf = next((z for z in range(dim) if z not in occupied), None)
             if buf is None:
                 raise ScheduleError(
-                    "no free basis available to break a cycle; "
-                    "re-synthesize with an auxiliary preparation qubit")
+                    "every basis is occupied, so no cycle can be broken; "
+                    "the mapping must leave at least one basis free")
             s0 = min(pending)
             moves.append((s0, buf))
             occupied.discard(s0)
@@ -256,18 +256,23 @@ def compile_moves(plan: PermutationPlan, n_qubits: int) -> Circuit:
     """
     if n_qubits != plan.n_qubits:
         raise ValueError(f"plan is over {plan.n_qubits} qubits, got {n_qubits}")
-    flag = n_qubits
+    flag, dim = n_qubits, 1 << n_qubits
+    # every move draws on the same 2n controls and n flag CNOTs; build them once
+    polarities = [(Control(q, False), Control(q, True)) for q in range(n_qubits)]
+    flips = [Gate("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
+    width = f"0{n_qubits}b"   # qubit 0 is the most significant bit
+
+    def pattern(z: int) -> tuple[Control, ...]:
+        return tuple(pair[bit == "1"] for pair, bit in zip(polarities, format(z, width)))
+
     gates: list[Gate] = []
     for s, d in plan.moves:
+        if not (0 <= s < dim and 0 <= d < dim):
+            raise ValueError(f"move {s}->{d} out of range for {n_qubits} qubits")
         if s == d:
             continue
-        pattern_s = tuple(Control(q, bool((s >> (n_qubits - 1 - q)) & 1)) for q in range(n_qubits))
-        pattern_d = tuple(Control(q, bool((d >> (n_qubits - 1 - q)) & 1)) for q in range(n_qubits))
-        gates.append(Gate("mcx", flag, pattern_s))
-        diff = s ^ d
-        for q in range(n_qubits):
-            if (diff >> (n_qubits - 1 - q)) & 1:
-                gates.append(Gate("cnot", q, (Control(flag, True),)))
-        gates.append(Gate("mcx", flag, pattern_d))
+        gates.append(Gate("mcx", flag, pattern(s)))
+        gates.extend(flips[q] for q, bit in enumerate(format(s ^ d, width)) if bit == "1")
+        gates.append(Gate("mcx", flag, pattern(d)))
     return Circuit(n_qubits + 1, tuple(gates))
 

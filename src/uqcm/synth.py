@@ -35,9 +35,9 @@ class SynthesisResult:
         arbitrary superposition inputs, not only computational ones."""
         return self.permutation.universal_routing
 
-    def gate_counts(self, aux_available: bool = False) -> dict[str, int]:
-        prep = cnot_cost(self.prep_circuit, aux_available)
-        clone = cnot_cost(self.clone_circuit, aux_available)
+    def gate_counts(self) -> dict[str, int]:
+        prep = cnot_cost(self.prep_circuit)
+        clone = cnot_cost(self.clone_circuit)
         return {"prep": prep, "clone": clone, "total": prep + clone}
 
 

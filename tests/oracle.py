@@ -17,9 +17,10 @@ import math
 import numpy as np
 
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector,
-                  VerificationReport, cnot_cost, fidelity_against_pure, gate_count_bound,
+                  VerificationReport, cnot_cost, fidelity_against_pure,
                   haar_random_qubit, ideal_output, partial_trace)
 from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
+from uqcm.ion_budget import formula_gate_count
 
 
 def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
@@ -101,7 +102,7 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
     counts = dict(gate_counts) if gate_counts else {"total": cnot_cost(circuit)}
     counts.setdefault("total", cnot_cost(circuit))
-    counts["bound"] = gate_count_bound(spec).total
+    counts["paper"] = formula_gate_count(spec, 1.0)
     return VerificationReport(
         spec=spec,
         max_state_error=max_state_error,

@@ -44,8 +44,9 @@ class TestSynth:
         assert "aux=1" in out
         assert "84 > 64 (aux variant used)" in out
         assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N3_M6_aux1_v{__version__}.json"]
-        # the bound uses the same quadratic cost model as the measured count
-        assert "gates bound:    prep=2304 clone=76418 total=78722" in out
+        # the paper's gate-count formula at epsilon = 1
+        assert "gates paper:    36267.5" in out.splitlines()
+        assert "bound" not in out
 
     def test_aux_allowed_even_when_unneeded(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -55,11 +56,12 @@ class TestSynth:
         assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N2_M4_aux0_v{__version__}.json"]
 
     def test_removed_flags_are_rejected(self, capsys):
-        # the register size follows from the spec, so only scan keeps --aux
-        # (it picks a cost model there), and scan measures by default
+        # the register size follows from the spec, gates are counted under
+        # one cost model, and scan measures by default
         for argv in (["synth", "-N", "2", "-M", "4", "--aux"],
                      ["verify", "-N", "2", "-M", "4", "--aux"],
                      ["count", "-N", "2", "-M", "4", "--aux"],
+                     ["scan", "--aux"],
                      ["scan", "--measured"]):
             code, _, err = run_cli(argv, capsys)
             assert code == 1, argv
@@ -139,7 +141,11 @@ class TestVerify:
             ["verify", "-N", "1", "-M", "2", "--samples", "10",
              "--json-out", str(report_path)], capsys)
         assert code == 0
-        assert json.loads(report_path.read_text())["passed"] is True
+        data = json.loads(report_path.read_text())
+        assert data["passed"] is True
+        assert data["schema"] == "uqcm-verification/2"
+        assert data["gate_counts"]["paper"] == pytest.approx(41.53230594569169, rel=1e-12)
+        assert "bound" not in data["gate_counts"]
 
 
 class TestScanAndBudget:
@@ -182,6 +188,10 @@ class TestScanAndBudget:
         assert code == 0
         assert "bases populated: 15" in out
         assert "15 <= 16" in out
+        lines = out.splitlines()
+        assert "gates paper: 1411.46" in lines
+        assert [ln for ln in lines if "measured" in ln] == [
+            "measured: prep=180 clone=4130 total=4310"]
 
 
 class TestValidationErrors:

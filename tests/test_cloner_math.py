@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uqcm import (CloneSpec, StateVector, alphas, basis_count, feasibility,
-                  fidelity_against_pure, gate_count_bound, ideal_output,
+                  fidelity_against_pure, ideal_output,
                   partial_trace, theoretical_fidelity, weight_components)
 from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import haar_random_qubit
@@ -160,21 +160,6 @@ class TestFeasibility:
         # the counting condition holds with equality here, leaving no spare basis
         check = feasibility(CloneSpec(2, 3))
         assert (check.feasible_without_aux, check.lhs, check.rhs) == (True, 4, 4)
-
-
-class TestGateCountBound:
-    def test_prep_terms(self):
-        assert gate_count_bound(CloneSpec(1, 2)).prep == 16
-        assert gate_count_bound(CloneSpec(2, 4)).prep == 256
-
-    def test_clone_term_formula(self):
-        for spec in (CloneSpec(1, 2), CloneSpec(2, 4)):
-            for aux in (0, 1):
-                bound = gate_count_bound(spec, aux_qubits=aux)
-                want = math.ceil(2 ** (2 * spec.m_out) / math.sqrt(math.pi * spec.m_out)
-                                 * spec.total_qubits ** (2 - aux))
-                assert bound.clone == want
-                assert bound.total == bound.prep + bound.clone
 
 
 class TestWeightComponents:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from uqcm import (CloneSpec, TrapParams, cloning_time, elementary_gate_time,
                   emission_probability, feasibility_scan, feasibility_threshold,
                   lhs_mmax, load_species, min_emission_probability)
-from uqcm.ion_budget import IonSpecies, formula_gate_count, render_scan_table
+from uqcm.ion_budget import IonSpecies, formula_gate_count, render_scan_table, scan_to_json
 
 SPEC12 = CloneSpec(1, 2)
 
@@ -80,6 +81,15 @@ class TestCloningTime:
         params = TrapParams(eta=0.01, epsilon=100.0)
         tau = elementary_gate_time(SPEC12, params, 1e6)
         assert cloning_time(SPEC12, params, 1e6) == pytest.approx(tau * want, rel=1e-12)
+
+    def test_paper_count_closed_form(self):
+        # G = eps 2^(2M+2) (M-N)^2 (2^-2N + 1/sqrt(pi M)) at eps = 1, and the
+        # figures synth, count and verify print for it
+        for (n, m), shown in (((2, 4), "1411.46"), ((3, 6), "36267.5")):
+            want = 2 ** (2 * m + 2) * (m - n) ** 2 * (2.0 ** (-2 * n) + 1 / math.sqrt(math.pi * m))
+            got = formula_gate_count(CloneSpec(n, m), 1.0)
+            assert got == pytest.approx(want, rel=1e-12), (n, m)
+            assert f"{got:.6g}" == shown
 
     def test_negative_gate_count_rejected(self, species):
         params = TrapParams()
@@ -205,6 +215,17 @@ class TestScan:
         assert row.p_min_measured == pytest.approx(0.062349, rel=1e-4)
         assert row.feasible_measured
         assert "Ca+" in render_scan_table(rows)
+
+    def test_json_rows_carry_the_row_fields(self, species):
+        rows = feasibility_scan([species["Ca+"]], TrapParams(eta=0.01), [SPEC12, CloneSpec(2, 3)],
+                                measured_counts={(1, 2): 6})
+        data = json.loads(scan_to_json(rows))
+        assert data["schema"] == "uqcm-scan/2"
+        fields = {"species", "n_in", "m_out", "eta", "p_min_formula", "feasible_formula",
+                  "gates_measured", "p_min_measured", "feasible_measured"}
+        assert [set(r) for r in data["rows"]] == [fields, fields]
+        assert data["rows"][0]["gates_measured"] == 6
+        assert data["rows"][1]["gates_measured"] is None
 
     def test_optimistic_lamb_dicke_unlocks_small_cloners(self, species, sweep_results):
         # measured circuit sizes + eta = 1: the 1->2 pair works for Ca+ and

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm import (BasisLayout, CloneSpec, PermutationSpec, PlanError,
+from uqcm import (BasisLayout, CloneSpec, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, build_permutation,
                   cnot_cost, compile_moves, ideal_output, schedule,
                   validate_plan)
@@ -130,7 +130,7 @@ class TestSchedule:
 
     def test_full_occupation_with_cycle_raises(self):
         perm = PermutationSpec(1, {0: 1, 1: 0})
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="every basis is occupied"):
             schedule(perm)
 
 
@@ -190,6 +190,12 @@ class TestCompileMoves:
             nonzero = np.abs(out.amps) > 1e-12
             assert int(np.sum(nonzero)) == 1
             assert abs(np.abs(out.amps[nonzero][0]) - 1) < 1e-12
+
+    @pytest.mark.parametrize("move", [(8, 1), (1, 8), (-1, 1)])
+    def test_out_of_range_move_rejected(self, move):
+        # a hand-built plan: its bases must lie in the 2^3 register
+        with pytest.raises(ValueError, match="out of range"):
+            compile_moves(PermutationPlan(3, (move,)), 3)
 
     def test_cost_bound_per_move(self):
         spec = CloneSpec(2, 4)

@@ -101,6 +101,7 @@ class TestVerifySynthesized:
         report = verify(res.spec, res.circuit, n_samples=5, seed=1)
         data = report.to_dict()
         assert data["passed"] and data["n_in"] == 1 and data["m_out"] == 2
+        assert "paper" in data["gate_counts"] and "bound" not in data["gate_counts"]
         assert "clone fidelity mean" in report.format_table()
 
     def test_role_mismatch_rejected(self, sweep_results):

@@ -7,6 +7,7 @@ from oracle import input_state
 from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
                   cnot_cost, ideal_output, reference_one_to_two, synthesize_cloner)
 from uqcm.circuit import to_json
+from uqcm.ion_budget import formula_gate_count
 from uqcm.statevec import MAX_QUBITS
 
 
@@ -56,14 +57,13 @@ class TestSynthesize:
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_measured_counts_track_the_asymptotic_bound(self, sweep_results):
-        # order-of-magnitude agreement between the closed-form bound and the
-        # actual circuit: the bound counts only the two constrained blocks,
-        # the circuit also routes the mixed input patterns
-        from uqcm import gate_count_bound
-        res = sweep_results[(2, 4)]
-        measured = res.gate_counts()["total"]
-        bound = gate_count_bound(res.spec).total
-        assert bound / 10 < measured < bound * 10
+        # the paper's asymptotic count (eps = 1) is a floor on every measured
+        # circuit and within a decade of it: measured/paper runs 1.75-9.38
+        # over the sweep, since the circuit also routes the mixed input patterns
+        for nm, res in sweep_results.items():
+            measured = res.gate_counts()["total"]
+            paper = formula_gate_count(res.spec, 1.0)
+            assert paper <= measured < 10 * paper, (nm, measured, paper)
 
     def test_universal_flag_by_input_count(self, sweep_results):
         for (n, m), res in sweep_results.items():
