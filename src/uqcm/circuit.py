@@ -14,6 +14,7 @@ c-control flips.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -305,6 +306,20 @@ def _polarity(name: object) -> bool:
 def from_json(text: str) -> Circuit:
     """Load ``uqcm-circuit/1`` text.  ValueError (KeyError for a missing field)
     unless it is a circuit ``to_json`` could have written."""
+    # json.loads makes a dict or list per gate and control, and the gates add
+    # more; none of them is cyclic, so the collector's full sweeps that this
+    # many allocations set off would find nothing.  Pause it, and leave it as
+    # the caller had it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(text)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _load(text: str) -> Circuit:
     data = json.loads(text)
     if type(data) is not dict:
         raise ValueError(f"a circuit file must hold a JSON object, got {type(data).__name__}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -27,7 +26,7 @@ class CloneSpec:
     m_out: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_in, int) and isinstance(self.m_out, int)):
+        if not (type(self.n_in) is int and type(self.m_out) is int):
             raise TypeError("n_in and m_out must be integers")
         if self.n_in < 1 or self.m_out <= self.n_in:
             raise ValueError(f"need M > N >= 1, got N={self.n_in}, M={self.m_out}")
@@ -96,15 +95,62 @@ def alphas(spec: CloneSpec) -> CloneCoefficients:
     return CloneCoefficients(tuple(vals))
 
 
-def _symmetric_product_state(n_bits: int, j: int, base: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """Uniform superposition of the C(n, j) placements of ``flipped`` among ``base``."""
-    out = np.zeros(2 ** n_bits, dtype=complex)
-    for ones in combinations(range(n_bits), j):
-        term = np.ones(1, dtype=complex)
-        for pos in range(n_bits):
-            term = np.kron(term, flipped if pos in ones else base)
-        out += term
-    return out / math.sqrt(math.comb(n_bits, j))
+def _check_dense(spec: CloneSpec) -> None:
+    if spec.total_qubits > MAX_QUBITS:
+        raise ValueError(f"{spec} needs {spec.total_qubits} qubits, above the "
+                         f"dense-representation cap of {MAX_QUBITS} (statevec.MAX_QUBITS)")
+
+
+def _popcounts(n_bits: int) -> np.ndarray:
+    """Popcount of every index 0 .. 2^n_bits - 1, built by doubling."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(n_bits):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
+def _level_amplitudes(n_bits: int, j: int, base: tuple[complex, complex],
+                      flipped: tuple[complex, complex]) -> np.ndarray:
+    """Amplitude per popcount k of the uniform superposition of the C(n, j)
+    placements of ``flipped`` among ``base`` on n = ``n_bits`` qubits.
+
+    A basis string with k ones gets C(k, i) C(n-k, j-i) placements that put i
+    flipped factors on its ones, each worth
+    base0^(n-k-j+i) base1^(k-i) flipped0^(j-i) flipped1^i.
+    """
+    (b0, b1), (f0, f1) = base, flipped
+    amps = np.zeros(n_bits + 1, dtype=complex)
+    for k in range(n_bits + 1):
+        for i in range(max(0, j - (n_bits - k)), min(j, k) + 1):
+            amps[k] += (math.comb(k, i) * math.comb(n_bits - k, j - i)
+                        * b0 ** (n_bits - k - j + i) * b1 ** (k - i) * f0 ** (j - i) * f1 ** i)
+    return amps / math.sqrt(math.comb(n_bits, j))
+
+
+def _class_table(spec: CloneSpec, a: complex, b: complex, machine_complement: bool) -> np.ndarray:
+    """Ideal output amplitude per (clone popcount k, machine popcount l).
+
+    T[k, l] = sum_j alpha_j clone_j[k] machine_j[l]; every basis state of the
+    ideal output carries the entry of its (k, l) class.
+    """
+    base, perp = (a, b), (b.conjugate(), -a.conjugate())
+    conj, conj_perp = (a.conjugate(), b.conjugate()), (b, -a)
+    n, m = spec.n_in, spec.m_out
+    table = np.zeros((m + 1, m - n + 1), dtype=complex)
+    for j, alpha in enumerate(alphas(spec)):
+        clone = _level_amplitudes(m, j, base, perp)
+        machine = _level_amplitudes(m - n, j, conj, conj_perp)
+        table += alpha * np.outer(clone, machine)
+    if machine_complement:
+        table = table[:, ::-1]  # X on every machine qubit: l -> M - N - l
+    return table
+
+
+def _dense(spec: CloneSpec, table: np.ndarray) -> np.ndarray:
+    """Scatter a class table onto the 2^(2M-N) basis states, clone bits first."""
+    clone_pc = _popcounts(spec.m_out)
+    machine_pc = _popcounts(spec.m_out - spec.n_in)
+    return table[clone_pc[:, None], machine_pc].reshape(-1)
 
 
 def ideal_output(spec: CloneSpec, psi: StateVector,
@@ -120,27 +166,16 @@ def ideal_output(spec: CloneSpec, psi: StateVector,
     is only defined up to a fixed unitary, and this particular freedom is
     exercised by the standard worked examples: the 1->2 network leaves the
     bits as-is while the 2->4 construction complements them.
+
+    The output is symmetric within each register, so its amplitude depends
+    only on the clone and machine popcounts; it is computed on that
+    (M+1) x (M-N+1) table and then written out densely.
     """
-    if spec.total_qubits > MAX_QUBITS:
-        raise ValueError(f"{spec} needs {spec.total_qubits} qubits, above the "
-                         f"dense-representation cap of {MAX_QUBITS} (statevec.MAX_QUBITS)")
+    _check_dense(spec)
     if psi.n_qubits != 1:
         raise ValueError("psi must be a single-qubit state")
     a, b = complex(psi.amps[0]), complex(psi.amps[1])
-    base = np.array([a, b], dtype=complex)
-    perp = np.array([np.conj(b), -np.conj(a)], dtype=complex)
-    conj = np.array([np.conj(a), np.conj(b)], dtype=complex)
-    conj_perp = np.array([b, -a], dtype=complex)
-    coeff = alphas(spec)
-    n, m = spec.n_in, spec.m_out
-    out = np.zeros(2 ** spec.total_qubits, dtype=complex)
-    for j in range(spec.n_levels):
-        clone = _symmetric_product_state(m, j, base, perp)
-        machine = _symmetric_product_state(m - n, j, conj, conj_perp)
-        if machine_complement:
-            machine = machine[::-1]  # X on every machine qubit
-        out += coeff[j] * np.kron(clone, machine)
-    return StateVector(out)
+    return StateVector(_dense(spec, _class_table(spec, a, b, machine_complement)))
 
 
 def weight_components(spec: CloneSpec, machine_complement: bool = False) -> list[np.ndarray]:
@@ -149,36 +184,32 @@ def weight_components(spec: CloneSpec, machine_complement: bool = False) -> list
     Returns real arrays ``comp[0..N]`` with, for every input a|0> + b|1>,
     ``ideal_output == sum_w a^(N-w) b^w comp[w]``.  The endpoint components
     are the computational-basis outputs themselves; interior ones are solved
-    from exact evaluations at interpolation nodes.  Entries below ``AMP_EPS``
-    are snapped to zero.
+    from exact evaluations at interpolation nodes.  Both are computed on the
+    popcount class table.  Entries below ``AMP_EPS`` are snapped to zero.
     """
+    _check_dense(spec)
     n = spec.n_in
-    dim = 2 ** spec.total_qubits
 
-    def exact(psi: StateVector) -> np.ndarray:
-        return ideal_output(spec, psi, machine_complement).amps.real.copy()
+    def exact(a: float, b: float) -> np.ndarray:
+        return _class_table(spec, complex(a), complex(b), machine_complement).real
 
-    comps: list[np.ndarray | None] = [None] * (n + 1)
-    comps[0] = exact(StateVector.basis(1, 0))
-    comps[n] = exact(StateVector.basis(1, 1))
+    tables: list[np.ndarray | None] = [None] * (n + 1)
+    tables[0] = exact(1.0, 0.0)
+    tables[n] = exact(0.0, 1.0)
     interior = list(range(1, n))
     if interior:
         ts = [math.pi * (i + 1) / (2 * (len(interior) + 1)) for i in range(len(interior))]
         lhs = np.zeros((len(ts), len(interior)))
-        rhs = np.zeros((len(ts), dim))
+        rhs = np.zeros((len(ts), tables[0].size))
         for i, t in enumerate(ts):
             a, b = math.cos(t), math.sin(t)
-            rhs[i] = exact(StateVector.single_qubit(a, b)) - a ** n * comps[0] - b ** n * comps[n]
+            rhs[i] = (exact(a, b) - a ** n * tables[0] - b ** n * tables[n]).reshape(-1)
             for c, w in enumerate(interior):
                 lhs[i, c] = a ** (n - w) * b ** w
         sol = np.linalg.solve(lhs, rhs)
         for c, w in enumerate(interior):
-            comps[w] = sol[c]
-    cleaned = []
-    for comp in comps:
-        comp = np.where(np.abs(comp) < AMP_EPS, 0.0, comp)
-        cleaned.append(comp)
-    return cleaned
+            tables[w] = sol[c].reshape(tables[0].shape)
+    return [_dense(spec, np.where(np.abs(t) < AMP_EPS, 0.0, t)) for t in tables]
 
 
 def theoretical_fidelity(spec: CloneSpec) -> float:

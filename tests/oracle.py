@@ -6,20 +6,25 @@ indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
 ``to_json_by_dumps`` writes a circuit file through the circuit's dict and
-``json.dumps``.  ``random_circuit`` makes the structureless circuits they are
+``json.dumps``.  ``ideal_output_by_kron`` builds the ideal cloner output from
+Kronecker products over every placement of the flipped factors, and
+``weight_components_by_kron`` solves the weight decomposition on those dense
+vectors.  ``random_circuit`` makes the structureless circuits they are
 compared on.
 """
 from __future__ import annotations
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector,
-                  VerificationReport, cnot_cost, fidelity_against_pure,
+                  VerificationReport, alphas, cnot_cost, fidelity_against_pure,
                   haar_random_qubit, ideal_output, partial_trace)
 from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
+from uqcm.cloner_math import AMP_EPS
 from uqcm.ion_budget import formula_gate_count
 
 
@@ -29,6 +34,57 @@ def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
     for _ in range(layout.spec.n_in - 1):
         reg = reg.tensor(psi)
     return reg.tensor(StateVector.basis(layout.n_qubits - layout.spec.n_in, 0))
+
+
+def _symmetric_product_state(n_bits: int, j: int, base: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """Uniform superposition of the C(n, j) placements of ``flipped`` among ``base``."""
+    out = np.zeros(2 ** n_bits, dtype=complex)
+    for ones in combinations(range(n_bits), j):
+        term = np.ones(1, dtype=complex)
+        for pos in range(n_bits):
+            term = np.kron(term, flipped if pos in ones else base)
+        out += term
+    return out / math.sqrt(math.comb(n_bits, j))
+
+
+def ideal_output_by_kron(spec: CloneSpec, psi: StateVector,
+                         machine_complement: bool = False) -> np.ndarray:
+    """The amplitudes ``uqcm.ideal_output`` gives, summed level by level over
+    every Kronecker placement."""
+    a, b = complex(psi.amps[0]), complex(psi.amps[1])
+    base = np.array([a, b], dtype=complex)
+    perp = np.array([np.conj(b), -np.conj(a)], dtype=complex)
+    conj = np.array([np.conj(a), np.conj(b)], dtype=complex)
+    conj_perp = np.array([b, -a], dtype=complex)
+    n, m = spec.n_in, spec.m_out
+    out = np.zeros(2 ** spec.total_qubits, dtype=complex)
+    for j, alpha in enumerate(alphas(spec)):
+        clone = _symmetric_product_state(m, j, base, perp)
+        machine = _symmetric_product_state(m - n, j, conj, conj_perp)
+        if machine_complement:
+            machine = machine[::-1]  # X on every machine qubit
+        out += alpha * np.kron(clone, machine)
+    return out
+
+
+def weight_components_by_kron(spec: CloneSpec, machine_complement: bool = False) -> list[np.ndarray]:
+    """``uqcm.weight_components`` solved on the dense oracle vectors."""
+    n = spec.n_in
+
+    def exact(a: float, b: float) -> np.ndarray:
+        return ideal_output_by_kron(spec, StateVector.single_qubit(a, b), machine_complement).real
+
+    comps = [None] * (n + 1)
+    comps[0], comps[n] = exact(1.0, 0.0), exact(0.0, 1.0)
+    interior = list(range(1, n))
+    if interior:
+        ts = [math.pi * (i + 1) / (2 * (len(interior) + 1)) for i in range(len(interior))]
+        lhs = np.array([[math.cos(t) ** (n - w) * math.sin(t) ** w for w in interior] for t in ts])
+        rhs = np.array([exact(math.cos(t), math.sin(t)) - math.cos(t) ** n * comps[0]
+                        - math.sin(t) ** n * comps[n] for t in ts])
+        for w, sol in zip(interior, np.linalg.solve(lhs, rhs)):
+            comps[w] = sol
+    return [np.where(np.abs(c) < AMP_EPS, 0.0, c) for c in comps]
 
 
 def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:

@@ -6,6 +6,7 @@ through ``json.dumps``) gives.  ``from_json`` builds each distinct gate once;
 a later gate that differs only in a value's type or sign must not reuse it.
 And whatever ``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
 """
+import gc
 import json
 import math
 
@@ -144,6 +145,25 @@ class TestLoaderMemo:
     def test_rejects_malformed_structure(self, text):
         with pytest.raises(ValueError):
             from_json(text)
+
+
+class TestLoaderLeavesCollectorAlone:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        # the loader pauses the cyclic collector; a good load and a bad one
+        # must both hand it back as the caller left it
+        circ = reference_one_to_two()
+        text = to_json(circ)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert from_json(text) == circ
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="polarity"):
+                from_json(text.replace('"positive"', '"sideways"', 1))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 class TestConstructorMatchesLoader:

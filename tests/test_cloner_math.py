@@ -1,14 +1,21 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
+from oracle import ideal_output_by_kron, weight_components_by_kron
 
 from uqcm import (CloneSpec, StateVector, alphas, basis_count, feasibility,
                   fidelity_against_pure, ideal_output,
                   partial_trace, theoretical_fidelity, weight_components)
 from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import haar_random_qubit
+from uqcm.statevec import MAX_QUBITS
+
+# the specs the synth-ladder benchmark synthesizes
+SYNTH_LADDER = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5),
+                (3, 6), (4, 8))
 
 
 def all_specs(max_total_qubits: int, max_m: int = 8):
@@ -23,7 +30,8 @@ class TestCloneSpec:
         assert spec.prep_qubits == 4
         assert spec.d_prep == 16
 
-    @pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (2, 2), (3, 2)])
+    # bool is an int subclass: CloneSpec(True, 3) would print as True->3
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (2, 2), (3, 2), (True, 3), (2, True)])
     def test_rejects_bad_pairs(self, n, m):
         with pytest.raises((ValueError, TypeError)):
             CloneSpec(n, m)
@@ -90,6 +98,42 @@ class TestIdealOutput:
             a = partial_trace(StateVector(literal), {q}).elements
             b = partial_trace(StateVector(flipped), {q}).elements
             np.testing.assert_allclose(a, b, atol=1e-13)
+
+
+class TestKronOracle:
+    """The class-table computation against the dense Kronecker-product oracle."""
+
+    @pytest.mark.parametrize("machine_complement", [False, True])
+    def test_ideal_output_matches_oracle(self, machine_complement):
+        psis = [StateVector.basis(1, 0), StateVector.basis(1, 1)]
+        psis += [haar_random_qubit(4321, i) for i in range(5)]
+        for spec in all_specs(max_total_qubits=12):
+            for psi in psis:
+                np.testing.assert_allclose(
+                    ideal_output(spec, psi, machine_complement).amps,
+                    ideal_output_by_kron(spec, psi, machine_complement),
+                    rtol=0, atol=1e-14, err_msg=f"{spec} {psi.amps}")
+
+    @pytest.mark.parametrize("nm", SYNTH_LADDER)
+    def test_weight_components_match_oracle(self, nm):
+        spec = CloneSpec(*nm)
+        for machine_complement in (False, True):
+            got = weight_components(spec, machine_complement)
+            want = weight_components_by_kron(spec, machine_complement)
+            # prep angles are solved from comp[0]: one ulp moves artifact bytes
+            assert np.array_equal(got[0], want[0])
+            for g, w in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("build", [
+        weight_components,
+        lambda spec: ideal_output(spec, StateVector.basis(1, 0)),
+    ], ids=["weight_components", "ideal_output"])
+    def test_oversized_spec_rejected_at_once(self, build):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"cap of {MAX_QUBITS} \(statevec\.MAX_QUBITS\)"):
+            build(CloneSpec(1, 11))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestTheoreticalFidelity:
