@@ -75,8 +75,9 @@ def cmd_synth(args) -> int:
     print(f"spec: N={spec.n_in} M={spec.m_out} "
           f"data_qubits={register.n_qubits - int(register.flag)} "
           f"aux={register.n_aux} flag={int(register.flag)}")
+    # the suffix follows the register built: at equality no basis is left free
     print(f"feasible: {check.lhs} {rel} {check.rhs}"
-          + ("" if check.feasible_without_aux else " (aux variant used)"))
+          + (" (aux variant used)" if result.n_aux > 0 else ""))
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
     print(f"gates measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
     print(f"gates paper:    {formula_gate_count(spec, 1.0):.6g}")
@@ -133,7 +134,7 @@ def cmd_budget(args) -> int:
     species_list = _species_selection(args)
     # every figure is computed before the first print, so bad input prints nothing
     lines = [f"spec: N={spec.n_in} M={spec.m_out}  circuit factor (lhs): {lhs_mmax(spec):.6g}"]
-    if args.omega1:
+    if args.omega1 is not None:
         tau = elementary_gate_time(spec, params, args.omega1)
         total = cloning_time(spec, params, args.omega1, args.gates)
         lines.append(f"elementary gate time: {tau:.6g} s   run time: {total:.6g} s")
@@ -142,7 +143,7 @@ def cmd_budget(args) -> int:
         thr = feasibility_threshold(sp, params)
         verdict = "feasible" if pmin < args.threshold else "not feasible"
         lines.append(f"{sp.name}: p_min={pmin:.6g} ({verdict}); species threshold={thr:.6g}")
-        if args.omega1 and params.gamma1:
+        if args.omega1 is not None and params.gamma1 is not None:
             probs = emission_probability(spec, sp, params, omega1_rabi=args.omega1,
                                          gate_count_override=args.gates)
             lines.append(f"    at omega1={args.omega1:g}: p1={probs.p1:.6g} "
@@ -202,7 +203,6 @@ def _add_physics_args(p):
     p.add_argument("--eta", type=float, default=0.01, help="Lamb-Dicke parameter")
     p.add_argument("--epsilon", type=float, default=100.0, help="gate-count factor")
     p.add_argument("--delta2", type=float, default=1e13, help="detuning [1/s]")
-    p.add_argument("--gamma1", type=float, default=None, help="level-1 decay rate [1/s]")
     p.add_argument("--species", default="all", help="ion name or 'all'")
     p.add_argument("--species-db", default=None,
                    help=f"species JSON path (or ${SPECIES_ENV_VAR})")
@@ -242,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     _add_physics_args(p)
     p.add_argument("--omega1", type=float, default=None, help="Rabi frequency [1/s]")
+    p.add_argument("--gamma1", type=float, default=None, help="level-1 decay rate [1/s]")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("scan", help="feasibility scan over species and specs")

@@ -37,8 +37,12 @@ class IonSpecies:
     level2: str = ""
 
     def __post_init__(self) -> None:
-        if min(self.omega1, self.omega2, self.gamma2) <= 0:
-            raise ValueError(f"{self.name}: rates and frequencies must be positive")
+        if not isinstance(self.name, str):
+            raise ValueError(f"species name must be a string, got {self.name!r}")
+        for attr in ("omega1", "omega2", "gamma2"):
+            v = getattr(self, attr)
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
+                raise ValueError(f"{self.name}: {attr} must be a finite positive number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -65,29 +69,38 @@ class TrapParams:
             raise ValueError("gamma1 must be positive")
 
 
+_SPECIES_KEYS = ("name", "omega1_per_s", "omega2_per_s", "gamma2_per_s")
+
+
 def load_species(path: str | os.PathLike | None = None) -> dict[str, IonSpecies]:
-    """Species database; packaged data unless a path or env override is given."""
+    """Species database; packaged data unless a path or env override is given.
+
+    A malformed file raises ``ValueError`` naming the file and the row."""
     if path is None:
         path = os.environ.get(SPECIES_ENV_VAR)
     if path is None:
+        source = "packaged species data"
         text = resources.files("uqcm.data").joinpath("ion_species.json").read_text()
     else:
+        source = os.fspath(path)
         with open(path) as fh:
             text = fh.read()
-    data = json.loads(text)
-    if data.get("schema") != "uqcm-species/1":
-        raise ValueError(f"unsupported species schema {data.get('schema')!r}")
-    out = {}
-    for row in data["species"]:
-        out[row["name"]] = IonSpecies(
-            name=row["name"],
-            omega1=row["omega1_per_s"],
-            omega2=row["omega2_per_s"],
-            gamma2=row["gamma2_per_s"],
-            level0=row.get("level0", ""),
-            level1=row.get("level1", ""),
-            level2=row.get("level2", ""),
-        )
+    where, out = source, {}
+    try:
+        data = json.loads(text)
+        if not (isinstance(data, dict) and data.get("schema") == "uqcm-species/1"
+                and isinstance(data.get("species"), list)):
+            raise ValueError("not a uqcm-species/1 object with a 'species' list")
+        for i, row in enumerate(data["species"]):
+            where = f"{source}: species row {i}"
+            if not (isinstance(row, dict) and all(k in row for k in _SPECIES_KEYS)):
+                raise ValueError(f"needs the keys {', '.join(_SPECIES_KEYS)}")
+            species = IonSpecies(row["name"], row["omega1_per_s"], row["omega2_per_s"],
+                                 row["gamma2_per_s"], row.get("level0", ""),
+                                 row.get("level1", ""), row.get("level2", ""))
+            out[species.name] = species
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     return out
 
 

@@ -9,24 +9,18 @@ flag-ancilla gadgets of three multi-qubit steps each.
 
 Destinations are chosen in one pass over (pattern, complement) pairs; the
 complement pattern always gets the bitwise complement of its partner's
-assignment.  Routing order:
-  1. value-matched pairs: the all-zeros pattern, and any mixed pattern (N >= 2)
-     whose excitation-weight component of the ideal output has matching
-     amplitude multiplicities, take destinations of equal amplitude,
-     preferring fixed points inside equal-amplitude groups;
-  2. the remaining mixed patterns go to free bases: the source's own basis
-     when it is free and aux-clean, else the next free basis, aux-clean first.
-Matched pairs go first, so their destination pools are used up before any
-free basis is taken.  Matching every pattern is exactly the condition for the
-finished circuit to clone arbitrary superposition inputs; the fallback keeps
-the circuit faithful on computational inputs and is reported via
-``universal_routing``.
+assignment.  The all-zeros pattern goes first and takes destinations of equal
+amplitude in the ideal output, fixed points first inside each equal-amplitude
+group.  Every other pattern p < p ^ 1...1 follows in increasing p and takes its
+own basis when free and aux-clean, else the next free basis, aux-clean first.
+A permutation cannot merge the C(N, w) patterns of a mixed weight 0 < w < N,
+so only N = 1 routes universally; the fallback keeps the circuit faithful on
+computational inputs, and ``universal_routing`` reports which.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,30 +96,25 @@ def build_permutation(spec: CloneSpec, layout: BasisLayout) -> PermutationSpec:
     """
     n, p_qubits, n_aux = spec.n_in, layout.prep_qubits, layout.n_aux
     n_data = n + p_qubits
-    comps = weight_components(spec, layout.machine_complement)
+    comp0 = weight_components(spec, layout.machine_complement)[0]
     cvec = layout.coefficients()
     nz = [int(k) for k in np.nonzero(cvec > AMP_EPS)[0]]
 
-    reps = _value_groups([float(v) for v in comps[0] if v > AMP_EPS])
+    reps = _value_groups([float(v) for v in comp0 if v > AMP_EPS])
     # populated prep bases by amplitude group, in basis order
     by_group: dict[int | None, list[int]] = {}
     for k in nz:
         by_group.setdefault(_group_key(reps, float(cvec[k])), []).append(k)
 
-    # per-weight destination pools keyed by amplitude group (None: negative or
-    # unmatched), embedded with aux zeros; matchable: C(N, w) x the sources per group
-    pools: list[dict[int | None, list[int]]] = []
-    matchable: list[bool] = []
-    for w, comp in enumerate(comps):
-        pool: dict[int | None, list[int]] = {}
-        for z in np.nonzero(np.abs(comp) > AMP_EPS)[0]:
-            v = float(comp[z])
-            gid = None if v < 0 else _group_key(reps, v)
-            pool.setdefault(gid, []).append(int(z) << n_aux)
-        pools.append(pool)
-        matchable.append(None not in pool and {g: len(zs) for g, zs in pool.items()}
-                         == {g: math.comb(n, w) * len(ks) for g, ks in by_group.items()})
-    if not matchable[0]:
+    # destinations of the all-zeros output keyed by amplitude group (None:
+    # negative or unmatched), embedded with aux zeros
+    pool: dict[int | None, list[int]] = {}
+    for z in np.nonzero(np.abs(comp0) > AMP_EPS)[0]:
+        v = float(comp0[z])
+        gid = None if v < 0 else _group_key(reps, v)
+        pool.setdefault(gid, []).append(int(z) << n_aux)
+    if None in pool or ({g: len(zs) for g, zs in pool.items()}
+                        != {g: len(ks) for g, ks in by_group.items()}):
         raise SynthesisError(
             f"{spec}: preparation amplitudes do not match the target output multiset")
 
@@ -142,49 +131,46 @@ def build_permutation(spec: CloneSpec, layout: BasisLayout) -> PermutationSpec:
         mapping[s ^ pattern_flip] = pick ^ flip_mask
         used.update((pick, pick ^ flip_mask))
 
-    # free destinations scanned aux-clean-first so the auxiliary register ends
-    # in |0> whenever the counting allows it; `used` only grows, so a basis
-    # skipped once stays taken
+    # the all-zeros pattern (and through `assign` the all-ones one), by value
+    for gid, ks in sorted(by_group.items()):
+        group_pool = pool[gid]
+        # fixed points first: sources already sitting on a free wanted basis
+        fixed = set(group_pool).intersection(ks) - used
+        for s in sorted(fixed):
+            assign(s, s)
+        open_pool = (z for z in group_pool if z not in used)
+        for k in ks:
+            if k in fixed:
+                continue
+            pick = next(open_pool, None)
+            if pick is None:
+                raise SynthesisError(f"{spec}: destination pool exhausted for pattern {'0' * n}")
+            assign(k, pick)
+
+    # No mixed weight 0 < w < N can be routed by value: matching needs
+    # C(N, w) * C(2M-N, M) destinations, but comp_w lies on the C(2M-N, M-w)
+    # bases whose clone and machine popcounts sum to M-N+w, fewer for every
+    # such w (for w = 1 the inequality reduces to (N-1)(M-N) > 0).
+    # Free destinations go aux-clean-first, so the aux register ends in |0>
+    # when the counting allows; `used` only grows, so a skipped basis stays taken.
     free = (z for z in itertools.chain(range(0, 2 ** n_data, aux_mask + 1),
                                        (z for z in range(2 ** n_data) if z & aux_mask))
             if z not in used)
-
-    # each pattern with its complement; matched pairs first (a stable sort), so
-    # their pools are used up before any mixed pattern takes a free basis
-    pairs = sorted((p for p in range(2 ** n) if p < p ^ full),
-                   key=lambda p: not matchable[bin(p).count("1")])
-    for pattern in pairs:
-        w = bin(pattern).count("1")
+    for pattern in range(1, 1 << (n - 1)):  # p < p ^ full: the top bit is clear
         shift = pattern << p_qubits
-        if matchable[w]:
-            for gid, ks in sorted(by_group.items()):
-                group_pool = pools[w][gid]
-                # fixed points first: sources already sitting on a free wanted basis
-                fixed = set(group_pool).intersection(shift | k for k in ks) - used
-                for s in sorted(fixed):
-                    assign(s, s)
-                open_pool = (z for z in group_pool if z not in used)
-                for k in ks:
-                    if shift | k in fixed:
-                        continue
-                    pick = next(open_pool, None)
-                    if pick is None:
-                        raise SynthesisError(
-                            f"{spec}: destination pool exhausted for pattern {pattern:0{n}b}")
-                    assign(shift | k, pick)
-        else:
-            # the source's own basis when free and aux-clean, else the next free one
-            for k in nz:
-                s = shift | k
-                if (s & aux_mask) == 0 and s not in used:
-                    pick = s
-                else:
-                    pick = next(free, None)
-                    if pick is None:
-                        raise SynthesisError(
-                            f"{spec}: no free destination left for pattern {pattern:0{n}b}")
-                assign(s, pick)
-    return PermutationSpec(n_qubits=n_data, mapping=mapping, universal_routing=all(matchable))
+        # the source's own basis when free and aux-clean, else the next free one
+        for k in nz:
+            s = shift | k
+            if (s & aux_mask) == 0 and s not in used:
+                pick = s
+            else:
+                pick = next(free, None)
+                if pick is None:
+                    raise SynthesisError(
+                        f"{spec}: no free destination left for pattern {pattern:0{n}b}")
+            assign(s, pick)
+    # by the count above, only N = 1 (no mixed weight) is routed wholly by value
+    return PermutationSpec(n_qubits=n_data, mapping=mapping, universal_routing=n == 1)
 
 
 def schedule(perm: PermutationSpec) -> PermutationPlan:

@@ -173,8 +173,9 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
             ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))
     fidelities = np.concatenate(fidelities)
 
-    counts = dict(gate_counts) if gate_counts else {"total": cnot_cost(circuit)}
-    counts.setdefault("total", cnot_cost(circuit))
+    counts = dict(gate_counts or {})
+    if "total" not in counts:
+        counts["total"] = cnot_cost(circuit)
     counts["paper"] = formula_gate_count(spec, 1.0)
     return VerificationReport(
         spec=spec,

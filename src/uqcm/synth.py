@@ -19,11 +19,11 @@ from .prep import BasisLayout, emit_prep_circuit, prep_for_spec, solve_angles
 class SynthesisResult:
     spec: CloneSpec
     circuit: Circuit
-    prep_circuit: Circuit
-    clone_circuit: Circuit
     layout: BasisLayout
     permutation: PermutationSpec
     plan: PermutationPlan
+    prep_cost: int   # cnot_cost of the preparation stage
+    clone_cost: int  # cnot_cost of the cloning stage
 
     @property
     def n_aux(self) -> int:
@@ -36,9 +36,8 @@ class SynthesisResult:
         return self.permutation.universal_routing
 
     def gate_counts(self) -> dict[str, int]:
-        prep = cnot_cost(self.prep_circuit)
-        clone = cnot_cost(self.clone_circuit)
-        return {"prep": prep, "clone": clone, "total": prep + clone}
+        return {"prep": self.prep_cost, "clone": self.clone_cost,
+                "total": self.prep_cost + self.clone_cost}
 
 
 def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
@@ -58,11 +57,9 @@ def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     prep_embedded = prep_core.remapped(n_total, offset=spec.n_in)
     clone_stage = compile_moves(plan, n_total - 1)  # every qubit but the flag
     circuit = Circuit(n_total, prep_embedded.gates + clone_stage.gates, roles)
-    prep_only = Circuit(n_total, prep_embedded.gates, roles)
-    clone_only = Circuit(n_total, clone_stage.gates, roles)
     return SynthesisResult(
-        spec=spec, circuit=circuit, prep_circuit=prep_only, clone_circuit=clone_only,
-        layout=layout, permutation=perm, plan=plan)
+        spec=spec, circuit=circuit, layout=layout, permutation=perm, plan=plan,
+        prep_cost=cnot_cost(prep_core), clone_cost=cnot_cost(clone_stage))
 
 
 def reference_one_to_two() -> Circuit:

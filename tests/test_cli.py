@@ -3,8 +3,13 @@ import json
 import pytest
 
 from uqcm import CloneSpec, __version__, synthesize_cloner
-from uqcm.circuit import to_json
+from uqcm.circuit import Circuit, RegisterLayout, to_json
 from uqcm.cli import main
+
+
+def empty_one_to_two():
+    # laid out as a 1->2 cloner, but with no gates: wrong on every input
+    return Circuit(4, (), RegisterLayout(CloneSpec(1, 2)).roles())
 
 
 def run_cli(argv, capsys):
@@ -48,6 +53,19 @@ class TestSynth:
         assert "gates paper:    36267.5" in out.splitlines()
         assert "bound" not in out
 
+    @pytest.mark.parametrize("m_out, aux, line", [
+        (3, 1, "feasible: 4 <= 4 (aux variant used)"),
+        (4, 0, "feasible: 15 <= 16"),
+    ])
+    def test_aux_suffix_follows_the_built_register(self, tmp_path, capsys, m_out, aux, line):
+        # 2->3 meets the paper's <= at equality, which leaves no free basis,
+        # so its register gets an aux qubit; 2->4 fits with one to spare
+        code, out, _ = run_cli(
+            ["synth", "-N", "2", "-M", str(m_out), "--artifacts", str(tmp_path)], capsys)
+        assert code == 0
+        assert f"aux={aux}" in out
+        assert line in out.splitlines()
+
     def test_aux_allowed_even_when_unneeded(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["synth", "-N", "2", "-M", "4", "--artifacts", str(tmp_path)], capsys)
@@ -62,7 +80,8 @@ class TestSynth:
                      ["verify", "-N", "2", "-M", "4", "--aux"],
                      ["count", "-N", "2", "-M", "4", "--aux"],
                      ["scan", "--aux"],
-                     ["scan", "--measured"]):
+                     ["scan", "--measured"],
+                     ["scan", "--gamma1", "-5"]):
             code, _, err = run_cli(argv, capsys)
             assert code == 1, argv
             assert "unrecognized arguments" in err, argv
@@ -92,7 +111,7 @@ class TestVerify:
         monkeypatch.chdir(tmp_path)
         stale = tmp_path / "uqcm-artifacts" / f"cloner_N1_M2_aux0_v{__version__}.json"
         stale.parent.mkdir()
-        stale.write_text(to_json(synthesize_cloner(CloneSpec(1, 2)).prep_circuit))
+        stale.write_text(to_json(empty_one_to_two()))
         code, out, _ = run_cli(["verify", "-N", "1", "-M", "2", "--samples", "10"], capsys)
         assert code == 0
         assert "PASS" in out
@@ -127,8 +146,8 @@ class TestVerify:
             assert "cannot load circuit" in err, text[:200]
 
     def test_verification_failure_exit_code(self, tmp_path, capsys):
-        broken = tmp_path / "prep_only.json"
-        broken.write_text(to_json(synthesize_cloner(CloneSpec(1, 2)).prep_circuit))
+        broken = tmp_path / "empty.json"
+        broken.write_text(to_json(empty_one_to_two()))
         code, out, _ = run_cli(
             ["verify", "-N", "1", "-M", "2", "--samples", "10",
              "--circuit", str(broken)], capsys)
@@ -208,6 +227,8 @@ class TestValidationErrors:
         ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--gates", "-5"],
         ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--gamma1", "-1",
          "--omega1", "1e6"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1", "0"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1=-1e6"],
         ["scan", "--species", "Ca+", "--gates", "5"],
         ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--eta-list", "0"],
     ])
@@ -216,6 +237,25 @@ class TestValidationErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""  # rejected before any part of the report
+
+    @pytest.mark.parametrize("species", [
+        '[]',
+        '{"name": "X+", "omega1_per_s": 1e15, "gamma2_per_s": 1e7}',
+        '{"name": "X+", "omega1_per_s": 1e15, "omega2_per_s": "2e15", "gamma2_per_s": 1e7}',
+        '{"name": "X+", "omega1_per_s": NaN, "omega2_per_s": 2e15, "gamma2_per_s": 1e7}',
+        '{"name": "X+", "omega1_per_s": true, "omega2_per_s": 2e15, "gamma2_per_s": 1e7}',
+    ])
+    @pytest.mark.parametrize("command", ["budget", "scan"])
+    def test_malformed_species_db_rejected(self, tmp_path, capsys, species, command):
+        # a top-level list, a missing rate, a string, NaN or bool rate
+        db = tmp_path / "db.json"
+        db.write_text(species if species == "[]" else
+                      '{"schema": "uqcm-species/1", "species": [%s]}' % species)
+        code, out, err = run_cli(
+            [command, "-N", "1", "-M", "2", "--species-db", str(db), "--gates", "6"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "db.json" in err
+        assert out == ""
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_needs_a_sample(self, samples, capsys):

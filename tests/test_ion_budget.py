@@ -285,3 +285,27 @@ class TestSpeciesDatabase:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
             IonSpecies(name="bad", omega1=-1.0, omega2=1.0, gamma2=1.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), "1e15", True, None, 0])
+    def test_rejects_rates_that_are_not_finite_positive_numbers(self, rate):
+        with pytest.raises(ValueError, match="omega2 must be a finite positive number"):
+            IonSpecies(name="bad", omega1=1e15, omega2=rate, gamma2=1e7)
+
+    @pytest.mark.parametrize("text, message", [
+        ('[]', "not a uqcm-species/1 object"),
+        ('{"schema": "uqcm-species/1", "species": {}}', "with a 'species' list"),
+        ('{"schema": "uqcm-species/1", "species": [1]}', "species row 0: needs the keys"),
+        ('{"schema": "uqcm-species/1", "species": [{"name": "X+", "omega1_per_s": 1e15, '
+         '"gamma2_per_s": 1e7}]}', "species row 0: needs the keys .*omega2_per_s"),
+        ('{"schema": "uqcm-species/1", "species": [{"name": "X+", "omega1_per_s": 1e15, '
+         '"omega2_per_s": "2e15", "gamma2_per_s": 1e7}]}', "species row 0: X\\+: omega2"),
+        ('{"schema": "uqcm-species/1", "species": [{"name": "X+", "omega1_per_s": NaN, '
+         '"omega2_per_s": 2e15, "gamma2_per_s": 1e7}]}', "species row 0: X\\+: omega1"),
+        ('{ not json', "db.json"),
+    ])
+    def test_malformed_file_names_file_and_row(self, tmp_path, text, message):
+        path = tmp_path / "db.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            load_species(path)
+        assert str(path) in str(info.value)

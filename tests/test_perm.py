@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from uqcm import (BasisLayout, CloneSpec, PermutationPlan, PermutationSpec, PlanError,
-                  ScheduleError, StateVector, apply, build_permutation,
+                  ScheduleError, StateVector, apply, basis_count, build_permutation,
                   cnot_cost, compile_moves, ideal_output, schedule,
-                  validate_plan)
+                  validate_plan, weight_components)
+from uqcm.statevec import MAX_QUBITS
 
 SQ = math.sqrt
 
@@ -82,8 +83,27 @@ class TestBuildPermutation:
         perm = build_permutation(spec, BasisLayout.packed(spec))
         assert not perm.universal_routing  # amplitude multiset cannot split across blocks
 
+    def test_mixed_weights_have_too_few_destinations_to_match(self):
+        # value matching the C(N, w) patterns of weight w needs C(N, w)
+        # destinations per populated basis, but comp_w lies on the
+        # C(2M-N, M-w) bases whose clone and machine popcounts sum to M-N+w
+        checked = 0
+        for n in range(2, MAX_QUBITS):
+            for m in range(n + 1, (MAX_QUBITS + n) // 2 + 1):
+                for w in range(1, n):
+                    assert (math.comb(2 * m - n, m - w)
+                            < math.comb(n, w) * basis_count(CloneSpec(n, m))), (n, m, w)
+                    checked += 1
+        assert checked > 0
+
+    def test_weight_components_lie_on_their_popcount_shell(self, sweep_results):
+        for n, m in sweep_results:
+            for complement in (False, True):
+                comps = weight_components(CloneSpec(n, m), complement)
+                for w, comp in enumerate(comps):
+                    assert np.count_nonzero(comp) <= math.comb(2 * m - n, m - w), (n, m, w)
+
     def test_single_input_specs_route_universally(self):
-        from uqcm import basis_count
         for m in (2, 3, 4):
             spec = CloneSpec(1, m)
             perm = build_permutation(spec, BasisLayout.packed(spec))

@@ -113,6 +113,15 @@ class TestVerifySynthesized:
         with pytest.raises(ValueError, match="n_samples"):
             verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=n_samples)
 
+    def test_given_total_is_not_recomputed(self, sweep_results, monkeypatch):
+        def no_cost(circuit):
+            raise AssertionError("cnot_cost called although a total was given")
+        monkeypatch.setattr("uqcm.simulator.cnot_cost", no_cost)
+        res = sweep_results[(1, 2)]
+        report = verify(res.spec, res.circuit, n_samples=2, seed=1,
+                        gate_counts={"prep": 1, "clone": 2, "total": 3})
+        assert report.gate_counts["total"] == 3
+
     def test_deterministic_given_seed(self, sweep_results):
         res = sweep_results[(1, 3)]
         r1 = verify(res.spec, res.circuit, n_samples=10, seed=3)
