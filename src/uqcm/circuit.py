@@ -18,6 +18,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -205,35 +206,74 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 
     ``state`` is a StateVector, or a ``(k, 2**n)`` array of k amplitude rows
     that are all run at once (the result is a new array of the same shape).
-    The rows are viewed as a ``(k,) + (2,)*n`` tensor, batch axis first, and
-    each gate acts on the two views where its controls hold and its target is
-    0 or 1: basic slicing, so no gate builds an index or mask over 2**n.
+    Each maximal run of consecutive flips (x, cnot, mcx) only permutes basis
+    states, so it is worked out once on bit-planes (``_flip_sources``) and
+    moves all k rows with one gather.  A rotation views the rows as a
+    ``(k,) + (2,)*n`` tensor, batch axis first, and updates the two views
+    where its controls hold and its target is 0 or 1: basic slicing, so no
+    rotation builds an index or mask over 2**n.
     """
     n = circuit.n_qubits
     rows = state.amps[np.newaxis] if isinstance(state, StateVector) else np.asarray(state)
     if rows.ndim != 2 or rows.shape[1] != 2 ** n:
         raise ValueError(
             f"dimension mismatch: circuit on {n} qubits, state of shape {rows.shape}")
-    t = rows.astype(complex).reshape((len(rows),) + (2,) * n)
-    for g in circuit.gates:
-        idx = [slice(None)] * (n + 1)
-        for q, positive in g.controls:
-            idx[q + 1] = int(positive)
-        idx[g.target + 1] = 0
-        a0 = t[tuple(idx)]
-        idx[g.target + 1] = 1
-        a1 = t[tuple(idx)]
-        if g.kind in FLIP_KINDS:
-            swap = a0.copy()
-            a0[...] = a1
-            a1[...] = swap
+    out = rows.astype(complex)
+    for flips, run in groupby(circuit.gates, lambda g: g.kind in FLIP_KINDS):
+        if flips:
+            out = np.take(out, _flip_sources(tuple(run), n), axis=1)
         else:
-            m = g.matrix()
-            b0 = m[0, 0] * a0 + m[0, 1] * a1
-            a1[...] = m[1, 0] * a0 + m[1, 1] * a1
-            a0[...] = b0
-    out = t.reshape(rows.shape)
+            t = out.reshape((len(rows),) + (2,) * n)
+            for g in run:
+                idx = [slice(None)] * (n + 1)
+                for q, positive in g.controls:
+                    idx[q + 1] = int(positive)
+                idx[g.target + 1] = 0
+                a0 = t[tuple(idx)]
+                idx[g.target + 1] = 1
+                a1 = t[tuple(idx)]
+                m = g.matrix()
+                b0 = m[0, 0] * a0 + m[0, 1] * a1
+                a1[...] = m[1, 0] * a0 + m[1, 1] * a1
+                a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
+
+
+def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
+    """Index array ``src`` such that the run ``flips`` moves basis state
+    ``src[j]`` to ``j``, for every basis index j over n qubits.
+
+    Bit-plane q is a Python int of 2**n bits whose bit j is qubit q's bit of
+    the index j (qubit 0 the most significant bit of an index).  A flip is
+    then one XOR into its target's plane of the AND of its control planes,
+    an open control taking the complement.  Every flip is its own inverse,
+    so running the flips backwards from the identity's planes leaves plane q
+    holding qubit q's bit of ``src[j]`` at bit j.
+    """
+    size = 1 << n
+    everything = (1 << size) - 1
+    planes = []
+    for q in range(n):
+        # the identity's plane q: h = 2**(n-1-q) zero bits then h one bits,
+        # that period doubled until it spans the 2**n bits
+        h = 1 << (n - 1 - q)
+        plane, width = ((1 << h) - 1) << h, 2 * h
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    for g in reversed(flips):
+        fire = everything
+        for q, positive in g.controls:
+            fire &= planes[q] if positive else ~planes[q]
+        planes[g.target] ^= fire
+    nbytes = (size + 7) // 8
+    src = np.zeros(size, dtype=np.intp)
+    for q, plane in enumerate(planes):
+        bits = np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint8),
+                             count=size, bitorder="little")
+        src |= bits.astype(np.intp) << (n - 1 - q)
+    return src
 
 
 def cnot_cost(circuit: Circuit, aux_available: bool = False) -> int:

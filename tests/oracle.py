@@ -10,7 +10,8 @@ Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
 Kronecker products over every placement of the flipped factors, and
 ``weight_components_by_kron`` solves the weight decomposition on those dense
 vectors.  ``random_circuit`` makes the structureless circuits they are
-compared on.
+compared on, and ``flip_heavy_circuit`` the long flip runs that ``apply``
+turns into one basis permutation each.
 """
 from __future__ import annotations
 
@@ -207,3 +208,23 @@ def random_circuit(n, n_gates, seed, roles=None):
         theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
         gates.append(Gate(kind, int(qubits[0]), controls, theta))
     return Circuit(n, tuple(gates), roles)
+
+
+def flip_heavy_circuit(n, n_gates, seed, rotation_share=0.05):
+    """Long runs of flips broken by the odd rotation.  Each gate has 0 to n-1
+    controls of mixed polarity; a flip with none is a bare x, and an x or mcx
+    may carry any number."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(n_gates):
+        qubits = rng.permutation(n)
+        k = int(rng.integers(n))
+        if rng.random() < rotation_share:
+            kind = ROTATION_KINDS[rng.integers(len(ROTATION_KINDS))]
+        else:
+            kinds = ["x", "mcx"] + (["cnot"] if k == 1 else [])
+            kind = kinds[rng.integers(len(kinds))]
+        controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, int(qubits[0]), controls, theta))
+    return Circuit(n, tuple(gates))

@@ -238,6 +238,19 @@ class TestValidationErrors:
         assert err.startswith("error: ")
         assert out == ""  # rejected before any part of the report
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--omega1", "-1e6", "omega1_rabi must be positive"),
+        ("--eta", "-1e-2", "eta must lie in (0, 1]"),
+    ])
+    def test_negative_exponent_value_reaches_range_check(self, flag, value, message, capsys):
+        # a value, not an unknown option: argparse alone would say "expected
+        # one argument"
+        code, out, err = run_cli(
+            ["budget", "-N", "1", "-M", "2", "--species", "Ca+", flag, value], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("species", [
         '[]',
         '{"name": "X+", "omega1_per_s": 1e15, "gamma2_per_s": 1e7}',

@@ -1,13 +1,15 @@
 """Differential tests of the fast simulation path against the slow oracle.
 
-The slice-indexed ``apply`` must match the masked ``apply_by_mask`` on random
+``apply``, which moves each run of flips as one basis permutation worked out
+on bit-planes and updates each rotation's two tensor slices, must give the
+same bits as the masked ``apply_by_mask`` on random and on flip-heavy
 circuits, one state or a batch of rows at a time; and ``verify``, which runs
 the circuit once on the 2^N input patterns and combines the outputs linearly,
 must give the report that one oracle run per sample gives.
 """
 import numpy as np
 import pytest
-from oracle import apply_by_mask, random_circuit, verify_per_sample
+from oracle import apply_by_mask, flip_heavy_circuit, random_circuit, verify_per_sample
 
 from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
                   reference_one_to_two, verify)
@@ -19,17 +21,20 @@ def random_rows(k, n, seed):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def assert_slice_matches_mask(n, n_gates, k, seed):
-    circ = random_circuit(n, n_gates, seed)
-    rows = random_rows(k, n, seed + 1)
+def assert_apply_matches_mask(circ, k, seed):
+    rows = random_rows(k, circ.n_qubits, seed)
     before = rows.copy()
     batch = apply(circ, rows)
     np.testing.assert_array_equal(rows, before)   # the input is not modified
     assert batch.shape == rows.shape
     for row, got in zip(rows, batch):
         want = apply_by_mask(circ, StateVector(row)).amps
-        assert np.max(np.abs(apply(circ, StateVector(row)).amps - want)) < 1e-12
-        assert np.max(np.abs(got - want)) < 1e-12
+        np.testing.assert_array_equal(apply(circ, StateVector(row)).amps, want)
+        np.testing.assert_array_equal(got, want)
+
+
+def assert_slice_matches_mask(n, n_gates, k, seed):
+    assert_apply_matches_mask(random_circuit(n, n_gates, seed), k, seed + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -49,6 +54,28 @@ def test_slice_apply_matches_mask_oracle_property():
         assert_slice_matches_mask(n, n_gates, k, seed)
 
     check()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_flip_runs_match_mask_oracle(n):
+    # n < 3: a bit-plane shorter than one byte
+    for seed in range(16):
+        circ = flip_heavy_circuit(n, n_gates=60, seed=2000 * n + seed)
+        assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_flip_only_circuit_permutes_basis_states(n):
+    circ = flip_heavy_circuit(n, n_gates=80, seed=3000 + n, rotation_share=0.0)
+    basis = np.eye(2 ** n, dtype=complex)
+    out = apply(circ, basis)
+    np.testing.assert_array_equal(basis, np.eye(2 ** n))
+    # each basis input lands on one basis output, and no two on the same one
+    assert set(np.unique(out)) <= {0, 1}
+    np.testing.assert_array_equal(np.sum(out, axis=1), np.ones(2 ** n))
+    np.testing.assert_array_equal(np.sum(out, axis=0), np.ones(2 ** n))
+    for i in (0, 2 ** n - 1):
+        np.testing.assert_array_equal(out[i], apply_by_mask(circ, StateVector(basis[i])).amps)
 
 
 def test_batch_shape_must_match_register():

@@ -12,11 +12,11 @@ def flag_residue(result, seed, samples=10):
     circuit = result.circuit
     layout = RegisterLayout.of(result.spec, circuit)
     flag = layout.roles()["ancilla-flag"][0]
+    rows = np.array([input_state(layout, haar_random_qubit(seed, i)).amps
+                     for i in range(samples)])
     worst = 0.0
-    for i in range(samples):
-        psi = haar_random_qubit(seed, i)
-        out = apply(circuit, input_state(layout, psi))
-        rho = partial_trace(out, {flag}).elements
+    for out in apply(circuit, rows):
+        rho = partial_trace(StateVector(out), {flag}).elements
         worst = max(worst, float(abs(rho[1, 1])))
     return worst
 
@@ -159,3 +159,21 @@ def test_one_to_seven_verifies_fifty_samples():
     assert report.passed, report.format_table()
     assert report.clone_fidelity_mean == pytest.approx(theoretical_fidelity(spec), abs=1e-9)
     assert report.clone_fidelity_std < 1e-9
+
+
+def test_four_to_eight_aux_variant_is_basis_exact():
+    # 14 qubits, 63 083 gates and 16 input patterns: about 1 s once a run of
+    # flips is one basis permutation, against some 40 s one flip at a time.
+    # N >= 2 is not universal (criterion 7), so the verdict is not asserted,
+    # and neither is the report's residue over aux and flag: the aux register
+    # is not clean on superposed inputs here.  The basis-state error covers
+    # the trailing qubits (they must end in |0>), and the flag returns to |0>
+    # for every input.
+    from uqcm import synthesize_cloner
+    from uqcm.simulator import PASS_TOL
+    spec = CloneSpec(4, 8)
+    res = synthesize_cloner(spec)
+    assert res.n_aux > 0
+    report = verify(spec, res.circuit, n_samples=3, seed=29, gate_counts=res.gate_counts())
+    assert report.max_state_error < PASS_TOL, report.format_table()
+    assert flag_residue(res, seed=29, samples=3) < PASS_TOL
