@@ -47,6 +47,8 @@ class Gate:
     target: int
     controls: tuple[Control, ...] = ()
     theta: float | None = None
+    # the highest qubit the gate touches, for the register-bound check
+    top_qubit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the rules a circuit file is loaded by, so whatever to_json writes
@@ -69,8 +71,10 @@ class Gate:
             raise ValueError(f"duplicate control qubits in {qs}")
         if target in qs:
             raise ValueError(f"target {target} also appears as a control")
-        if min(qs + [target]) < 0:
+        span = qs + [target]
+        if min(span) < 0:
             raise ValueError(f"negative qubit index in target {target} or controls {qs}")
+        object.__setattr__(self, "top_qubit", max(span))
         theta = self.theta
         if self.kind in ROTATION_KINDS:
             if (type(theta) is bool or not isinstance(theta, (int, float))
@@ -96,9 +100,6 @@ class Gate:
             return Gate("roty", self.target, self.controls, -self.theta)
         return self  # utheta and all flips are involutions
 
-    def max_qubit(self) -> int:
-        return max([self.target] + [c.q for c in self.controls])
-
     def cnot_cost(self, aux_available: bool = False) -> int:
         c = len(self.controls)
         if c == 0:
@@ -118,11 +119,13 @@ class Circuit:
     def __post_init__(self) -> None:
         if type(self.n_qubits) is not int:
             raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
+        if self.n_qubits < 0:
+            raise ValueError(f"n_qubits must not be negative, got {self.n_qubits}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        for g in gates:
-            if g.max_qubit() >= self.n_qubits:
-                raise ValueError(f"gate {g} exceeds register of {self.n_qubits} qubits")
+        if max([g.top_qubit for g in gates], default=-1) >= self.n_qubits:
+            g = next(g for g in gates if g.top_qubit >= self.n_qubits)
+            raise ValueError(f"gate {g} exceeds register of {self.n_qubits} qubits")
         if self.roles is not None:
             roles = {name: tuple(qs) for name, qs in self.roles.items()}
             object.__setattr__(self, "roles", roles)
@@ -139,9 +142,11 @@ class Circuit:
 
     def remapped(self, n_qubits: int, offset: int) -> "Circuit":
         """Embed into a wider register, shifting every qubit index by ``offset``."""
+        shifted = [(Control(q + offset, False), Control(q + offset, True))
+                   for q in range(self.n_qubits)]
         gates = tuple(
             Gate(g.kind, g.target + offset,
-                 tuple(Control(c.q + offset, c.positive) for c in g.controls), g.theta)
+                 tuple([shifted[q][positive] for q, positive in g.controls]), g.theta)
             for g in self.gates
         )
         return Circuit(n_qubits, gates)
@@ -304,7 +309,7 @@ def _number(value: int | float) -> str:
 
 
 def to_json(circuit: Circuit) -> str:
-    """The circuit as ``uqcm-circuit/1`` text, one fragment per gate, joined once.
+    """The circuit as ``uqcm-circuit/1`` text, one fragment per gate object, joined once.
 
     The text is byte for byte ``json.dumps(d, indent=2, sort_keys=True)`` of
     the dict ``{"schema", "n_qubits", "roles", "gates"}`` (the test oracle
@@ -313,18 +318,26 @@ def to_json(circuit: Circuit) -> str:
     """
     control_text = [(_CONTROL % ("negative", q), _CONTROL % ("positive", q))
                     for q in range(circuit.n_qubits)]
+    # a gate object met again (synthesis shares them) reuses its fragment;
+    # the circuit holds every gate, so no id is reused during the loop
+    bodies: dict[int, str] = {}
     parts = ['{\n  "gates": [']
     sep = "\n"
     for g in circuit.gates:
-        if g.controls:
-            head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
-                    + _KIND_AFTER_CONTROLS[g.kind])
-        else:
-            head = _KIND_NO_CONTROLS[g.kind]
-        if g.theta is None:
-            parts.append(f"{sep}{head}{g.target}\n    }}")
-        else:
-            parts.append(f'{sep}{head}{g.target},\n      "theta": {_number(g.theta)}\n    }}')
+        body = bodies.get(id(g))
+        if body is None:
+            if g.controls:
+                head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
+                        + _KIND_AFTER_CONTROLS[g.kind])
+            else:
+                head = _KIND_NO_CONTROLS[g.kind]
+            if g.theta is None:
+                body = f"{head}{g.target}\n    }}"
+            else:
+                body = f'{head}{g.target},\n      "theta": {_number(g.theta)}\n    }}'
+            bodies[id(g)] = body
+        parts.append(sep)
+        parts.append(body)
         sep = ",\n"
     roles = ",\n".join(
         f"    {encode_basestring_ascii(name)}: "

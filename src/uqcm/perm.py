@@ -243,13 +243,20 @@ def compile_moves(plan: PermutationPlan, n_qubits: int) -> Circuit:
     if n_qubits != plan.n_qubits:
         raise ValueError(f"plan is over {plan.n_qubits} qubits, got {n_qubits}")
     flag, dim = n_qubits, 1 << n_qubits
-    # every move draws on the same 2n controls and n flag CNOTs; build them once
+    # every move draws on the same 2n controls and n flag CNOTs, and a basis
+    # met again (one move's destination is often the next one's source) reuses
+    # its flag flip; each gate is built once
     polarities = [(Control(q, False), Control(q, True)) for q in range(n_qubits)]
     flips = [Gate("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
+    patterns: dict[int, Gate] = {}
     width = f"0{n_qubits}b"   # qubit 0 is the most significant bit
 
-    def pattern(z: int) -> tuple[Control, ...]:
-        return tuple(pair[bit == "1"] for pair, bit in zip(polarities, format(z, width)))
+    def flag_flip(z: int) -> Gate:
+        gate = patterns.get(z)
+        if gate is None:
+            gate = patterns[z] = Gate("mcx", flag, tuple(
+                pair[bit == "1"] for pair, bit in zip(polarities, format(z, width))))
+        return gate
 
     gates: list[Gate] = []
     for s, d in plan.moves:
@@ -257,8 +264,8 @@ def compile_moves(plan: PermutationPlan, n_qubits: int) -> Circuit:
             raise ValueError(f"move {s}->{d} out of range for {n_qubits} qubits")
         if s == d:
             continue
-        gates.append(Gate("mcx", flag, pattern(s)))
+        gates.append(flag_flip(s))
         gates.extend(flips[q] for q, bit in enumerate(format(s ^ d, width)) if bit == "1")
-        gates.append(Gate("mcx", flag, pattern(d)))
+        gates.append(flag_flip(d))
     return Circuit(n_qubits + 1, tuple(gates))
 

@@ -53,17 +53,6 @@ class AngleTree:
     def n_qubits(self) -> int:
         return len(self.levels)
 
-    def reconstruct(self) -> np.ndarray:
-        """Coefficient vector produced by the tree (signs included)."""
-        coeffs = np.array([1.0])
-        for angles in self.levels:
-            out = np.empty(2 * coeffs.size)
-            for b, t in enumerate(angles):
-                out[2 * b] = coeffs[b] * math.cos(t)
-                out[2 * b + 1] = coeffs[b] * math.sin(t)
-            coeffs = out
-        return coeffs
-
 
 def solve_angles(target: PrepTarget) -> AngleTree:
     """Binary-split angles: tan(theta) = sqrt(right weight / left weight).
@@ -100,12 +89,11 @@ def emit_prep_circuit(angles: AngleTree) -> Circuit:
     for 0 bits).
     """
     n = angles.n_qubits
+    polarities = [(Control(q, False), Control(q, True)) for q in range(n)]
     gates = []
     for lev in range(1, n + 1):
         for b, theta in enumerate(angles.levels[lev - 1]):
-            controls = tuple(
-                Control(q, bool((b >> (lev - 2 - q)) & 1)) for q in range(lev - 1)
-            )
+            controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
             gates.append(Gate("utheta", lev - 1, controls, theta))
     return Circuit(n, tuple(gates))
 

@@ -6,12 +6,13 @@ indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
 ``to_json_by_dumps`` writes a circuit file through the circuit's dict and
-``json.dumps``.  ``ideal_output_by_kron`` builds the ideal cloner output from
-Kronecker products over every placement of the flipped factors, and
-``weight_components_by_kron`` solves the weight decomposition on those dense
-vectors.  ``random_circuit`` makes the structureless circuits they are
-compared on, and ``flip_heavy_circuit`` the long flip runs that ``apply``
-turns into one basis permutation each.
+``json.dumps``.  ``angle_tree_coefficients`` multiplies out a preparation
+angle tree one level at a time.  ``ideal_output_by_kron`` builds the ideal
+cloner output from Kronecker products over every placement of the flipped
+factors, and ``weight_components_by_kron`` solves the weight decomposition on
+those dense vectors.  ``random_circuit`` makes the structureless circuits
+they are compared on, and ``flip_heavy_circuit`` the long flip runs that
+``apply`` turns into one basis permutation each.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector,
-                  VerificationReport, alphas, cnot_cost, fidelity_against_pure,
+from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, RegisterLayout,
+                  StateVector, VerificationReport, alphas, cnot_cost, fidelity_against_pure,
                   haar_random_qubit, ideal_output, partial_trace)
 from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
 from uqcm.cloner_math import AMP_EPS
@@ -193,6 +194,18 @@ def to_json_by_dumps(circuit: Circuit) -> str:
         ],
     }
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+def angle_tree_coefficients(tree: AngleTree) -> np.ndarray:
+    """Coefficient vector the tree prepares (signs included), branch by branch."""
+    coeffs = np.array([1.0])
+    for angles in tree.levels:
+        out = np.empty(2 * coeffs.size)
+        for b, t in enumerate(angles):
+            out[2 * b] = coeffs[b] * math.cos(t)
+            out[2 * b + 1] = coeffs[b] * math.sin(t)
+        coeffs = out
+    return coeffs
 
 
 def random_circuit(n, n_gates, seed, roles=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -144,6 +145,32 @@ class TestValidation:
     def test_gate_indices_within_register(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate("x", 2),))
+
+    def test_register_error_names_the_first_gate_past_it(self):
+        first = Gate("mcx", 1, (Control(4, True), Control(0, False)))
+        gates = (Gate("x", 2), first, Gate("x", 3), Gate("cnot", 0, (Control(5, True),)))
+        with pytest.raises(ValueError) as err:
+            Circuit(3, gates)
+        assert str(err.value) == f"gate {first} exceeds register of 3 qubits"
+
+    def test_highest_qubit_is_kept_out_of_equality_and_repr(self):
+        gate = Gate("mcx", 1, (Control(4, True), Control(0, False)))
+        assert gate.top_qubit == 4
+        assert gate == Gate("mcx", 1, (Control(4, True), Control(0, False)))
+        assert repr(gate) == ("Gate(kind='mcx', target=1, controls=(Control(q=4, positive=True), "
+                              "Control(q=0, positive=False)), theta=None)")
+
+    def test_replaced_gate_gets_its_own_highest_qubit(self):
+        gate = Gate("cnot", 0, (Control(1, True),))
+        moved = dataclasses.replace(gate, target=6)
+        assert (gate.top_qubit, moved.top_qubit) == (1, 6)
+        assert Circuit(7, (gate, moved)).n_qubits == 7
+        with pytest.raises(ValueError, match="exceeds register of 6 qubits"):
+            Circuit(6, (gate, moved))
+
+    def test_negative_register_rejected(self):
+        with pytest.raises(ValueError, match="n_qubits must not be negative, got -1"):
+            Circuit(-1, ())
 
     def test_roles_must_partition(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,18 @@ class TestWriter:
     def test_reference_network(self):
         assert_writes_like_dumps(reference_one_to_two())
 
+    def test_shared_gates_write_like_fresh_ones(self, sweep_results):
+        # to_json renders each gate object once and repeats its text; a copy
+        # built from fresh, unshared equal gates gives the same bytes
+        for nm, res in sweep_results.items():
+            circ = res.circuit
+            fresh = Circuit(circ.n_qubits, tuple(
+                Gate(g.kind, g.target, tuple(Control(q, p) for q, p in g.controls), g.theta)
+                for g in circ.gates), circ.roles)
+            assert len({id(g) for g in circ.gates}) < len(circ.gates), nm
+            assert len({id(g) for g in fresh.gates}) == len(fresh.gates), nm
+            assert to_json(fresh) == to_json(circ) == to_json_by_dumps(circ), nm
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_random_circuits(self, n):
         for seed in range(4):
@@ -140,8 +152,9 @@ class TestLoaderMemo:
         '[{"kind": "cnot", "target": 1, "controls": [[0, "positive"]]}]}',
         '{"schema": "uqcm-circuit/1", "n_qubits": 2, "roles": {}, "gates": '
         '[{"kind": "cnot", "target": [1], "controls": [{"q": 0, "polarity": "positive"}]}]}',
+        '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}',
     ], ids=["array", "roles-array", "role-not-list", "gates-object", "gate-number",
-            "gate-array", "control-array", "unhashable-target"])
+            "gate-array", "control-array", "unhashable-target", "negative-n-qubits"])
     def test_rejects_malformed_structure(self, text):
         with pytest.raises(ValueError):
             from_json(text)

@@ -132,7 +132,8 @@ class TestVerify:
                  lambda d: d["gates"][0].update(target=1.5),
                  lambda d: d["gates"][0].update(theta=float("nan")),
                  lambda d: d.update(roles=[])]
-        texts = ["{ not json", "[]"]
+        # no gates and no roles, so only the register check rejects it
+        texts = ["{ not json", "[]", '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}']
         for edit in edits:
             data = json.loads(good)
             edit(data)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm import (BasisLayout, CloneSpec, PermutationPlan, PermutationSpec, PlanError,
+from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, basis_count, build_permutation,
                   cnot_cost, compile_moves, ideal_output, schedule,
                   validate_plan, weight_components)
@@ -228,6 +228,24 @@ class TestCompileMoves:
         perm = PermutationSpec(2, {1: 1, 2: 2})
         circ = compile_moves(schedule(perm), 2)
         assert len(circ) == 0
+
+    @pytest.mark.parametrize("nm", [(2, 4), (3, 6)])
+    def test_builds_each_distinct_gate_once(self, nm, monkeypatch):
+        # the flag CNOTs and each basis's flag flip are built once, however
+        # many moves reach that basis; building per move fails here
+        spec = CloneSpec(*nm)
+        plan = schedule(build_permutation(spec, BasisLayout.packed(spec)))
+        built = []
+        post_init = Gate.__post_init__
+
+        def counted(gate):
+            built.append(gate)
+            post_init(gate)
+
+        monkeypatch.setattr(Gate, "__post_init__", counted)
+        circ = compile_moves(plan, plan.n_qubits)
+        monkeypatch.undo()
+        assert len(built) == len(set(circ.gates)) < len(circ.gates)
 
     def test_width_mismatch_rejected(self):
         perm = PermutationSpec(3, {0: 1})

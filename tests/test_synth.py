@@ -6,7 +6,7 @@ from oracle import input_state
 
 from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
                   cnot_cost, ideal_output, reference_one_to_two, synthesize_cloner)
-from uqcm.circuit import to_json
+from uqcm.circuit import FLIP_KINDS, to_json
 from uqcm.ion_budget import formula_gate_count
 from uqcm.statevec import MAX_QUBITS
 
@@ -39,6 +39,14 @@ class TestSynthesize:
         res = synthesize_cloner(CloneSpec(3, 6))
         assert res.n_aux == 1
         assert res.circuit.n_qubits == 3 + 7 + 1
+
+    def test_clone_stage_builds_each_distinct_gate_once(self, sweep_results):
+        # equal gates of the cloning stage are one object; the stage follows
+        # the 2^P - 1 preparation rotations
+        for nm, res in sweep_results.items():
+            clone = res.circuit.gates[2 ** res.layout.prep_qubits - 1:]
+            assert {g.kind for g in clone} <= set(FLIP_KINDS), nm
+            assert len({id(g) for g in clone}) == len(set(clone)), nm
 
     def test_synthesis_is_deterministic(self):
         a = synthesize_cloner(CloneSpec(2, 4))
