@@ -18,8 +18,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +33,6 @@ CIRCUIT_SCHEMA = "uqcm-circuit/1"
 ROTATION_KINDS = ("roty", "utheta")
 FLIP_KINDS = ("x", "cnot", "mcx")
 KINDS = ROTATION_KINDS + FLIP_KINDS
-
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 
 class Control(NamedTuple):
     q: int
@@ -84,16 +82,6 @@ class Gate:
             raise ValueError(f"{self.kind} gate takes no theta")
         if self.kind == "cnot" and len(controls) != 1:
             raise ValueError("cnot requires exactly one control")
-
-    def matrix(self) -> np.ndarray:
-        """2x2 matrix applied to the target (controls handled separately)."""
-        if self.kind == "roty":
-            c, s = math.cos(self.theta), math.sin(self.theta)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "utheta":
-            c, s = math.cos(self.theta), math.sin(self.theta)
-            return np.array([[c, s], [s, -c]], dtype=complex)
-        return _X_MATRIX
 
     def inverse(self) -> "Gate":
         if self.kind == "roty":
@@ -213,10 +201,14 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
     that are all run at once (the result is a new array of the same shape).
     Each maximal run of consecutive flips (x, cnot, mcx) only permutes basis
     states, so it is worked out once on bit-planes (``_flip_sources``) and
-    moves all k rows with one gather.  A rotation views the rows as a
-    ``(k,) + (2,)*n`` tensor, batch axis first, and updates the two views
-    where its controls hold and its target is 0 or 1: basic slicing, so no
-    rotation builds an index or mask over 2**n.
+    moves all k rows with one gather.  Rotations go in groups: maximal runs on
+    one target and control-qubit tuple with pairwise distinct polarity
+    patterns (a uniformly-controlled rotation, such as a prep-tree level).  A
+    group of ``_GROUP_MIN`` or more gates is one update of the rows viewed as
+    ``(k, 2**t, 2, 2**(n-1-t))`` for target t, each amplitude pair taking the
+    entries its control bits select (the identity's where no gate matches); a
+    smaller group updates two slices of the ``(k,) + (2,)*n`` tensor per gate.
+    Both do the same arithmetic per pair.
     """
     n = circuit.n_qubits
     rows = state.amps[np.newaxis] if isinstance(state, StateVector) else np.asarray(state)
@@ -227,21 +219,85 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
     for flips, run in groupby(circuit.gates, lambda g: g.kind in FLIP_KINDS):
         if flips:
             out = np.take(out, _flip_sources(tuple(run), n), axis=1)
-        else:
-            t = out.reshape((len(rows),) + (2,) * n)
-            for g in run:
-                idx = [slice(None)] * (n + 1)
-                for q, positive in g.controls:
-                    idx[q + 1] = int(positive)
-                idx[g.target + 1] = 0
-                a0 = t[tuple(idx)]
-                idx[g.target + 1] = 1
-                a1 = t[tuple(idx)]
-                m = g.matrix()
-                b0 = m[0, 0] * a0 + m[0, 1] * a1
-                a1[...] = m[1, 0] * a0 + m[1, 1] * a1
+            continue
+        t = out.reshape((len(rows),) + (2,) * n)
+        for group, target, qs in _rotation_groups(run):
+            if len(group) >= _GROUP_MIN:
+                updates = [_group_update(out, group, target, qs)]
+            else:
+                updates = [_gate_update(t, g) for g in group]
+            for a0, a1, (m00, m01, m10, m11) in updates:
+                b0 = m00 * a0 + m01 * a1
+                a1[...] = m10 * a0 + m11 * a1
                 a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
+
+
+# Below this many gates a group costs more as one update, with its pattern
+# table and index arrays, than as one two-slice update per gate.
+_GROUP_MIN = 3
+
+_QUBIT = itemgetter(0)
+_POLARITY = itemgetter(1)
+
+
+def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
+    """Row-major entries of a rotation's 2x2 matrix."""
+    c, s = math.cos(g.theta), math.sin(g.theta)
+    return (c, -s, s, c) if g.kind == "roty" else (c, s, s, -c)
+
+
+def _rotation_groups(run):
+    """Each group of the rotations ``run`` with its target and control qubits."""
+    for (target, qs), same in groupby(run, lambda g: (g.target, tuple(map(_QUBIT, g.controls)))):
+        same = tuple(same)
+        controls = [g.controls for g in same]   # one polarity pattern each
+        start, seen = 0, set(controls)
+        if len(seen) < len(same):   # a pattern repeats: its pairs start a new group
+            seen = set()
+            for i, pattern in enumerate(controls):
+                if pattern in seen:
+                    yield same[start:i], target, qs
+                    start, seen = i, set()
+                seen.add(pattern)
+        yield same[start:], target, qs
+
+
+def _gate_update(t: np.ndarray, g: Gate):
+    """The two views of the ``(k,) + (2,)*n`` tensor ``t`` that ``g`` rotates,
+    and its entries."""
+    idx = [slice(None)] * t.ndim
+    for q, positive in g.controls:
+        idx[q + 1] = int(positive)
+    idx[g.target + 1] = 0
+    a0 = t[tuple(idx)]
+    idx[g.target + 1] = 1
+    return a0, t[tuple(idx)], _rotation_entries(g)
+
+
+def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...]):
+    """The two views of the rows ``out`` where ``target`` is 0 or 1, and the
+    entries for each of their amplitude pairs, for a group ``gates``."""
+    k, size = out.shape
+    n, c = size.bit_length() - 1, len(qs)
+    t = out.reshape(k, 1 << target, 2, -1)
+    # bit c-1-i of a pattern is control i's bit
+    polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in gates),
+                           dtype=np.intp, count=len(gates) * c)
+    patterns = polarity.reshape(-1, c) @ (1 << np.arange(c - 1, -1, -1))
+    table = np.zeros((1 << c, 4), dtype=complex)
+    table[:, ::3] = 1
+    table[patterns] = np.fromiter(chain.from_iterable(map(_rotation_entries, gates)),
+                                  dtype=float, count=4 * len(gates)).reshape(-1, 4)
+    # each pair's pattern, on the axes that carry its controls: (2**t, 1) for
+    # controls before the target, (2**(n-1-t),) after, both if both
+    before = np.arange(1 << target)[:, np.newaxis] if min(qs) < target else None
+    after = np.arange(1 << (n - 1 - target)) if max(qs) > target else None
+    pair = 0
+    for i, q in enumerate(qs):
+        axis, bit = (before, target - 1 - q) if q < target else (after, n - 1 - q)
+        pair = pair | (axis >> bit & 1) << (c - 1 - i)
+    return t[:, :, 0], t[:, :, 1], table.T.take(pair, axis=1)
 
 
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:

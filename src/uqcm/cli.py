@@ -15,10 +15,10 @@ from . import __version__
 from .circuit import RegisterLayout, from_json, to_json
 from .cloner_math import CloneSpec, basis_count, feasibility
 from .ion_budget import (DEFAULT_FEASIBLE_THRESHOLD, SPECIES_ENV_VAR, TrapParams,
-                         cloning_time, elementary_gate_time, emission_probability,
-                         feasibility_scan, feasibility_threshold, formula_gate_count,
-                         lhs_mmax, load_species, min_emission_probability,
-                         render_scan_table, scan_to_json)
+                         check_threshold, cloning_time, elementary_gate_time,
+                         emission_probability, feasibility_scan, feasibility_threshold,
+                         formula_gate_count, lhs_mmax, load_species,
+                         min_emission_probability, render_scan_table, scan_to_json)
 from .simulator import verify
 from .synth import synthesize_cloner
 
@@ -49,6 +49,10 @@ def _artifact_path(args, spec: CloneSpec, n_aux: int) -> Path:
 
 
 def _params_from(args) -> TrapParams:
+    try:
+        check_threshold(args.threshold)
+    except ValueError as exc:
+        _fail(f"--threshold: {exc}")
     return TrapParams(eta=args.eta, epsilon=args.epsilon, delta2=args.delta2,
                       gamma1=getattr(args, "gamma1", None))
 

@@ -218,6 +218,12 @@ class ScanRow:
         return asdict(self)
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless ``threshold`` is a finite p_min bound above 0."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and above 0, got {threshold!r}")
+
+
 def feasibility_scan(species_list, params: TrapParams, specs, etas=(None,),
                      measured_counts=None,
                      threshold: float = DEFAULT_FEASIBLE_THRESHOLD) -> list[ScanRow]:
@@ -225,8 +231,9 @@ def feasibility_scan(species_list, params: TrapParams, specs, etas=(None,),
 
     ``measured_counts`` optionally maps (N, M) to a measured circuit size in
     CNOT-equivalents; cells with a measured count also report the measured
-    variant.  Feasible means p_min below ``threshold``.
+    variant.  Feasible means p_min below ``threshold``, a finite number above 0.
     """
+    check_threshold(threshold)
     measured_counts = measured_counts or {}
     rows: list[ScanRow] = []
     for eta in etas:

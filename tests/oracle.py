@@ -5,14 +5,17 @@
 indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
+``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
 ``to_json_by_dumps`` writes a circuit file through the circuit's dict and
 ``json.dumps``.  ``angle_tree_coefficients`` multiplies out a preparation
 angle tree one level at a time.  ``ideal_output_by_kron`` builds the ideal
 cloner output from Kronecker products over every placement of the flipped
 factors, and ``weight_components_by_kron`` solves the weight decomposition on
 those dense vectors.  ``random_circuit`` makes the structureless circuits
-they are compared on, and ``flip_heavy_circuit`` the long flip runs that
-``apply`` turns into one basis permutation each.
+they are compared on, ``flip_heavy_circuit`` the long flip runs that
+``apply`` turns into one basis permutation each, and ``multiplexed_circuit``
+the runs of rotations on one target and control set that it applies as one
+grouped update each.
 """
 from __future__ import annotations
 
@@ -89,6 +92,15 @@ def weight_components_by_kron(spec: CloneSpec, machine_complement: bool = False)
     return [np.where(np.abs(c) < AMP_EPS, 0.0, c) for c in comps]
 
 
+def gate_matrix(g: Gate) -> np.ndarray:
+    """2x2 matrix a gate applies to its target where its controls hold."""
+    if g.kind in ROTATION_KINDS:
+        c, s = math.cos(g.theta), math.sin(g.theta)
+        rows = [[c, -s], [s, c]] if g.kind == "roty" else [[c, s], [s, -c]]
+        return np.array(rows, dtype=complex)
+    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
 def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply gates in order, selecting each gate's amplitude pairs by a mask."""
     if state.n_qubits != circuit.n_qubits:
@@ -106,7 +118,7 @@ def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:
         tmask = 1 << (n - 1 - g.target)
         i0 = idx[sel & ((idx & tmask) == 0)]
         i1 = i0 | tmask
-        m = g.matrix()
+        m = gate_matrix(g)
         a0 = amps[i0]
         a1 = amps[i1]
         amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
@@ -240,4 +252,41 @@ def flip_heavy_circuit(n, n_gates, seed, rotation_share=0.05):
         controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
         theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
         gates.append(Gate(kind, int(qubits[0]), controls, theta))
+    return Circuit(n, tuple(gates))
+
+
+def multiplexed_circuit(n, seed, n_runs=8):
+    """Runs of rotations on one target and one tuple of control qubits (n >= 3),
+    with flips between the runs.  The controls sit before the target, after
+    it, or on both sides, in a shuffled order.  Every other run covers all
+    2^c polarity patterns, the rest a random subset; every third run repeats
+    one pattern, which ends a group.  Kinds mix roty and utheta, and about a
+    quarter of the angles are integers."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for r in range(n_runs):
+        target = int(rng.integers(1, n - 1))
+        below, above = list(range(target)), list(range(target + 1, n))
+        pool = (below, above, below + above)[r % 3]
+        c = int(rng.integers(1 + (r % 3 == 2), min(len(pool), 4) + 1))
+        qs = [int(q) for q in rng.choice(pool, size=c, replace=False)]
+        if r % 3 == 2 and (min(qs) > target or max(qs) < target):
+            qs[0] = int(rng.choice(below if min(qs) > target else above))   # both sides
+        patterns = [int(p) for p in rng.permutation(2 ** c)]
+        if r % 2:
+            patterns = patterns[:int(rng.integers(1, 2 ** c + 1))]
+        if r % 3 == 0:
+            patterns.insert(int(rng.integers(1, len(patterns) + 1)),
+                            patterns[int(rng.integers(len(patterns)))])
+        for p in patterns:
+            kind = ROTATION_KINDS[rng.integers(len(ROTATION_KINDS))]
+            theta = (int(rng.integers(-3, 4)) if rng.random() < 0.25
+                     else float(rng.uniform(-math.pi, math.pi)))
+            controls = tuple(Control(q, bool(p >> (c - 1 - i) & 1)) for i, q in enumerate(qs))
+            gates.append(Gate(kind, target, controls, theta))
+        for _ in range(int(rng.integers(1, 3))):
+            qubits = rng.permutation(n)
+            k = int(rng.integers(n))
+            controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
+            gates.append(Gate("mcx" if k else "x", int(qubits[0]), controls))
     return Circuit(n, tuple(gates))

@@ -252,6 +252,18 @@ class TestValidationErrors:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["budget", "-N", "1", "-M", "2"],
+        ["scan", "--no-measured"],
+    ])
+    def test_threshold_must_be_finite_and_positive(self, command, value, capsys):
+        # nan made every cell "not feasible" and inf every cell feasible
+        code, out, err = run_cli(command + ["--eta", "1", "--threshold", value], capsys)
+        assert code == 1
+        assert err.startswith("error: --threshold: ")
+        assert out == ""
+
     @pytest.mark.parametrize("species", [
         '[]',
         '{"name": "X+", "omega1_per_s": 1e15, "gamma2_per_s": 1e7}',

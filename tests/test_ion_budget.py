@@ -207,6 +207,12 @@ class TestScan:
         rows = feasibility_scan(list(species.values()), TrapParams(eta=0.01), specs)
         assert all(not r.feasible_formula for r in rows)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, species, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite and above 0"):
+            feasibility_scan([species["Ca+"]], TrapParams(eta=1.0), [SPEC12],
+                             threshold=threshold)
+
     def test_measured_counts_reported(self, species):
         rows = feasibility_scan([species["Ca+"]], TrapParams(eta=0.01), [SPEC12],
                                 measured_counts={(1, 2): 6})

@@ -1,16 +1,19 @@
 """Differential tests of the fast simulation path against the slow oracle.
 
 ``apply``, which moves each run of flips as one basis permutation worked out
-on bit-planes and updates each rotation's two tensor slices, must give the
-same bits as the masked ``apply_by_mask`` on random and on flip-heavy
-circuits, one state or a batch of rows at a time; and ``verify``, which runs
-the circuit once on the 2^N input patterns and combines the outputs linearly,
-must give the report that one oracle run per sample gives.
+on bit-planes and updates each group of rotations on one target and control
+set at once, must give the same bits as the masked ``apply_by_mask`` on
+random, flip-heavy and multiplexed circuits, one state or a batch of rows at
+a time; and ``verify``, which runs the circuit once on the 2^N input patterns
+and combines the outputs linearly, must give the report that one oracle run
+per sample gives.
 """
 import numpy as np
 import pytest
-from oracle import apply_by_mask, flip_heavy_circuit, random_circuit, verify_per_sample
+from oracle import (apply_by_mask, flip_heavy_circuit, multiplexed_circuit, random_circuit,
+                    verify_per_sample)
 
+from uqcm import circuit as circuit_module
 from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
                   reference_one_to_two, verify)
 
@@ -62,6 +65,40 @@ def test_flip_runs_match_mask_oracle(n):
     for seed in range(16):
         circ = flip_heavy_circuit(n, n_gates=60, seed=2000 * n + seed)
         assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
+
+
+def count_rotation_groups(monkeypatch):
+    """Record the size of each grouped rotation update ``apply`` makes."""
+    sizes = []
+    grouped = circuit_module._group_update
+
+    def counting(out, gates, *args):
+        sizes.append(len(gates))
+        return grouped(out, gates, *args)
+
+    monkeypatch.setattr(circuit_module, "_group_update", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_rotation_groups_match_mask_oracle(n, monkeypatch):
+    sizes = count_rotation_groups(monkeypatch)
+    for seed in range(8):
+        circ = multiplexed_circuit(n, seed=4000 * n + seed)
+        assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
+    assert sizes   # the grouped update ran, not only the single-gate one
+
+
+def test_prep_tree_levels_are_one_update_each(sweep_results, monkeypatch):
+    # level L of the preparation tree is 2^(L-1) rotations on one target and
+    # control set.  Levels 3 and up are one update each, prep_qubits - 2 in
+    # all; levels 1 and 2 (one and two gates) go gate by gate, and the cloning
+    # stage (flips only) adds none
+    sizes = count_rotation_groups(monkeypatch)
+    for nm, res in sweep_results.items():
+        sizes.clear()
+        apply(res.circuit, np.zeros((2, 2 ** res.circuit.n_qubits), dtype=complex))
+        assert sizes == [2 ** (lev - 1) for lev in range(3, res.layout.prep_qubits + 1)], nm
 
 
 @pytest.mark.parametrize("n", range(1, 8))

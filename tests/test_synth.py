@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from oracle import input_state
 
-from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
-                  cnot_cost, ideal_output, reference_one_to_two, synthesize_cloner)
+from uqcm import (CloneSpec, RegisterLayout, StateVector, apply, cnot_cost, ideal_output,
+                  reference_one_to_two, synthesize_cloner, verify)
 from uqcm.circuit import FLIP_KINDS, to_json
 from uqcm.ion_budget import formula_gate_count
 from uqcm.statevec import MAX_QUBITS
@@ -63,6 +63,19 @@ class TestSynthesize:
         # circuit file fails here; re-pin only on a deliberate circuit change
         text = to_json(synthesize_cloner(CloneSpec(*nm)).circuit)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("nm, digest", [
+        ((1, 5), "14249d7baad598c215ce4fc9a7395cc6322a319dc5b5738287a9fd9a49646a0d"),
+        ((2, 4), "a91d76788db8eeb0d308abc299e3577e05a7e8eaecf0b8d6ef77d4bcd626a0cf"),
+        ((3, 6), "13b7c4af9a93c159761a710d8f6cf5d31885faac8c4acdd336c45fd7c5c0ccf5"),
+    ])
+    def test_verify_report_bytes_are_pinned(self, nm, digest):
+        # a simulation change that moves a single bit of an output amplitude
+        # the report reads fails here, as does a synthesis change
+        res = synthesize_cloner(CloneSpec(*nm))
+        report = verify(res.spec, res.circuit, n_samples=5, seed=11,
+                        gate_counts=res.gate_counts())
+        assert hashlib.sha256(report.to_json().encode("ascii")).hexdigest() == digest
 
     def test_measured_counts_track_the_asymptotic_bound(self, sweep_results):
         # the paper's asymptotic count (eps = 1) is a floor on every measured
