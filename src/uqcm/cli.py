@@ -32,10 +32,12 @@ DEFAULT_SCAN_SPECS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes -5 and -0.5 as values but -1e6 as an option; read a
-        # negative number in exponent form as a value too, so that the
-        # library's range check is the one to reject it
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes -5 and -0.5 as values but -1e6 and -inf as options;
+        # read a negative number in exponent form, and -inf, -infinity and
+        # -nan in any case, as a value too, so that the library's range check
+        # is the one to reject it
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)

@@ -23,16 +23,41 @@ PASS_TOL = 1e-9
 ANCILLA_TOL = 1e-12
 
 
-def haar_random_qubit(seed: int, index: int = 0) -> StateVector:
-    """Haar-uniform pure qubit state from a counter-based stream.
+_KEY_MASK = 2**64 - 1
 
-    Keyed on (seed, index), so sample ``index`` of a stream is reproducible
-    without drawing its predecessors.
+
+def _haar_rows(seed: int, start: int, stop: int) -> np.ndarray:
+    """Haar-uniform pure qubit states for samples ``start`` to ``stop - 1`` of
+    stream ``seed``, one per row of an ``(stop - start, 2)`` array.
+
+    Sample i is keyed on (seed, i), both taken mod 2^64, so it is reproducible
+    without drawing its predecessors: its amplitudes are the first four
+    standard normals of the Philox stream with that key, as two real and two
+    imaginary parts, divided by their norm.  One generator serves every row,
+    re-keyed through its public state, which draws exactly what a fresh
+    generator per key would.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index & (2**64 - 1)]))
-    z = gen.normal(size=2) + 1j * gen.normal(size=2)
-    z /= np.linalg.norm(z)
-    return StateVector(z)
+    bits = np.random.Philox(key=np.array([seed & _KEY_MASK, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    normals = np.empty((stop - start, 4))
+    for i, row in zip(range(start, stop), normals):
+        key[1] = i & _KEY_MASK
+        bits.state = state
+        gen.standard_normal(out=row)
+    z = normals[:, :2] + 1j * normals[:, 2:]
+    # per row the two strided dot products np.linalg.norm takes, so the norm
+    # is bit-equal to it (a plain sum of squares differs in the last bit)
+    re, im = z.real[:, np.newaxis], z.imag[:, np.newaxis]
+    z /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    return z
+
+
+def haar_random_qubit(seed: int, index: int = 0) -> StateVector:
+    """Haar-uniform pure qubit state: sample ``index`` of stream ``seed``, the
+    single-row case of ``_haar_rows``."""
+    return StateVector(_haar_rows(seed, index, index + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -96,7 +121,7 @@ def _check_normalized(rows: np.ndarray, what: str) -> np.ndarray:
     """``rows`` of amplitudes, each of unit norm to ASSERT_ATOL."""
     drift = np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0)
     if np.max(drift) > ASSERT_ATOL:
-        raise ValueError(f"{what} output is not normalized: |norm^2 - 1| = {np.max(drift)!r}")
+        raise ValueError(f"{what} is not normalized: |norm^2 - 1| = {np.max(drift)!r}")
     return rows
 
 
@@ -108,11 +133,15 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     over the N-bit input patterns p (input qubit 0 the most significant bit).
     So the circuit runs once, as one batch, on the 2^N pattern inputs, and each
     sample's output is the matching combination of the pattern outputs: the
-    cost is one batched gate sweep whatever ``n_samples`` is.
+    cost is one batched gate sweep, plus per-sample sampling and marginals.
 
     Deterministic given ``seed``; the random inputs come from a counter-based
-    stream so runs are reproducible regardless of sample count.
+    stream (``seed`` taken mod 2^64) so runs are reproducible regardless of
+    sample count.
     """
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n_in, m = spec.n_in, spec.m_out
@@ -121,7 +150,7 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     patterns = np.arange(2 ** n_in)
     inputs = np.zeros((patterns.size, 2 ** n), dtype=complex)
     inputs[patterns, patterns << (n - n_in)] = 1.0
-    outs = _check_normalized(apply(circuit, inputs), "pattern")
+    outs = _check_normalized(apply(circuit, inputs), "pattern output")
 
     def state_error(out: np.ndarray, ideal: np.ndarray) -> float:
         ext = layout.embed(ideal)
@@ -148,13 +177,13 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     symmetry_error = 0.0
     ancilla_error = 0.0
     for start in range(0, n_samples, chunk):
-        psi = np.array([haar_random_qubit(seed, i).amps
-                        for i in range(start, min(start + chunk, n_samples))])
+        psi = _check_normalized(
+            _haar_rows(seed, start, min(start + chunk, n_samples)), "sample input")
         s = len(psi)
         coef = psi   # coef[i, p]: amplitude of pattern p in sample i's input
         for _ in range(n_in - 1):
             coef = (coef[:, :, np.newaxis] * psi[:, np.newaxis, :]).reshape(s, -1)
-        out = _check_normalized(coef @ outs, "sample")
+        out = _check_normalized(coef @ outs, "sample output")
         rhos = np.stack([
             np.einsum("iaxb,iayb->ixy", t, t.conj())
             for t in (out.reshape(s, 2 ** q, 2, -1) for q in range(m))], axis=1)

@@ -4,7 +4,8 @@
 ``apply_by_mask`` applies each gate through a 2^n boolean mask over basis
 indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
-Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
+Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone;
+``haar_qubit_by_key`` draws each of those samples from a generator of its own.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
 ``to_json_by_dumps`` writes a circuit file through the circuit's dict and
 ``json.dumps``.  ``angle_tree_coefficients`` multiplies out a preparation
@@ -27,7 +28,7 @@ import numpy as np
 
 from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, RegisterLayout,
                   StateVector, VerificationReport, alphas, cnot_cost, fidelity_against_pure,
-                  haar_random_qubit, ideal_output, partial_trace)
+                  ideal_output, partial_trace)
 from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
 from uqcm.cloner_math import AMP_EPS
 from uqcm.ion_budget import formula_gate_count
@@ -126,6 +127,17 @@ def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:
     return StateVector(amps)
 
 
+def haar_qubit_by_key(seed: int, index: int) -> StateVector:
+    """Sample ``index`` of Haar stream ``seed`` from a fresh Philox generator
+    keyed on (seed, index) mod 2^64: two normals for the real parts, two for
+    the imaginary parts, divided by their norm."""
+    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    z = gen.normal(size=2) + 1j * gen.normal(size=2)
+    z /= np.linalg.norm(z)
+    return StateVector(z)
+
+
 def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
                       seed: int = 7, gate_counts: dict | None = None) -> VerificationReport:
     """The report ``uqcm.verify`` gives, computed one circuit run per input."""
@@ -155,7 +167,7 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     symmetry_error = 0.0
     ancilla_error = 0.0
     for i in range(n_samples):
-        psi = haar_random_qubit(seed, i)
+        psi = haar_qubit_by_key(seed, i)
         out = run(psi)
         rhos = [partial_trace(out, {q}) for q in range(m)]
         fidelities.append(float(np.mean([fidelity_against_pure(r, psi) for r in rhos])))

@@ -252,7 +252,7 @@ class TestValidationErrors:
         assert err == f"error: {message}\n"
         assert out == ""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "-inf", "-nan"])
     @pytest.mark.parametrize("command", [
         ["budget", "-N", "1", "-M", "2"],
         ["scan", "--no-measured"],

@@ -6,14 +6,16 @@ set at once, must give the same bits as the masked ``apply_by_mask`` on
 random, flip-heavy and multiplexed circuits, one state or a batch of rows at
 a time; and ``verify``, which runs the circuit once on the 2^N input patterns
 and combines the outputs linearly, must give the report that one oracle run
-per sample gives.
+per sample gives.  The Haar inputs, drawn for a whole chunk of samples from
+one re-keyed generator, must be the bits one fresh generator per sample draws.
 """
 import numpy as np
 import pytest
-from oracle import (apply_by_mask, flip_heavy_circuit, multiplexed_circuit, random_circuit,
-                    verify_per_sample)
+from oracle import (apply_by_mask, flip_heavy_circuit, haar_qubit_by_key, multiplexed_circuit,
+                    random_circuit, verify_per_sample)
 
 from uqcm import circuit as circuit_module
+from uqcm import simulator
 from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
                   reference_one_to_two, verify)
 
@@ -153,3 +155,32 @@ def test_linear_verify_matches_per_sample_on_random_circuit():
     report = assert_reports_match(layout.spec, circ, 20, 3)
     assert report["clone_fidelity_std"] > 1e-2
     assert report["ancilla_purity_error"] > 1e-2
+
+
+def oracle_rows(seed, start, stop):
+    return np.array([haar_qubit_by_key(seed, i).amps for i in range(start, stop)])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, -3])
+@pytest.mark.parametrize("start, stop", [(0, 1), (5, 300), (2**40, 2**40 + 3), (2**64 - 2, 2**64 + 1)])
+def test_batch_sampler_matches_one_generator_per_key(seed, start, stop):
+    rows = simulator._haar_rows(seed, start, stop)
+    assert rows.shape == (stop - start, 2)
+    assert rows.tobytes() == oracle_rows(seed, start, stop).tobytes()
+
+
+def test_verify_draws_the_oracle_inputs_chunk_by_chunk(monkeypatch):
+    # the 1->2 network run as a (failing) 1->9 cloner on 17 qubits is
+    # verified 8 samples at a time, so 20 samples take three chunks
+    layout = RegisterLayout(CloneSpec(1, 9), flag=False)
+    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
+    fast = verify(layout.spec, circ, n_samples=20, seed=-5).to_json()
+    chunks = []
+
+    def rows(seed, start, stop):
+        chunks.append((start, stop))
+        return oracle_rows(seed, start, stop)
+
+    monkeypatch.setattr(simulator, "_haar_rows", rows)
+    assert verify(layout.spec, circ, n_samples=20, seed=-5).to_json() == fast
+    assert chunks == [(0, 8), (8, 16), (16, 20)]

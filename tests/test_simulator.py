@@ -33,6 +33,19 @@ class TestHaarSampling:
         for i in range(25):
             assert abs(haar_random_qubit(7, i).norm() - 1) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_seed_keys_its_own_stream(self):
+        # a seed is taken mod 2^64 and goes into the key whole: read through
+        # float64, -1, -3 and 2^64 - 1 all fell on seed 0's stream, and
+        # 2^63 + 5 on 2^63's, each with a cast warning
+        seeds = (-1, -2, 0, 2**63, 2**63 + 5)
+        amps = [haar_random_qubit(seed, 0).amps for seed in seeds]
+        for i in range(len(seeds)):
+            for j in range(i):
+                assert np.max(np.abs(amps[i] - amps[j])) > 1e-3, (seeds[i], seeds[j])
+        np.testing.assert_array_equal(haar_random_qubit(-1, 4).amps,
+                                      haar_random_qubit(2**64 - 1, 4).amps)
+
     def test_mean_bloch_vector_is_small(self):
         total = np.zeros(3)
         n = 10_000
@@ -107,6 +120,15 @@ class TestVerifySynthesized:
     def test_role_mismatch_rejected(self, sweep_results):
         with pytest.raises(ValueError):
             verify(CloneSpec(1, 3), sweep_results[(1, 2)].circuit, n_samples=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_samples", True), ("n_samples", 2.0), ("n_samples", "5"),
+        ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_samples_and_seed_must_be_ints(self, name, value):
+        # True ran as one sample and 2.0 or seed=1.5 raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            verify(CloneSpec(1, 2), reference_one_to_two(), **{name: value})
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_needs_at_least_one_sample(self, n_samples):
