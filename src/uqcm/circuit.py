@@ -306,10 +306,13 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
 
     Bit-plane q is a Python int of 2**n bits whose bit j is qubit q's bit of
     the index j (qubit 0 the most significant bit of an index).  A flip is
-    then one XOR into its target's plane of the AND of its control planes,
-    an open control taking the complement.  Every flip is its own inverse,
-    so running the flips backwards from the identity's planes leaves plane q
-    holding qubit q's bit of ``src[j]`` at bit j.
+    then one XOR into its target's plane of the indices where it fires: the
+    AND of its positive control planes (all ones if it has none) less the OR
+    of its open control planes, the veto.  Every int stays non-negative; a
+    complemented plane would be a negative int, which CPython converts to
+    two's complement on every AND.  Every flip is its own inverse, so running
+    the flips backwards from the identity's planes leaves plane q holding
+    qubit q's bit of ``src[j]`` at bit j.
     """
     size = 1 << n
     everything = (1 << size) - 1
@@ -324,10 +327,17 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
             width *= 2
         planes.append(plane)
     for g in reversed(flips):
-        fire = everything
+        fire, veto = None, 0
         for q, positive in g.controls:
-            fire &= planes[q] if positive else ~planes[q]
-        planes[g.target] ^= fire
+            if not positive:
+                veto |= planes[q]
+            elif fire is None:
+                fire = planes[q]
+            else:
+                fire &= planes[q]
+        if fire is None:
+            fire = everything
+        planes[g.target] ^= (fire | veto) ^ veto if veto else fire
     nbytes = (size + 7) // 8
     src = np.zeros(size, dtype=np.intp)
     for q, plane in enumerate(planes):

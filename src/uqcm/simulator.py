@@ -21,6 +21,8 @@ from .statevec import fidelity_against_pure, partial_trace  # noqa: F401
 
 PASS_TOL = 1e-9
 ANCILLA_TOL = 1e-12
+# verify works on chunks of samples whose arrays hold about 2^_BUDGET_BITS entries
+_BUDGET_BITS = 20
 
 
 _KEY_MASK = 2**64 - 1
@@ -137,7 +139,9 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
     Deterministic given ``seed``; the random inputs come from a counter-based
     stream (``seed`` taken mod 2^64) so runs are reproducible regardless of
-    sample count.
+    sample count.  A layout with more than 10 aux and flag qubits is refused
+    before the circuit runs: one sample's residue matrix over them would pass
+    the 2^20-entry budget a chunk of samples is sized to.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if type(value) is not int:
@@ -146,7 +150,12 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n_in, m = spec.n_in, spec.m_out
     layout = RegisterLayout.of(spec, circuit)
-    n = circuit.n_qubits
+    n, n_trailing = circuit.n_qubits, len(layout.trailing)
+    if 2 * n_trailing > _BUDGET_BITS:
+        raise ValueError(
+            f"cannot check the residue on {n_trailing} aux and flag qubits: one sample's "
+            f"2^{n_trailing} x 2^{n_trailing} matrix exceeds the 2^{_BUDGET_BITS}-entry "
+            f"budget (at most {_BUDGET_BITS // 2} such qubits)")
     patterns = np.arange(2 ** n_in)
     inputs = np.zeros((patterns.size, 2 ** n), dtype=complex)
     inputs[patterns, patterns << (n - n_in)] = 1.0
@@ -162,17 +171,19 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
     # (a) exact match on computational-basis inputs (patterns 0...0 and
     # 1...1), up to global phase, under either machine-bit convention (the
-    # smaller error counts)
+    # smaller error counts).  The complemented convention flips every machine
+    # qubit, which reverses the machine index of the same ideal output.
     max_state_error = 0.0
     for b, out in ((0, outs[0]), (1, outs[-1])):
-        err = min(
-            state_error(out, ideal_output(spec, StateVector.basis(1, b), mc).amps)
-            for mc in (False, True))
+        ideal = ideal_output(spec, StateVector.basis(1, b)).amps
+        complemented = ideal.reshape(2 ** m, -1)[:, ::-1].reshape(-1)
+        err = min(state_error(out, ideal), state_error(out, complemented))
         max_state_error = max(max_state_error, err)
 
     # (b)-(d) statistics over Haar-random inputs, for a chunk of samples at a
-    # time so that the chunk's outputs stay near 2^20 amplitudes
-    chunk = max(1, (1 << 20) >> n)
+    # time so that the chunk's outputs and its residue matrices over the
+    # trailing qubits each stay near 2^20 entries
+    chunk = max(1, (1 << _BUDGET_BITS) >> max(n, 2 * n_trailing))
     fidelities = []
     symmetry_error = 0.0
     ancilla_error = 0.0
@@ -196,7 +207,7 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
         symmetry_error = max(symmetry_error, float(np.max(np.abs(
             rhos[:, :, np.newaxis] - rhos[:, np.newaxis, :]))))
         if layout.trailing:
-            t = out.reshape(s, -1, 2 ** len(layout.trailing))
+            t = out.reshape(s, -1, 2 ** n_trailing)
             delta = np.einsum("iax,iay->ixy", t, t.conj())
             delta[:, 0, 0] -= 1.0
             ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))

@@ -16,7 +16,8 @@ those dense vectors.  ``random_circuit`` makes the structureless circuits
 they are compared on, ``flip_heavy_circuit`` the long flip runs that
 ``apply`` turns into one basis permutation each, and ``multiplexed_circuit``
 the runs of rotations on one target and control set that it applies as one
-grouped update each.
+grouped update each.  ``flip_sources_by_gate`` composes a flip run's basis
+permutation one gate's index array at a time.
 """
 from __future__ import annotations
 
@@ -125,6 +126,21 @@ def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:
         amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
         amps[i1] = m[1, 0] * a0 + m[1, 1] * a1
     return StateVector(amps)
+
+
+def flip_sources_by_gate(flips, n: int) -> np.ndarray:
+    """The index array ``src`` (the run moves basis state ``src[j]`` to j) of
+    the flips run in order: each gate g gives ``src = src[pi_g]``, where
+    ``pi_g[j]`` is j with g's target bit flipped if g's controls hold on j."""
+    idx = np.arange(2 ** n)
+    src = idx.copy()
+    for g in flips:
+        assert g.kind not in ROTATION_KINDS, g
+        fires = np.ones(2 ** n, dtype=bool)
+        for q, positive in g.controls:
+            fires &= ((idx >> (n - 1 - q)) & 1) == int(positive)
+        src = src[np.where(fires, idx ^ (1 << (n - 1 - g.target)), idx)]
+    return src
 
 
 def haar_qubit_by_key(seed: int, index: int) -> StateVector:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import SWEEP
 from oracle import ideal_output_by_kron, weight_components_by_kron
 
 from uqcm import (CloneSpec, StateVector, alphas, basis_count, feasibility,
@@ -98,6 +99,17 @@ class TestIdealOutput:
             a = partial_trace(StateVector(literal), {q}).elements
             b = partial_trace(StateVector(flipped), {q}).elements
             np.testing.assert_allclose(a, b, atol=1e-13)
+
+    @pytest.mark.parametrize("nm", SWEEP)
+    def test_machine_complement_reverses_the_machine_index(self, nm):
+        # verify reads the complemented convention off one ideal output this way
+        spec = CloneSpec(*nm)
+        psis = [StateVector.basis(1, 0), StateVector.basis(1, 1)]
+        psis += [haar_random_qubit(97, i) for i in range(3)]
+        for psi in psis:
+            plain = ideal_output(spec, psi).amps
+            reversed_machine = plain.reshape(2 ** spec.m_out, -1)[:, ::-1].reshape(-1)
+            assert np.array_equal(ideal_output(spec, psi, True).amps, reversed_machine)
 
 
 class TestKronOracle:

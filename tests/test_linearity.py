@@ -4,20 +4,27 @@
 on bit-planes and updates each group of rotations on one target and control
 set at once, must give the same bits as the masked ``apply_by_mask`` on
 random, flip-heavy and multiplexed circuits, one state or a batch of rows at
-a time; and ``verify``, which runs the circuit once on the 2^N input patterns
-and combines the outputs linearly, must give the report that one oracle run
-per sample gives.  The Haar inputs, drawn for a whole chunk of samples from
-one re-keyed generator, must be the bits one fresh generator per sample draws.
+a time; each flip run of a synthesized circuit must give the basis permutation
+that composing its gates one index array at a time gives; and ``verify``,
+which runs the circuit once on the 2^N input patterns and combines the
+outputs linearly, must give the report that one oracle run per sample gives.
+The Haar inputs, drawn for a whole chunk of samples from one re-keyed
+generator, must be the bits one fresh generator per sample draws; chunks are
+sized so that neither their outputs nor their residue matrices
+outgrow the budget, and a layout whose single residue matrix would is refused.
 """
+from itertools import groupby
+
 import numpy as np
 import pytest
-from oracle import (apply_by_mask, flip_heavy_circuit, haar_qubit_by_key, multiplexed_circuit,
-                    random_circuit, verify_per_sample)
+from oracle import (apply_by_mask, flip_heavy_circuit, flip_sources_by_gate, haar_qubit_by_key,
+                    multiplexed_circuit, random_circuit, verify_per_sample)
 
 from uqcm import circuit as circuit_module
 from uqcm import simulator
 from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
-                  reference_one_to_two, verify)
+                  reference_one_to_two, synthesize_cloner, verify)
+from uqcm.circuit import FLIP_KINDS
 
 
 def random_rows(k, n, seed):
@@ -67,6 +74,18 @@ def test_flip_runs_match_mask_oracle(n):
     for seed in range(16):
         circ = flip_heavy_circuit(n, n_gates=60, seed=2000 * n + seed)
         assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
+
+
+@pytest.mark.parametrize("nm", [(1, 5), (3, 6), (1, 6)])
+def test_synthesized_flip_runs_match_gate_by_gate_oracle(nm):
+    # the full-pattern mcx gadgets of the permutation stage, on 10 to 12 qubits
+    circ = synthesize_cloner(CloneSpec(*nm)).circuit
+    runs = [tuple(run) for flips, run in groupby(circ.gates, lambda g: g.kind in FLIP_KINDS)
+            if flips]
+    assert runs and circ.gates[-len(runs[-1]):] == runs[-1]   # the stage ends the circuit
+    for run in runs:
+        np.testing.assert_array_equal(circuit_module._flip_sources(run, circ.n_qubits),
+                                      flip_sources_by_gate(run, circ.n_qubits))
 
 
 def count_rotation_groups(monkeypatch):
@@ -169,12 +188,8 @@ def test_batch_sampler_matches_one_generator_per_key(seed, start, stop):
     assert rows.tobytes() == oracle_rows(seed, start, stop).tobytes()
 
 
-def test_verify_draws_the_oracle_inputs_chunk_by_chunk(monkeypatch):
-    # the 1->2 network run as a (failing) 1->9 cloner on 17 qubits is
-    # verified 8 samples at a time, so 20 samples take three chunks
-    layout = RegisterLayout(CloneSpec(1, 9), flag=False)
-    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
-    fast = verify(layout.spec, circ, n_samples=20, seed=-5).to_json()
+def record_chunks(monkeypatch):
+    """Record the (start, stop) of each chunk of Haar inputs ``verify`` draws."""
     chunks = []
 
     def rows(seed, start, stop):
@@ -182,5 +197,40 @@ def test_verify_draws_the_oracle_inputs_chunk_by_chunk(monkeypatch):
         return oracle_rows(seed, start, stop)
 
     monkeypatch.setattr(simulator, "_haar_rows", rows)
+    return chunks
+
+
+def test_verify_draws_the_oracle_inputs_chunk_by_chunk(monkeypatch):
+    # the 1->2 network run as a (failing) 1->9 cloner on 17 qubits is
+    # verified 8 samples at a time, so 20 samples take three chunks
+    layout = RegisterLayout(CloneSpec(1, 9), flag=False)
+    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
+    fast = verify(layout.spec, circ, n_samples=20, seed=-5).to_json()
+    chunks = record_chunks(monkeypatch)
     assert verify(layout.spec, circ, n_samples=20, seed=-5).to_json() == fast
     assert chunks == [(0, 8), (8, 16), (16, 20)]
+
+
+def test_residue_matrices_share_the_chunk_budget(monkeypatch):
+    # 1->2 on 12 qubits, 9 of them aux and flag: one sample's 2^9 x 2^9
+    # residue matrix outweighs its 2^12 amplitudes, so chunks hold 4 samples
+    layout = RegisterLayout(CloneSpec(1, 2), n_aux=8)
+    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
+    chunks = record_chunks(monkeypatch)
+    assert verify(layout.spec, circ, n_samples=10, seed=3).passed
+    assert chunks == [(0, 4), (4, 8), (8, 10)]
+
+
+def test_residue_check_too_wide_for_the_budget_is_rejected(monkeypatch):
+    # 13 aux qubits and a flag would need a 2^14 x 2^14 matrix per sample
+    # (32 GiB for the 8 samples a 17-qubit chunk holds); refused before any run
+    layout = RegisterLayout(CloneSpec(1, 2), n_aux=13)
+    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
+
+    def no_run(*args):
+        raise AssertionError("the circuit ran")
+
+    monkeypatch.setattr(simulator, "apply", no_run)
+    monkeypatch.setattr(simulator, "_haar_rows", no_run)
+    with pytest.raises(ValueError, match="on 14 aux and flag qubits"):
+        verify(layout.spec, circ, n_samples=2)
