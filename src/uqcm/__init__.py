@@ -18,7 +18,7 @@ from .prep import (AngleTree, BasisLayout, PrepTarget, emit_prep_circuit,
                    prep_for_spec, solve_angles)
 from .simulator import VerificationReport, haar_random_qubit, verify
 from .statevec import (DensityMatrix, StateVector, fidelity_against_pure,
-                       partial_trace, states_close, tensor_power)
+                       partial_trace, tensor_power)
 from .synth import SynthesisResult, reference_one_to_two, synthesize_cloner
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "fidelity_against_pure", "haar_random_qubit", "ideal_output",
     "inverse", "lhs_mmax", "load_species", "min_emission_probability",
     "partial_trace", "prep_for_spec", "reference_one_to_two", "schedule",
-    "solve_angles", "states_close", "synthesize_cloner", "tensor_power",
+    "solve_angles", "synthesize_cloner", "tensor_power",
     "theoretical_fidelity", "validate_plan", "verify", "weight_components",
 ]

@@ -360,18 +360,53 @@ def inverse(circuit: Circuit) -> Circuit:
 
 # Fragments of the uqcm-circuit/1 text, which is json.dumps of the circuit's
 # dict with indent=2 and sort_keys=True: gates sit at depth 2, keys in sorted
-# order (controls, kind, target, theta; polarity, q).
+# order (controls, kind, target, theta; polarity, q).  A gate's text runs from
+# its first key to its last value; the array opens before the first gate's
+# text, closes after the last one's, and separates each from the next.
+_GATES_OPEN = '{\n  "gates": [\n    {\n'
+_GATE_SEP = '\n    },\n    {\n'
+_GATES_CLOSE = '\n    }\n  ],\n  '
+_NO_GATES = '{\n  "gates": [],\n  '
 _CONTROL = '        {\n          "polarity": "%s",\n          "q": %d\n        }'
-_CONTROLS_OPEN = '    {\n      "controls": [\n'
-_KIND_AFTER_CONTROLS = {kind: f'\n      ],\n      "kind": "{kind}",\n      "target": '
-                        for kind in KINDS}
-_KIND_NO_CONTROLS = {kind: f'    {{\n      "controls": [],\n      "kind": "{kind}",\n      "target": '
-                     for kind in KINDS}
+_CONTROLS_OPEN = '      "controls": [\n'
+_CONTROLS_CLOSE = '\n      ],\n      "kind": "'
+_NO_CONTROLS = '      "controls": [],\n      "kind": "'
+_TARGET = '",\n      "target": '
+_THETA = ',\n      "theta": '
+_KIND_AFTER_CONTROLS = {kind: _CONTROLS_CLOSE + kind + _TARGET for kind in KINDS}
+_KIND_NO_CONTROLS = {kind: _NO_CONTROLS + kind + _TARGET for kind in KINDS}
 
 
 def _number(value: int | float) -> str:
     # as json.dumps writes it: float.__repr__ for floats and their subclasses
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _control_texts(n_qubits: int) -> list[tuple[str, str]]:
+    """The negative and the positive control fragment of each qubit."""
+    return [(_CONTROL % ("negative", q), _CONTROL % ("positive", q)) for q in range(n_qubits)]
+
+
+def _gate_text(g: Gate, control_text: list[tuple[str, str]]) -> str:
+    if g.controls:
+        head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
+                + _KIND_AFTER_CONTROLS[g.kind])
+    else:
+        head = _KIND_NO_CONTROLS[g.kind]
+    if g.theta is None:
+        return f"{head}{g.target}"
+    return f"{head}{g.target}{_THETA}{_number(g.theta)}"
+
+
+def _trailer(n_qubits: int, roles: dict | None) -> str:
+    """The text after the gates array: register size, roles and schema."""
+    listed = ",\n".join(
+        f"    {encode_basestring_ascii(name)}: "
+        + ("[\n" + ",\n".join(f"      {q}" for q in qs) + "\n    ]" if qs else "[]")
+        for name, qs in sorted((roles or {}).items()))
+    return (f'"n_qubits": {n_qubits},\n  "roles": '
+            + ("{\n" + listed + "\n  }" if listed else "{}")
+            + f',\n  "schema": {encode_basestring_ascii(CIRCUIT_SCHEMA)}\n}}')
 
 
 def to_json(circuit: Circuit) -> str:
@@ -382,37 +417,23 @@ def to_json(circuit: Circuit) -> str:
     ``to_json_by_dumps`` builds it that way); the stdlib takes its pure-Python
     encoder for ``indent``, which is slow and memory-hungry on large circuits.
     """
-    control_text = [(_CONTROL % ("negative", q), _CONTROL % ("positive", q))
-                    for q in range(circuit.n_qubits)]
-    # a gate object met again (synthesis shares them) reuses its fragment;
-    # the circuit holds every gate, so no id is reused during the loop
-    bodies: dict[int, str] = {}
-    parts = ['{\n  "gates": [']
-    sep = "\n"
+    control_text = _control_texts(circuit.n_qubits)
+    # a gate object met again (synthesis shares them) reuses its text; the
+    # circuit holds every gate, so no id is reused during the loop
+    texts: dict[int, str] = {}
+    parts = []
     for g in circuit.gates:
-        body = bodies.get(id(g))
-        if body is None:
-            if g.controls:
-                head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
-                        + _KIND_AFTER_CONTROLS[g.kind])
-            else:
-                head = _KIND_NO_CONTROLS[g.kind]
-            if g.theta is None:
-                body = f"{head}{g.target}\n    }}"
-            else:
-                body = f'{head}{g.target},\n      "theta": {_number(g.theta)}\n    }}'
-            bodies[id(g)] = body
-        parts.append(sep)
-        parts.append(body)
-        sep = ",\n"
-    roles = ",\n".join(
-        f"    {encode_basestring_ascii(name)}: "
-        + ("[\n" + ",\n".join(f"      {q}" for q in qs) + "\n    ]" if qs else "[]")
-        for name, qs in sorted((circuit.roles or {}).items()))
-    parts.append(("\n  ]" if circuit.gates else "]")
-                 + f',\n  "n_qubits": {circuit.n_qubits},\n  "roles": '
-                 + ("{\n" + roles + "\n  }" if roles else "{}")
-                 + f',\n  "schema": {encode_basestring_ascii(CIRCUIT_SCHEMA)}\n}}')
+        text = texts.get(id(g))
+        if text is None:
+            text = texts[id(g)] = _gate_text(g, control_text)
+        parts.append(_GATE_SEP)
+        parts.append(text)
+    if parts:
+        parts[0] = _GATES_OPEN   # in place of the separator before the first gate
+        parts.append(_GATES_CLOSE)
+    else:
+        parts.append(_NO_GATES)
+    parts.append(_trailer(circuit.n_qubits, circuit.roles))
     return "".join(parts)
 
 
@@ -424,18 +445,98 @@ def _polarity(name: object) -> bool:
 
 def from_json(text: str) -> Circuit:
     """Load ``uqcm-circuit/1`` text.  ValueError (KeyError for a missing field)
-    unless it is a circuit ``to_json`` could have written."""
-    # json.loads makes a dict or list per gate and control, and the gates add
-    # more; none of them is cyclic, so the collector's full sweeps that this
-    # many allocations set off would find nothing.  Pause it, and leave it as
-    # the caller had it.
+    unless it is a circuit ``to_json`` could have written.
+
+    Text exactly as ``to_json`` writes it is read by its fragments: each
+    distinct gate text is built into a ``Gate`` once and every repeat of it is
+    one dict lookup (``_read_written``).  Any other layout of the same JSON,
+    and every malformed file, goes through ``json.loads`` (``_load``), which
+    gives the same circuit and raises every error.
+    """
+    # Either path makes an object per distinct gate and control, and json.loads
+    # a dict or list per gate and control besides; none of them is cyclic, so
+    # the collector's full sweeps that this many allocations set off would
+    # find nothing.  Pause it, and leave it as the caller had it.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load(text)
+        circuit = _read_written(text)
+        return _load(text) if circuit is None else circuit
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _read_written(text: str) -> Circuit | None:
+    """The circuit whose ``to_json`` text is exactly ``text``, or None.
+
+    The trailer must be the one ``_trailer`` writes for the register size and
+    roles it holds, and each gate text must be the one ``_gate_text`` writes
+    for the gate read from it, so whatever this accepts ``_load`` reads to an
+    equal circuit.  It raises nothing of its own; a circuit that ``Circuit``
+    rejects raises as it would from ``_load``.
+    """
+    if type(text) is not str or not text.startswith(_GATES_OPEN):
+        return None
+    end = text.find(_GATES_CLOSE + '"n_qubits": ')
+    if end < 0:
+        return None
+    trailer = text[end + len(_GATES_CLOSE):]
+    try:
+        data = json.loads("{" + trailer)
+    except ValueError:
+        return None
+    n_qubits, roles = data.get("n_qubits"), data.get("roles")
+    if (type(n_qubits) is not int or type(roles) is not dict
+            or not all(type(qs) is list and all(type(q) is int for q in qs)
+                       for qs in roles.values())
+            or _trailer(n_qubits, roles) != trailer):
+        return None
+    # a control on a qubit past the table is a miss; bounding the table by
+    # the text keeps a huge n_qubits from building a huge one.  It is keyed
+    # on each fragment less its closing "}", as "},\n" only ever joins two.
+    control_text = _control_texts(min(n_qubits, len(text) // len(_CONTROL)))
+    control_at = {t[:-1]: Control(q, bool(p))
+                  for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
+    # neither the array's opening nor its closing and trailer hold a
+    # separator, so the first and last pieces are the first and last gate
+    # texts with those on; a separator overlapping either leaves an empty
+    # first or last piece, and no gate text is empty
+    pieces = text.split(_GATE_SEP)
+    pieces[0] = pieces[0][len(_GATES_OPEN):]
+    pieces[-1] = pieces[-1][:end - len(text)]
+    gate_of = dict.fromkeys(pieces)
+    for piece in gate_of:
+        gate = gate_of[piece] = _read_gate(piece, control_at, control_text)
+        if gate is None:
+            return None
+    return Circuit(n_qubits, tuple(map(gate_of.__getitem__, pieces)), roles or None)
+
+
+def _read_gate(piece: str, control_at: dict[str, Control],
+               control_text: list[tuple[str, str]]) -> Gate | None:
+    """The gate whose ``_gate_text`` is exactly ``piece``, or None."""
+    if piece.startswith(_CONTROLS_OPEN):
+        listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
+        controls = tuple(map(control_at.get, listed[:-1].split("},\n")))
+    else:
+        controls, rest = (), piece.removeprefix(_NO_CONTROLS)
+    kind, _, rest = rest.partition(_TARGET)
+    target, _, theta = rest.partition(_THETA)
+    try:
+        # a control missing from the table is a None, which Gate rejects
+        gate = Gate(kind, int(target), controls, _read_number(theta) if theta else None)
+    except (ValueError, OverflowError):
+        return None
+    return gate if _gate_text(gate, control_text) == piece else None
+
+
+def _read_number(text: str) -> int | float:
+    # json.loads reads a number with a fraction or exponent as a float
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _load(text: str) -> Circuit:

@@ -80,7 +80,7 @@ class VerificationReport:
             self.max_state_error < PASS_TOL
             and self.clone_fidelity_std < PASS_TOL
             and self.clone_symmetry_error < PASS_TOL
-            and self.ancilla_purity_error < PASS_TOL
+            and self.ancilla_purity_error < ANCILLA_TOL
         )
 
     def to_dict(self) -> dict:

@@ -143,15 +143,6 @@ def fidelity_against_pure(rho: DensityMatrix, psi: StateVector) -> float:
     return float(min(max(val.real, 0.0), 1.0 + ASSERT_ATOL))
 
 
-def states_close(a: StateVector, b: StateVector, atol: float = ASSERT_ATOL) -> bool:
-    """Equality up to global phase, max-norm over amplitudes."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    ov = complex(np.vdot(b.amps, a.amps))
-    phase = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
-    return bool(np.max(np.abs(a.amps - phase * b.amps)) <= atol)
-
-
 def qubit_count_for(length: int) -> int:
     """Number of qubits for a dimension; errors if not a power of two."""
     n = int(length).bit_length() - 1

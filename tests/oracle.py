@@ -1,6 +1,7 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
-``input_state`` builds a cloner's input one Kronecker factor at a time;
+``input_state`` builds a cloner's input one Kronecker factor at a time, and
+``states_close`` compares two states up to global phase;
 ``apply_by_mask`` applies each gate through a 2^n boolean mask over basis
 indices, one amplitude pair at a time; ``verify_per_sample`` rebuilds a
 verification report by running that oracle once per basis input and once per
@@ -41,6 +42,15 @@ def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
     for _ in range(layout.spec.n_in - 1):
         reg = reg.tensor(psi)
     return reg.tensor(StateVector.basis(layout.n_qubits - layout.spec.n_in, 0))
+
+
+def states_close(a: StateVector, b: StateVector, atol: float) -> bool:
+    """Equality up to global phase, max-norm over amplitudes."""
+    if a.n_qubits != b.n_qubits:
+        return False
+    ov = complex(np.vdot(b.amps, a.amps))
+    phase = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
+    return bool(np.max(np.abs(a.amps - phase * b.amps)) <= atol)
 
 
 def _symmetric_product_state(n_bits: int, j: int, base: np.ndarray, flipped: np.ndarray) -> np.ndarray:

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from oracle import random_circuit
+from oracle import random_circuit, states_close
 
 from uqcm import Circuit, Control, Gate, StateVector, apply, cnot_cost, inverse
 from uqcm.circuit import from_json, to_json
-from uqcm.statevec import states_close
 
 
 def random_state(n, seed):

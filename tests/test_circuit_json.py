@@ -2,20 +2,27 @@
 
 ``to_json`` writes the ``uqcm-circuit/1`` text one fragment per gate; it must
 give, byte for byte, what ``oracle.to_json_by_dumps`` (the circuit's dict
-through ``json.dumps``) gives.  ``from_json`` builds each distinct gate once;
-a later gate that differs only in a value's type or sign must not reuse it.
-And whatever ``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
+through ``json.dumps``) gives.  ``from_json`` reads that exact text by its
+fragments (``_read_written``) and any other text through ``json.loads``
+(``_load``); on every text, edited or not, the two must give the same circuit
+or the same error.  Both build each distinct gate once; a later gate that
+differs only in a value's type or sign must not reuse it.  And whatever
+``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
 """
 import gc
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from oracle import random_circuit, to_json_by_dumps
 
 from uqcm import Circuit, Control, Gate, reference_one_to_two
-from uqcm.circuit import KINDS, from_json, to_json
+from uqcm.circuit import KINDS, _load, _read_written, from_json, to_json
+
+THETA_EDGES = Circuit(2, tuple(Gate("roty", 0, (Control(1, False),), t)
+                               for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70)))
 
 
 def assert_writes_like_dumps(circ):
@@ -24,6 +31,7 @@ def assert_writes_like_dumps(circ):
     again = from_json(text)
     assert again == circ
     assert to_json(again) == text
+    assert _load(text) == circ
 
 
 class TestWriter:
@@ -58,8 +66,7 @@ class TestWriter:
         Circuit(2, (Gate("x", 1),)),
         Circuit(2, (), roles={"input": (0, 1), "blank": ()}),
         Circuit(2, (Gate("x", 0),), roles={'qu"bit\\ñ 𝜓': (1,), "a": (0,)}),
-        Circuit(2, tuple(Gate("roty", 0, (Control(1, False),), t)
-                         for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70))),
+        THETA_EDGES,
         Circuit(1, (Gate("utheta", 0, (), np.float64(0.125)),)),
     ], ids=["no-gates", "no-roles", "empty-role", "escaped-role-name", "theta-edges",
             "numpy-theta"])
@@ -100,6 +107,68 @@ class TestWriter:
             assert_writes_like_dumps(circ)
 
         check()
+
+
+def outcome(load, text):
+    """What ``load`` makes of ``text``: the circuit with its bytes and angle
+    types, or the type of the error it raised."""
+    try:
+        circ = load(text)
+    except Exception as exc:
+        return type(exc)
+    return circ, to_json(circ), [type(g.theta) for g in circ.gates]
+
+
+# what an edit inserts or writes over: JSON's punctuation and number
+# characters, and letters of the keys, kinds and polarities
+EDIT_CHARS = '0123456789-+.eE ,:"{}[]\n\\acdegiklnopqrstuvxy'
+
+
+class TestWrittenLayoutReader:
+    def test_reads_every_written_circuit(self, sweep_results):
+        # the fragment reader, not json.loads, takes to_json's own text; a
+        # compact copy of the same JSON is left to json.loads
+        circuits = [res.circuit for res in sweep_results.values()]
+        for circ in circuits + [reference_one_to_two(), THETA_EDGES]:
+            text = to_json(circ)
+            assert outcome(_read_written, text) == outcome(_load, text)
+            assert _read_written(text) == circ
+            compact = json.dumps(json.loads(text))
+            assert _read_written(compact) is None
+            assert outcome(from_json, compact) == outcome(_load, text)
+
+    def test_wide_register_builds_no_wide_table(self):
+        gate = Gate("cnot", 0, (Control(1, True),))
+        text = to_json(Circuit(2, (gate,))).replace('"n_qubits": 2', '"n_qubits": 1000000000000')
+        circ = _read_written(text)
+        assert circ == Circuit(10 ** 12, (gate,)) == _load(text)
+
+    def test_edited_files_read_alike(self, sweep_results):
+        # one-character inserts, deletes and replaces of written files, half
+        # of them at a digit, where an edit most often leaves a file that
+        # to_json could have written: each edit gives the same circuit, bytes
+        # and angle types, or the same error, through from_json as through
+        # json.loads
+        rng = random.Random(1616)
+        circuits = [reference_one_to_two(), sweep_results[(2, 3)].circuit, THETA_EDGES,
+                    random_circuit(5, 20, seed=16, roles={"a": (0, 1), "b": (2, 3, 4)})]
+        read, edits = 0, 750
+        for circ in circuits:
+            text = to_json(circ)
+            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+            for _ in range(edits):
+                i = rng.choice(digits) if rng.random() < 0.5 else rng.randrange(len(text) + 1)
+                op = rng.choice(("insert", "delete", "replace"))
+                new = "" if op == "delete" else rng.choice(EDIT_CHARS)
+                edited = text[:i] + new + text[i + (op != "insert"):]
+                want = outcome(_load, edited)
+                assert outcome(from_json, edited) == want, (op, i, new)
+                try:
+                    read += _read_written(edited) is not None
+                except ValueError:
+                    pass
+        # the reader took part: it read 399 of the 3000 edited files
+        assert read >= 300, read
 
 
 def twice(gate, edit):

@@ -105,6 +105,24 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_compact_copy_of_an_artifact_reports_alike(self, tmp_path, capsys):
+        # a file in another JSON layout than synth writes is read through
+        # json.loads, and verifies to the same report
+        written = tmp_path / "one_to_three.json"
+        run_cli(["synth", "-N", "1", "-M", "3", "--out", str(written)], capsys)
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(json.loads(written.read_text())))
+        reports = []
+        for path in (written, compact):
+            report = tmp_path / f"report_{path.name}"
+            code, _, _ = run_cli(
+                ["verify", "-N", "1", "-M", "3", "--samples", "10", "--circuit", str(path),
+                 "--json-out", str(report)], capsys)
+            assert code == 0
+            reports.append(report.read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["passed"] is True
+
     def test_verify_ignores_a_stale_artifact(self, tmp_path, monkeypatch, capsys):
         # without --circuit, verify checks a fresh synthesis, not whatever
         # sits at synth's default output path

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracle import input_state
@@ -63,6 +65,16 @@ class TestVerifyReference:
         assert report.clone_fidelity_mean == pytest.approx(5 / 6, abs=1e-10)
         assert report.clone_fidelity_std < 1e-10
         assert report.gate_counts["total"] == 6
+
+    @pytest.mark.parametrize("residue, passed", [(1e-13, True), (1e-11, False), (1e-10, False)])
+    def test_ancilla_residue_is_held_to_its_own_tolerance(self, residue, passed):
+        # criterion 3 allows the trailing qubits 1e-12, tighter than the 1e-9
+        # the other checks get
+        report = verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=4, seed=11)
+        assert report.passed
+        edited = dataclasses.replace(report, ancilla_purity_error=residue)
+        assert edited.passed is passed
+        assert edited.to_dict()["passed"] is passed
 
     def test_two_routes_same_clone_marginals(self, sweep_results):
         # the hand-made network and the synthesized circuit realize one transformation
