@@ -39,6 +39,13 @@ class Control(NamedTuple):
     positive: bool
 
 
+def _is_finite(theta: int | float) -> bool:
+    try:
+        return math.isfinite(theta)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -76,7 +83,7 @@ class Gate:
         theta = self.theta
         if self.kind in ROTATION_KINDS:
             if (type(theta) is bool or not isinstance(theta, (int, float))
-                    or not math.isfinite(theta)):
+                    or not _is_finite(theta)):
                 raise ValueError(f"{self.kind} gate requires a finite real theta, got {theta!r}")
         elif theta is not None:
             raise ValueError(f"{self.kind} gate takes no theta")
@@ -98,7 +105,10 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``n_qubits`` qubits, with optional qubit roles."""
+    """Ordered gate list over ``n_qubits`` qubits, with optional qubit roles.
+
+    ``apply`` may keep the circuit's compiled program on it as ``_program``,
+    which is not a field (see ``apply``)."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -199,12 +209,20 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 
     ``state`` is a StateVector, or a ``(k, 2**n)`` array of k amplitude rows
     that are all run at once (the result is a new array of the same shape).
+    Everything that depends only on the gates, the program, is worked out
+    (``_compile``) on the first call on a circuit object and kept on the
+    object, not as a field: equality, repr and ``to_json`` ignore it, and it
+    is freed with the circuit.  The first call pays for that work; later
+    calls replay the program and only move amplitudes.  A program whose
+    arrays would hold more than ``_PROGRAM_ENTRIES`` entries is not kept:
+    every call works it out again, one run at a time, as it goes.
+
     Each maximal run of consecutive flips (x, cnot, mcx) only permutes basis
-    states, so it is worked out once on bit-planes (``_flip_sources``) and
-    moves all k rows with one gather.  Rotations go in groups: maximal runs on
-    one target and control-qubit tuple with pairwise distinct polarity
-    patterns (a uniformly-controlled rotation, such as a prep-tree level).  A
-    group of ``_GROUP_MIN`` or more gates is one update of the rows viewed as
+    states, so it is worked out on bit-planes (``_flip_sources``) and moves
+    all k rows with one gather.  Rotations go in groups: maximal runs on one
+    target and control-qubit tuple with pairwise distinct polarity patterns
+    (a uniformly-controlled rotation, such as a prep-tree level).  A group of
+    ``_GROUP_MIN`` or more gates is one update of the rows viewed as
     ``(k, 2**t, 2, 2**(n-1-t))`` for target t, each amplitude pair taking the
     entries its control bits select (the identity's where no gate matches); a
     smaller group updates two slices of the ``(k,) + (2,)*n`` tensor per gate.
@@ -215,21 +233,20 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
     if rows.ndim != 2 or rows.shape[1] != 2 ** n:
         raise ValueError(
             f"dimension mismatch: circuit on {n} qubits, state of shape {rows.shape}")
+    program = getattr(circuit, "_program", None)
+    if program is None:
+        program = _compile(circuit)
+    k = len(rows)
     out = rows.astype(complex)
-    for flips, run in groupby(circuit.gates, lambda g: g.kind in FLIP_KINDS):
-        if flips:
-            out = np.take(out, _flip_sources(tuple(run), n), axis=1)
-            continue
-        t = out.reshape((len(rows),) + (2,) * n)
-        for group, target, qs in _rotation_groups(run):
-            if len(group) >= _GROUP_MIN:
-                updates = [_group_update(out, group, target, qs)]
-            else:
-                updates = [_gate_update(t, g) for g in group]
-            for a0, a1, (m00, m01, m10, m11) in updates:
-                b0 = m00 * a0 + m01 * a1
-                a1[...] = m10 * a0 + m11 * a1
-                a0[...] = b0
+    for src, updates in program:
+        if src is not None:
+            out = np.take(out, src, axis=1)
+        for shape, index0, index1, (m00, m01, m10, m11) in updates:
+            view = out.reshape((k,) + shape)
+            a0, a1 = view[index0], view[index1]
+            b0 = m00 * a0 + m01 * a1
+            a1[...] = m10 * a0 + m11 * a1
+            a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
 
 
@@ -237,8 +254,55 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 # table and index arrays, than as one two-slice update per gate.
 _GROUP_MIN = 3
 
+# A circuit keeps its program while the program's arrays hold at most this
+# many entries: the 2^20 that verify sizes its chunks of samples by.
+_PROGRAM_ENTRIES = 1 << 20
+
 _QUBIT = itemgetter(0)
 _POLARITY = itemgetter(1)
+# the two halves of the rows viewed as (k, 2**t, 2, 2**(n-1-t)) for target t
+_HALF0 = (slice(None), slice(None), 0)
+_HALF1 = (slice(None), slice(None), 1)
+
+
+def _compile(circuit: Circuit):
+    """The circuit's program, one run at a time, worked out from its gates
+    alone.  Once every run is out, the program is kept on the circuit if its
+    arrays hold at most ``_PROGRAM_ENTRIES`` entries.
+
+    A run is ``(src, updates)``: a run of flips has the index array ``src``
+    its gather takes and no updates; a run of rotations has no ``src`` and
+    one update per group, ``(shape, index0, index1, entries)``: viewed as
+    ``(k,) + shape``, the rows hold the amplitude pairs it rotates at
+    ``index0`` and ``index1``, and ``entries`` are their matrix entries.
+    """
+    n = circuit.n_qubits
+    tensor = (2,) * n
+    kept, size = [], 0
+    for flips, run in groupby(circuit.gates, lambda g: g.kind in FLIP_KINDS):
+        if flips:
+            src = _flip_sources(tuple(run), n)
+            step = src, ()
+            size += src.size
+        else:
+            updates = []
+            for group, target, qs in _rotation_groups(run):
+                if len(group) >= _GROUP_MIN:
+                    entries = _group_update(n, group, target, qs)
+                    shape = (1 << target, 2, 1 << (n - 1 - target))
+                    updates.append((shape, _HALF0, _HALF1, tuple(entries)))
+                    size += entries.size
+                else:
+                    updates += [_gate_update(tensor, g) for g in group]
+                    size += 4 * len(group)
+            step = None, tuple(updates)
+        if size <= _PROGRAM_ENTRIES:
+            kept.append(step)
+        else:
+            kept.clear()
+        yield step
+    if size <= _PROGRAM_ENTRIES:
+        object.__setattr__(circuit, "_program", tuple(kept))
 
 
 def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
@@ -263,24 +327,23 @@ def _rotation_groups(run):
         yield same[start:], target, qs
 
 
-def _gate_update(t: np.ndarray, g: Gate):
-    """The two views of the ``(k,) + (2,)*n`` tensor ``t`` that ``g`` rotates,
-    and its entries."""
-    idx = [slice(None)] * t.ndim
+def _gate_update(tensor: tuple[int, ...], g: Gate):
+    """The update of rotation ``g`` alone: the indices of the two slices of
+    the rows viewed as ``(k,) + tensor`` that it rotates, and its entries."""
+    idx = [slice(None)] * (len(tensor) + 1)
     for q, positive in g.controls:
         idx[q + 1] = int(positive)
     idx[g.target + 1] = 0
-    a0 = t[tuple(idx)]
+    index0 = tuple(idx)
     idx[g.target + 1] = 1
-    return a0, t[tuple(idx)], _rotation_entries(g)
+    return tensor, index0, tuple(idx), _rotation_entries(g)
 
 
-def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...]):
-    """The two views of the rows ``out`` where ``target`` is 0 or 1, and the
-    entries for each of their amplitude pairs, for a group ``gates``."""
-    k, size = out.shape
-    n, c = size.bit_length() - 1, len(qs)
-    t = out.reshape(k, 1 << target, 2, -1)
+def _group_update(n: int, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...]):
+    """The entries, a ``(4,) + pairs`` array, for each amplitude pair of the
+    rows viewed as ``(k, 2**target, 2, 2**(n-1-target))`` that a group
+    ``gates`` rotates, ``pairs`` broadcasting against ``(2**target, 2**(n-1-target))``."""
+    c = len(qs)
     # bit c-1-i of a pattern is control i's bit
     polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in gates),
                            dtype=np.intp, count=len(gates) * c)
@@ -297,7 +360,7 @@ def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tup
     for i, q in enumerate(qs):
         axis, bit = (before, target - 1 - q) if q < target else (after, n - 1 - q)
         pair = pair | (axis >> bit & 1) << (c - 1 - i)
-    return t[:, :, 0], t[:, :, 1], table.T.take(pair, axis=1)
+    return table.T.take(pair, axis=1)
 
 
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
@@ -417,7 +480,9 @@ def to_json(circuit: Circuit) -> str:
     ``to_json_by_dumps`` builds it that way); the stdlib takes its pure-Python
     encoder for ``indent``, which is slow and memory-hungry on large circuits.
     """
-    control_text = _control_texts(circuit.n_qubits)
+    # controls name qubits below the highest one any gate touches, and a
+    # register may be far wider than that
+    control_text = _control_texts(max([g.top_qubit for g in circuit.gates], default=-1) + 1)
     # a gate object met again (synthesis shares them) reuses its text; the
     # circuit holds every gate, so no id is reused during the loop
     texts: dict[int, str] = {}
@@ -526,7 +591,7 @@ def _read_gate(piece: str, control_at: dict[str, Control],
     try:
         # a control missing from the table is a None, which Gate rejects
         gate = Gate(kind, int(target), controls, _read_number(theta) if theta else None)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
     return gate if _gate_text(gate, control_text) == piece else None
 

@@ -142,6 +142,13 @@ class TestWrittenLayoutReader:
         text = to_json(Circuit(2, (gate,))).replace('"n_qubits": 2', '"n_qubits": 1000000000000')
         circ = _read_written(text)
         assert circ == Circuit(10 ** 12, (gate,)) == _load(text)
+        assert to_json(circ) == text   # nor does writing it back
+
+    def test_integer_angle_too_large_for_a_float_fails_alike(self):
+        text = to_json(Circuit(1, (Gate("roty", 0, (), 0.5),))).replace("0.5", "1" + "0" * 400)
+        for load in (from_json, _load):
+            with pytest.raises(ValueError, match="finite real theta"):
+                load(text)
 
     def test_edited_files_read_alike(self, sweep_results):
         # one-character inserts, deletes and replaces of written files, half
@@ -262,6 +269,7 @@ class TestConstructorMatchesLoader:
         lambda: Gate("utheta", 0, (), float("-inf")),
         lambda: Gate("roty", 0, (), True),
         lambda: Gate("roty", 0, (), "0.5"),
+        lambda: Gate("roty", 0, (), 10 ** 400),
         lambda: Circuit(2.0, ()),
         lambda: Circuit(1, (), roles={"input": (0.0,)}),
         lambda: Circuit(1, (), roles={1: (0,)}),

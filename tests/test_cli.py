@@ -3,7 +3,7 @@ import json
 import pytest
 
 from uqcm import CloneSpec, __version__, synthesize_cloner
-from uqcm.circuit import Circuit, RegisterLayout, to_json
+from uqcm.circuit import Circuit, Gate, RegisterLayout, to_json
 from uqcm.cli import main
 
 
@@ -150,8 +150,11 @@ class TestVerify:
                  lambda d: d["gates"][0].update(target=1.5),
                  lambda d: d["gates"][0].update(theta=float("nan")),
                  lambda d: d.update(roles=[])]
-        # no gates and no roles, so only the register check rejects it
-        texts = ["{ not json", "[]", '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}']
+        # no gates and no roles, so only the register check rejects it; and
+        # an integer angle too large for a float
+        huge = to_json(Circuit(1, (Gate("roty", 0, (), 0.5),))).replace("0.5", "1" + "0" * 400)
+        texts = ["{ not json", "[]", '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}',
+                 huge]
         for edit in edits:
             data = json.loads(good)
             edit(data)
