@@ -105,10 +105,7 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``n_qubits`` qubits, with optional qubit roles.
-
-    ``apply`` may keep the circuit's compiled program on it as ``_program``,
-    which is not a field (see ``apply``)."""
+    """Ordered gate list over ``n_qubits`` qubits, with optional qubit roles."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -209,44 +206,38 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 
     ``state`` is a StateVector, or a ``(k, 2**n)`` array of k amplitude rows
     that are all run at once (the result is a new array of the same shape).
-    Everything that depends only on the gates, the program, is worked out
-    (``_compile``) on the first call on a circuit object and kept on the
-    object, not as a field: equality, repr and ``to_json`` ignore it, and it
-    is freed with the circuit.  The first call pays for that work; later
-    calls replay the program and only move amplitudes.  A program whose
-    arrays would hold more than ``_PROGRAM_ENTRIES`` entries is not kept:
-    every call works it out again, one run at a time, as it goes.
-
-    Each maximal run of consecutive flips (x, cnot, mcx) only permutes basis
-    states, so it is worked out on bit-planes (``_flip_sources``) and moves
-    all k rows with one gather.  Rotations go in groups: maximal runs on one
-    target and control-qubit tuple with pairwise distinct polarity patterns
-    (a uniformly-controlled rotation, such as a prep-tree level).  A group of
-    ``_GROUP_MIN`` or more gates is one update of the rows viewed as
-    ``(k, 2**t, 2, 2**(n-1-t))`` for target t, each amplitude pair taking the
-    entries its control bits select (the identity's where no gate matches); a
-    smaller group updates two slices of the ``(k,) + (2,)*n`` tensor per gate.
-    Both do the same arithmetic per pair.
+    Nothing is kept between calls.  Each maximal run of consecutive flips (x,
+    cnot, mcx) only permutes basis states, so it is worked out once as one
+    index array (``_flip_sources``) and moves all k rows with one gather.
+    Rotations go in groups: maximal runs on one target and control-qubit
+    tuple with pairwise distinct polarity patterns (a uniformly-controlled
+    rotation, such as a prep-tree level).  A group of ``_GROUP_MIN`` or more
+    gates is one update of the rows viewed as ``(k, 2**t, 2, 2**(n-1-t))``
+    for target t, each amplitude pair taking the entries its control bits
+    select (the identity's where no gate matches); a smaller group updates
+    two slices of the ``(k,) + (2,)*n`` tensor per gate.  Both do the same
+    arithmetic per pair.
     """
     n = circuit.n_qubits
     rows = state.amps[np.newaxis] if isinstance(state, StateVector) else np.asarray(state)
     if rows.ndim != 2 or rows.shape[1] != 2 ** n:
         raise ValueError(
             f"dimension mismatch: circuit on {n} qubits, state of shape {rows.shape}")
-    program = getattr(circuit, "_program", None)
-    if program is None:
-        program = _compile(circuit)
-    k = len(rows)
     out = rows.astype(complex)
-    for src, updates in program:
-        if src is not None:
-            out = np.take(out, src, axis=1)
-        for shape, index0, index1, (m00, m01, m10, m11) in updates:
-            view = out.reshape((k,) + shape)
-            a0, a1 = view[index0], view[index1]
-            b0 = m00 * a0 + m01 * a1
-            a1[...] = m10 * a0 + m11 * a1
-            a0[...] = b0
+    for flips, run in _runs(circuit.gates):
+        if flips:
+            out = np.take(out, _flip_sources(run, n), axis=1)
+            continue
+        t = out.reshape((len(rows),) + (2,) * n)
+        for group, target, qs, patterns in _rotation_groups(run):
+            if len(group) >= _GROUP_MIN:
+                updates = [_group_update(out, group, target, qs, patterns)]
+            else:
+                updates = [_gate_update(t, g) for g in group]
+            for a0, a1, (m00, m01, m10, m11) in updates:
+                b0 = m00 * a0 + m01 * a1
+                a1[...] = m10 * a0 + m11 * a1
+                a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
 
 
@@ -254,55 +245,8 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 # table and index arrays, than as one two-slice update per gate.
 _GROUP_MIN = 3
 
-# A circuit keeps its program while the program's arrays hold at most this
-# many entries: the 2^20 that verify sizes its chunks of samples by.
-_PROGRAM_ENTRIES = 1 << 20
-
 _QUBIT = itemgetter(0)
 _POLARITY = itemgetter(1)
-# the two halves of the rows viewed as (k, 2**t, 2, 2**(n-1-t)) for target t
-_HALF0 = (slice(None), slice(None), 0)
-_HALF1 = (slice(None), slice(None), 1)
-
-
-def _compile(circuit: Circuit):
-    """The circuit's program, one run at a time, worked out from its gates
-    alone.  Once every run is out, the program is kept on the circuit if its
-    arrays hold at most ``_PROGRAM_ENTRIES`` entries.
-
-    A run is ``(src, updates)``: a run of flips has the index array ``src``
-    its gather takes and no updates; a run of rotations has no ``src`` and
-    one update per group, ``(shape, index0, index1, entries)``: viewed as
-    ``(k,) + shape``, the rows hold the amplitude pairs it rotates at
-    ``index0`` and ``index1``, and ``entries`` are their matrix entries.
-    """
-    n = circuit.n_qubits
-    tensor = (2,) * n
-    kept, size = [], 0
-    for flips, run in groupby(circuit.gates, lambda g: g.kind in FLIP_KINDS):
-        if flips:
-            src = _flip_sources(tuple(run), n)
-            step = src, ()
-            size += src.size
-        else:
-            updates = []
-            for group, target, qs in _rotation_groups(run):
-                if len(group) >= _GROUP_MIN:
-                    entries = _group_update(n, group, target, qs)
-                    shape = (1 << target, 2, 1 << (n - 1 - target))
-                    updates.append((shape, _HALF0, _HALF1, tuple(entries)))
-                    size += entries.size
-                else:
-                    updates += [_gate_update(tensor, g) for g in group]
-                    size += 4 * len(group)
-            step = None, tuple(updates)
-        if size <= _PROGRAM_ENTRIES:
-            kept.append(step)
-        else:
-            kept.clear()
-        yield step
-    if size <= _PROGRAM_ENTRIES:
-        object.__setattr__(circuit, "_program", tuple(kept))
 
 
 def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
@@ -311,43 +255,66 @@ def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
     return (c, -s, s, c) if g.kind == "roty" else (c, s, s, -c)
 
 
+def _runs(gates: tuple[Gate, ...]):
+    """Each maximal run of flips or of rotations in ``gates``, after whether
+    it is flips."""
+    flips = [g.kind in FLIP_KINDS for g in gates]
+    start = 0
+    while start < len(gates):
+        kind = flips[start]
+        try:
+            stop = flips.index(not kind, start)
+        except ValueError:
+            stop = len(gates)
+        yield kind, gates[start:stop]
+        start = stop
+
+
 def _rotation_groups(run):
-    """Each group of the rotations ``run`` with its target and control qubits."""
+    """Each group of the rotations ``run`` with its target and control qubits,
+    and the polarity pattern of each of its gates (bit c-1-i is control i's
+    bit), or None for a run on one target and control set too short to be
+    one update: its gates go one by one whatever their patterns."""
     for (target, qs), same in groupby(run, lambda g: (g.target, tuple(map(_QUBIT, g.controls)))):
         same = tuple(same)
-        controls = [g.controls for g in same]   # one polarity pattern each
-        start, seen = 0, set(controls)
+        if len(same) < _GROUP_MIN:
+            yield same, target, qs, None
+            continue
+        c = len(qs)
+        polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in same),
+                               dtype=np.intp, count=len(same) * c)
+        patterns = (polarity.reshape(len(same), c) @ (1 << np.arange(c - 1, -1, -1))).tolist()
+        start, seen = 0, set(patterns)
         if len(seen) < len(same):   # a pattern repeats: its pairs start a new group
             seen = set()
-            for i, pattern in enumerate(controls):
+            for i, pattern in enumerate(patterns):
                 if pattern in seen:
-                    yield same[start:i], target, qs
+                    yield same[start:i], target, qs, patterns[start:i]
                     start, seen = i, set()
                 seen.add(pattern)
-        yield same[start:], target, qs
+        yield same[start:], target, qs, patterns[start:]
 
 
-def _gate_update(tensor: tuple[int, ...], g: Gate):
-    """The update of rotation ``g`` alone: the indices of the two slices of
-    the rows viewed as ``(k,) + tensor`` that it rotates, and its entries."""
-    idx = [slice(None)] * (len(tensor) + 1)
+def _gate_update(t: np.ndarray, g: Gate):
+    """The two views of the ``(k,) + (2,)*n`` tensor ``t`` that ``g`` rotates,
+    and its entries."""
+    idx = [slice(None)] * t.ndim
     for q, positive in g.controls:
         idx[q + 1] = int(positive)
     idx[g.target + 1] = 0
-    index0 = tuple(idx)
+    a0 = t[tuple(idx)]
     idx[g.target + 1] = 1
-    return tensor, index0, tuple(idx), _rotation_entries(g)
+    return a0, t[tuple(idx)], _rotation_entries(g)
 
 
-def _group_update(n: int, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...]):
-    """The entries, a ``(4,) + pairs`` array, for each amplitude pair of the
-    rows viewed as ``(k, 2**target, 2, 2**(n-1-target))`` that a group
-    ``gates`` rotates, ``pairs`` broadcasting against ``(2**target, 2**(n-1-target))``."""
-    c = len(qs)
-    # bit c-1-i of a pattern is control i's bit
-    polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in gates),
-                           dtype=np.intp, count=len(gates) * c)
-    patterns = polarity.reshape(-1, c) @ (1 << np.arange(c - 1, -1, -1))
+def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...],
+                  patterns: list[int]):
+    """The two views of the rows ``out`` where ``target`` is 0 or 1, and the
+    entries for each of their amplitude pairs, for a group ``gates`` with
+    these polarity patterns."""
+    k, size = out.shape
+    n, c = size.bit_length() - 1, len(qs)
+    t = out.reshape(k, 1 << target, 2, -1)
     table = np.zeros((1 << c, 4), dtype=complex)
     table[:, ::3] = 1
     table[patterns] = np.fromiter(chain.from_iterable(map(_rotation_entries, gates)),
@@ -360,54 +327,65 @@ def _group_update(n: int, gates: tuple[Gate, ...], target: int, qs: tuple[int, .
     for i, q in enumerate(qs):
         axis, bit = (before, target - 1 - q) if q < target else (after, n - 1 - q)
         pair = pair | (axis >> bit & 1) << (c - 1 - i)
-    return table.T.take(pair, axis=1)
+    return t[:, :, 0], t[:, :, 1], table.T.take(pair, axis=1)
 
 
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
     """Index array ``src`` such that the run ``flips`` moves basis state
     ``src[j]`` to ``j``, for every basis index j over n qubits.
 
-    Bit-plane q is a Python int of 2**n bits whose bit j is qubit q's bit of
-    the index j (qubit 0 the most significant bit of an index).  A flip is
-    then one XOR into its target's plane of the indices where it fires: the
-    AND of its positive control planes (all ones if it has none) less the OR
-    of its open control planes, the veto.  Every int stays non-negative; a
-    complemented plane would be a negative int, which CPython converts to
-    two's complement on every AND.  Every flip is its own inverse, so running
-    the flips backwards from the identity's planes leaves plane q holding
-    qubit q's bit of ``src[j]`` at bit j.
+    src is the composition of the flips' own index maps, the first gate's
+    innermost, so it is built from the first gate on as j -> table[L(j)]:
+    L is an affine map of the index bits, kept as the image of each qubit's
+    unit index (qubit 0 the most significant bit) and a shift, and ``table``
+    starts as the identity.  A flip with at most one control is affine, so it
+    only changes L, by one or two XORs of small ints.  A flip with c >= 2
+    controls swaps the table entries at L of each of its 2^(n-1-c) index
+    pairs: one pair for the full-pattern mcx of the permutation stage, swapped
+    in a list, and more in one vectorized swap.  No gate costs work over all
+    2^n indices; only building src at the end does.
     """
-    size = 1 << n
-    everything = (1 << size) - 1
-    planes = []
-    for q in range(n):
-        # the identity's plane q: h = 2**(n-1-q) zero bits then h one bits,
-        # that period doubled until it spans the 2**n bits
-        h = 1 << (n - 1 - q)
-        plane, width = ((1 << h) - 1) << h, 2 * h
-        while width < size:
-            plane |= plane << width
-            width *= 2
-        planes.append(plane)
-    for g in reversed(flips):
-        fire, veto = None, 0
-        for q, positive in g.controls:
+    image = [1 << (n - 1 - q) for q in range(n)]
+    shift = 0
+    table = None
+    for g in flips:
+        controls, flipped = g.controls, image[g.target]
+        if len(controls) == 1:
+            (q, positive), = controls
+            image[q] ^= flipped
             if not positive:
-                veto |= planes[q]
-            elif fire is None:
-                fire = planes[q]
-            else:
-                fire &= planes[q]
-        if fire is None:
-            fire = everything
-        planes[g.target] ^= (fire | veto) ^ veto if veto else fire
-    nbytes = (size + 7) // 8
-    src = np.zeros(size, dtype=np.intp)
-    for q, plane in enumerate(planes):
-        bits = np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint8),
-                             count=size, bitorder="little")
-        src |= bits.astype(np.intp) << (n - 1 - q)
-    return src
+                shift ^= flipped
+            continue
+        if not controls:
+            shift ^= flipped
+            continue
+        at = shift
+        for q, positive in controls:
+            if positive:
+                at ^= image[q]
+        if len(controls) == n - 1:
+            if table is None:
+                table = list(range(1 << n))
+            other = at ^ flipped
+            table[at], table[other] = table[other], table[at]
+            continue
+        if type(table) is not np.ndarray:
+            table = np.arange(1 << n) if table is None else np.array(table)
+        fixed = set(map(_QUBIT, controls))
+        at = _span(at, [image[q] for q in range(n) if q != g.target and q not in fixed])
+        other = at ^ flipped
+        table[at], table[other] = table[other], table[at]
+    src = _span(shift, image)
+    return src if table is None else np.take(table, src)
+
+
+def _span(shift: int, images: list[int]) -> np.ndarray:
+    """``shift`` XOR each subset of ``images``: entry i takes ``images[-1-b]``
+    for each set bit b of i."""
+    out = np.array([shift], dtype=np.intp)
+    for image in reversed(images):
+        out = np.concatenate((out, out ^ image))
+    return out
 
 
 def cnot_cost(circuit: Circuit, aux_available: bool = False) -> int:

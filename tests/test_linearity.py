@@ -1,16 +1,14 @@
 """Differential tests of the fast simulation path against the slow oracle.
 
 ``apply``, which moves each run of flips as one basis permutation worked out
-on bit-planes and updates each group of rotations on one target and control
-set at once, must give the same bits as the masked ``apply_by_mask`` on
-random, flip-heavy and multiplexed circuits, one state or a batch of rows at
-a time, on the call that compiles a circuit's program and on the calls that
-replay it; a program is kept per circuit object, never past its entry budget
-nor after a refused call; each flip run of a synthesized circuit must give the
-basis permutation that composing its gates one index array at a time gives;
-and ``verify``, which runs the circuit once on the 2^N input patterns and
-combines the outputs linearly, must give the report that one oracle run per
-sample gives.
+as an affine map of the index bits and a table of swaps, and updates each
+group of rotations on one target and control set at once, must give the same
+bits as the masked ``apply_by_mask`` on random, flip-heavy and multiplexed
+circuits, one state or a batch of rows at a time; each flip run, of every
+shape of flip and of a synthesized circuit, must give the basis permutation
+that composing its gates one index array at a time gives; and ``verify``,
+which runs the circuit once on the 2^N input patterns and combines the
+outputs linearly, must give the report that one oracle run per sample gives.
 The Haar inputs, drawn for a whole chunk of samples from one re-keyed
 generator, must be the bits one fresh generator per sample draws; chunks are
 sized so that neither their outputs nor their residue matrices
@@ -25,9 +23,9 @@ from oracle import (apply_by_mask, flip_heavy_circuit, flip_sources_by_gate, haa
 
 from uqcm import circuit as circuit_module
 from uqcm import simulator
-from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
+from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector, apply,
                   reference_one_to_two, synthesize_cloner, verify)
-from uqcm.circuit import FLIP_KINDS, to_json
+from uqcm.circuit import FLIP_KINDS
 
 
 def random_rows(k, n, seed):
@@ -73,7 +71,6 @@ def test_slice_apply_matches_mask_oracle_property():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_flip_runs_match_mask_oracle(n):
-    # n < 3: a bit-plane shorter than one byte
     for seed in range(16):
         circ = flip_heavy_circuit(n, n_gates=60, seed=2000 * n + seed)
         assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
@@ -89,6 +86,26 @@ def test_synthesized_flip_runs_match_gate_by_gate_oracle(nm):
     for run in runs:
         np.testing.assert_array_equal(circuit_module._flip_sources(run, circ.n_qubits),
                                       flip_sources_by_gate(run, circ.n_qubits))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_runs_of_every_shape_match_gate_by_gate_oracle(n):
+    # x and one-control flips of either polarity change only the affine map;
+    # full-pattern mcx swap one pair in the table while it is a list, and
+    # flips with 2 to n-2 controls swap many on an array, before and after
+    # full-pattern ones
+    rng = np.random.default_rng(n)
+    for _ in range(12):
+        gates = []
+        for _ in range(40):
+            target, *others = (int(q) for q in rng.permutation(n))
+            c = int(rng.choice([0, 1, n - 1, rng.integers(n)]))
+            controls = tuple(Control(q, bool(rng.integers(2))) for q in others[:c])
+            kind = ("x", "mcx", "cnot")[int(rng.integers(2 + (len(controls) == 1)))]
+            gates.append(Gate(kind, target, controls))
+        run = tuple(gates)
+        np.testing.assert_array_equal(circuit_module._flip_sources(run, n),
+                                      flip_sources_by_gate(run, n))
 
 
 def count_rotation_groups(monkeypatch):
@@ -121,9 +138,7 @@ def test_prep_tree_levels_are_one_update_each(sweep_results, monkeypatch):
     sizes = count_rotation_groups(monkeypatch)
     for nm, res in sweep_results.items():
         sizes.clear()
-        # a fresh copy, as earlier tests may have compiled the shared circuits
-        circ = Circuit(res.circuit.n_qubits, res.circuit.gates, res.circuit.roles)
-        apply(circ, np.zeros((2, 2 ** circ.n_qubits), dtype=complex))
+        apply(res.circuit, np.zeros((2, 2 ** res.circuit.n_qubits), dtype=complex))
         assert sizes == [2 ** (lev - 1) for lev in range(3, res.layout.prep_qubits + 1)], nm
 
 
@@ -146,76 +161,6 @@ def test_batch_shape_must_match_register():
     for bad in (np.zeros(4), np.zeros((2, 8)), np.zeros((1, 2, 2))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply(circ, bad)
-    assert "_program" not in vars(circ)   # a refused call compiles nothing
-
-
-def count_flip_runs(monkeypatch):
-    """Record the length of each flip run whose sources are worked out."""
-    runs = []
-    sources = circuit_module._flip_sources
-
-    def counting(flips, n):
-        runs.append(len(flips))
-        return sources(flips, n)
-
-    monkeypatch.setattr(circuit_module, "_flip_sources", counting)
-    return runs
-
-
-def test_verify_works_out_the_flips_once(monkeypatch):
-    circ = synthesize_cloner(CloneSpec(1, 4)).circuit
-    runs = count_flip_runs(monkeypatch)
-    first = verify(CloneSpec(1, 4), circ, n_samples=5, seed=1).to_json()
-    assert verify(CloneSpec(1, 4), circ, n_samples=5, seed=1).to_json() == first
-    assert len(runs) == 1   # the permutation stage, once for both calls
-
-
-@pytest.mark.parametrize("make", [lambda n, seed: random_circuit(n, 40, seed),
-                                  lambda n, seed: flip_heavy_circuit(n, 60, seed),
-                                  multiplexed_circuit],
-                         ids=["random", "flip-heavy", "multiplexed"])
-def test_replayed_program_matches_mask_oracle(make):
-    # the call that compiles and the calls that replay give the oracle's bits
-    for k in range(1, 5):
-        n = 4 + k
-        circ = make(n, seed=k)
-        rows = random_rows(k, n, seed=k)
-        want = np.array([apply_by_mask(circ, StateVector(row)).amps for row in rows])
-        assert "_program" not in vars(circ)
-        np.testing.assert_array_equal(apply(circ, rows), want)
-        program = vars(circ)["_program"]
-        np.testing.assert_array_equal(apply(circ, rows), want)
-        np.testing.assert_array_equal(apply(circ, StateVector(rows[0])).amps, want[0])
-        assert vars(circ)["_program"] is program
-
-
-def test_equal_circuits_compile_their_own_programs(monkeypatch):
-    a = synthesize_cloner(CloneSpec(1, 3)).circuit
-    b = Circuit(a.n_qubits, a.gates, a.roles)
-    seen = (repr(a), to_json(a))
-    runs = count_flip_runs(monkeypatch)
-    rows = random_rows(2, a.n_qubits, seed=3)
-    np.testing.assert_array_equal(apply(a, rows), apply(b, rows))
-    np.testing.assert_array_equal(apply(a, rows), apply(b, rows))
-    assert len(runs) == 2
-    assert vars(a)["_program"] is not vars(b)["_program"]
-    # the program is no field: equality, repr and the file ignore it
-    assert a == b and (repr(a), to_json(a)) == (repr(b), to_json(b)) == seen
-
-
-def test_program_over_the_budget_is_not_kept(monkeypatch):
-    # 81 flip runs of 2^14 sources each pass the budget, so each call works
-    # every run out again
-    circ = flip_heavy_circuit(14, 300, seed=17, rotation_share=0.5)
-    n_runs = sum(flips for flips, _ in groupby(circ.gates, lambda g: g.kind in FLIP_KINDS))
-    assert n_runs << 14 > circuit_module._PROGRAM_ENTRIES
-    runs = count_flip_runs(monkeypatch)
-    row = random_rows(1, 14, seed=17)[0]
-    want = apply_by_mask(circ, StateVector(row)).amps
-    for calls in (1, 2):
-        np.testing.assert_array_equal(apply(circ, StateVector(row)).amps, want)
-        assert "_program" not in vars(circ)
-        assert len(runs) == calls * n_runs
 
 
 def assert_reports_match(spec, circuit, n_samples, seed, gate_counts=None):
