@@ -135,17 +135,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def remapped(self, n_qubits: int, offset: int) -> "Circuit":
-        """Embed into a wider register, shifting every qubit index by ``offset``."""
-        shifted = [(Control(q + offset, False), Control(q + offset, True))
-                   for q in range(self.n_qubits)]
-        gates = tuple(
-            Gate(g.kind, g.target + offset,
-                 tuple([shifted[q][positive] for q, positive in g.controls]), g.theta)
-            for g in self.gates
-        )
-        return Circuit(n_qubits, gates)
-
     def role_qubits(self, name: str) -> tuple[int, ...]:
         if self.roles is None or name not in self.roles:
             return ()
@@ -490,9 +479,11 @@ def from_json(text: str) -> Circuit:
     """Load ``uqcm-circuit/1`` text.  ValueError (KeyError for a missing field)
     unless it is a circuit ``to_json`` could have written.
 
-    Text exactly as ``to_json`` writes it is read by its fragments: each
-    distinct gate text is built into a ``Gate`` once and every repeat of it is
-    one dict lookup (``_read_written``).  Any other layout of the same JSON,
+    Text exactly as ``to_json`` writes it is read by its fragments in one
+    scan of the gates array (``_read_written``): each gate text is sliced out
+    and looked up, each distinct one is built into a ``Gate`` once, and only
+    the distinct texts are kept while it reads, so a file of many repeats
+    costs little memory beyond the text.  Any other layout of the same JSON,
     and every malformed file, goes through ``json.loads`` (``_load``), which
     gives the same circuit and raises every error.
     """
@@ -514,10 +505,12 @@ def _read_written(text: str) -> Circuit | None:
     """The circuit whose ``to_json`` text is exactly ``text``, or None.
 
     The trailer must be the one ``_trailer`` writes for the register size and
-    roles it holds, and each gate text must be the one ``_gate_text`` writes
-    for the gate read from it, so whatever this accepts ``_load`` reads to an
-    equal circuit.  It raises nothing of its own; a circuit that ``Circuit``
-    rejects raises as it would from ``_load``.
+    roles it holds, and each gate text must be one ``_gate_text`` could write
+    (``_read_gate``), so whatever this accepts ``_load`` reads to an equal
+    circuit.  The gates array is read in one forward scan: each gate text is
+    sliced out, looked up and dropped, so only the distinct texts stay alive,
+    as the memo's keys.  It raises nothing of its own; a circuit that
+    ``Circuit`` rejects raises as it would from ``_load``.
     """
     if type(text) is not str or not text.startswith(_GATES_OPEN):
         return None
@@ -541,37 +534,56 @@ def _read_written(text: str) -> Circuit | None:
     control_text = _control_texts(min(n_qubits, len(text) // len(_CONTROL)))
     control_at = {t[:-1]: Control(q, bool(p))
                   for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
-    # neither the array's opening nor its closing and trailer hold a
-    # separator, so the first and last pieces are the first and last gate
-    # texts with those on; a separator overlapping either leaves an empty
-    # first or last piece, and no gate text is empty
-    pieces = text.split(_GATE_SEP)
-    pieces[0] = pieces[0][len(_GATES_OPEN):]
-    pieces[-1] = pieces[-1][:end - len(text)]
-    gate_of = dict.fromkeys(pieces)
-    for piece in gate_of:
-        gate = gate_of[piece] = _read_gate(piece, control_at, control_text)
+    # separators are looked for only inside the array: the opening and the
+    # trailer hold none, and part of one overlapping either stays on the
+    # first or last gate text, which _read_gate then rejects
+    memo: dict[str, Gate] = {}
+    gates = []
+    start = len(_GATES_OPEN)
+    while True:
+        stop = text.find(_GATE_SEP, start, end)
+        piece = text[start:end if stop < 0 else stop]
+        gate = memo.get(piece)
         if gate is None:
-            return None
-    return Circuit(n_qubits, tuple(map(gate_of.__getitem__, pieces)), roles or None)
+            gate = memo[piece] = _read_gate(piece, control_at)
+            if gate is None:
+                return None
+        gates.append(gate)
+        if stop < 0:
+            return Circuit(n_qubits, tuple(gates), roles or None)
+        start = stop + len(_GATE_SEP)
 
 
-def _read_gate(piece: str, control_at: dict[str, Control],
-               control_text: list[tuple[str, str]]) -> Gate | None:
-    """The gate whose ``_gate_text`` is exactly ``piece``, or None."""
+def _read_gate(piece: str, control_at: dict[str, Control]) -> Gate | None:
+    """The gate whose ``_gate_text`` is exactly ``piece``, or None.
+
+    Each part is read only in the one spelling ``_gate_text`` writes it in:
+    the controls by exact lookup, the kind through ``Gate``, which knows only
+    ``KINDS``, and the target and theta only where ``_number`` of the value
+    read gives back their text.
+    """
     if piece.startswith(_CONTROLS_OPEN):
-        listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
+        listed, found, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
+        if not found or not listed.endswith("}"):
+            return None
         controls = tuple(map(control_at.get, listed[:-1].split("},\n")))
+        if None in controls:
+            return None
+    elif piece.startswith(_NO_CONTROLS):
+        controls, rest = (), piece[len(_NO_CONTROLS):]
     else:
-        controls, rest = (), piece.removeprefix(_NO_CONTROLS)
-    kind, _, rest = rest.partition(_TARGET)
-    target, _, theta = rest.partition(_THETA)
+        return None
+    kind, found, rest = rest.partition(_TARGET)
+    target_text, has_theta, theta_text = rest.partition(_THETA)
     try:
-        # a control missing from the table is a None, which Gate rejects
-        gate = Gate(kind, int(target), controls, _read_number(theta) if theta else None)
+        target = int(target_text)
+        theta = _read_number(theta_text) if has_theta else None
+        if (not found or int.__repr__(target) != target_text
+                or has_theta and _number(theta) != theta_text):
+            return None
+        return Gate(kind, target, controls, theta)
     except ValueError:
         return None
-    return gate if _gate_text(gate, control_text) == piece else None
 
 
 def _read_number(text: str) -> int | float:

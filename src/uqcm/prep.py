@@ -81,21 +81,22 @@ def solve_angles(target: PrepTarget) -> AngleTree:
     return AngleTree(tuple(levels))
 
 
-def emit_prep_circuit(angles: AngleTree) -> Circuit:
+def emit_prep_circuit(angles: AngleTree, offset: int = 0, n_qubits: int | None = None) -> Circuit:
     """Branch-controlled rotation circuit realizing the angle tree.
 
     2^n - 1 rotations in total; the level-L branch-b rotation is controlled
     on qubits 0..L-2 matching the binary expansion of b (negative controls
-    for 0 bits).
+    for 0 bits).  Tree qubit q is register qubit ``offset + q`` of a register
+    of ``n_qubits`` (by default just the tree's own n).
     """
     n = angles.n_qubits
-    polarities = [(Control(q, False), Control(q, True)) for q in range(n)]
+    polarities = [(Control(offset + q, False), Control(offset + q, True)) for q in range(n)]
     gates = []
     for lev in range(1, n + 1):
         for b, theta in enumerate(angles.levels[lev - 1]):
             controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
-            gates.append(Gate("utheta", lev - 1, controls, theta))
-    return Circuit(n, tuple(gates))
+            gates.append(Gate("utheta", offset + lev - 1, controls, theta))
+    return Circuit(n if n_qubits is None else n_qubits, tuple(gates))
 
 
 @dataclass(frozen=True)

@@ -47,19 +47,20 @@ def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     populated bases would otherwise leave no free basis (``BasisLayout.packed``).
     """
     layout = BasisLayout.packed(spec)
-    prep_core = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)))
     perm = build_permutation(spec, layout)
     plan = schedule(perm)
     validate_plan(perm, plan)
 
     register = RegisterLayout(spec, layout.n_aux)
     n_total, roles = register.n_qubits, register.roles()
-    prep_embedded = prep_core.remapped(n_total, offset=spec.n_in)
+    # the tree's qubits follow the inputs on the cloner register
+    prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)),
+                                   offset=spec.n_in, n_qubits=n_total)
     clone_stage = compile_moves(plan, n_total - 1)  # every qubit but the flag
-    circuit = Circuit(n_total, prep_embedded.gates + clone_stage.gates, roles)
+    circuit = Circuit(n_total, prep_stage.gates + clone_stage.gates, roles)
     return SynthesisResult(
         spec=spec, circuit=circuit, layout=layout, permutation=perm, plan=plan,
-        prep_cost=cnot_cost(prep_core), clone_cost=cnot_cost(clone_stage))
+        prep_cost=cnot_cost(prep_stage), clone_cost=cnot_cost(clone_stage))
 
 
 def reference_one_to_two() -> Circuit:

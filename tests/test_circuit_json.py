@@ -5,7 +5,8 @@ give, byte for byte, what ``oracle.to_json_by_dumps`` (the circuit's dict
 through ``json.dumps``) gives.  ``from_json`` reads that exact text by its
 fragments (``_read_written``) and any other text through ``json.loads``
 (``_load``); on every text, edited or not, the two must give the same circuit
-or the same error.  Both build each distinct gate once; a later gate that
+or the same error, and the fragment reader must accept exactly the texts
+that ``oracle.read_written_by_rerender`` accepts.  Both build each distinct gate once; a later gate that
 differs only in a value's type or sign must not reuse it.  And whatever
 ``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
 """
@@ -13,10 +14,11 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import random_circuit, to_json_by_dumps
+from oracle import random_circuit, read_written_by_rerender, to_json_by_dumps
 
 from uqcm import Circuit, Control, Gate, reference_one_to_two
 from uqcm.circuit import KINDS, _load, _read_written, from_json, to_json
@@ -111,11 +113,13 @@ class TestWriter:
 
 def outcome(load, text):
     """What ``load`` makes of ``text``: the circuit with its bytes and angle
-    types, or the type of the error it raised."""
+    types, None if it gives None, or the type of the error it raised."""
     try:
         circ = load(text)
     except Exception as exc:
         return type(exc)
+    if circ is None:
+        return None
     return circ, to_json(circ), [type(g.theta) for g in circ.gates]
 
 
@@ -155,7 +159,8 @@ class TestWrittenLayoutReader:
         # of them at a digit, where an edit most often leaves a file that
         # to_json could have written: each edit gives the same circuit, bytes
         # and angle types, or the same error, through from_json as through
-        # json.loads
+        # json.loads, and the fragment reader accepts it exactly when the
+        # re-rendering oracle does, with the same circuit
         rng = random.Random(1616)
         circuits = [reference_one_to_two(), sweep_results[(2, 3)].circuit, THETA_EDGES,
                     random_circuit(5, 20, seed=16, roles={"a": (0, 1), "b": (2, 3, 4)})]
@@ -170,12 +175,72 @@ class TestWrittenLayoutReader:
                 edited = text[:i] + new + text[i + (op != "insert"):]
                 want = outcome(_load, edited)
                 assert outcome(from_json, edited) == want, (op, i, new)
-                try:
-                    read += _read_written(edited) is not None
-                except ValueError:
-                    pass
+                got = outcome(_read_written, edited)
+                assert got == outcome(read_written_by_rerender, edited), (op, i, new)
+                read += type(got) is tuple
         # the reader took part: it read 399 of the 3000 edited files
         assert read >= 300, read
+
+    @pytest.mark.parametrize("old, new", [
+        ('"target": 3', '"target": +3'),
+        ('"target": 3', '"target": 03'),
+        ('"target": 3', '"target":  3'),
+        ('"target": 3', '"target": \u0663'),
+        ('"theta": 0.5', '"theta": 1_0'),
+        ('"theta": 0.5', '"theta": 1e5'),
+        ('"theta": 0.5', '"theta": NaN'),
+        ('"theta": 0.5', '"theta": Infinity'),
+        ('"theta": 0.5', '"theta": -0.0'),
+        ('"theta": 0.5', '"theta": '),
+        ('"target": 3', '"target": 3,\n      "theta": 0.5'),
+        ('"q": 2\n        }\n      ]', '"q": 2\n        },\n      ]'),
+        ('"q": 2\n        }\n      ]', '"q": 2\n        \n      ]'),
+        ('"polarity": "negative"', '"polarity": "Negative"'),
+        ('"q": 2\n', '"q":  2\n'),
+        ('"q": 2\n', '"q": 2.0\n'),
+        ('\n    }\n  ],', '\n    },\n    {\n    }\n  ],'),
+        ('"gates": [\n    {\n', '"gates": [\n    {\n    },\n    {\n'),
+    ], ids=["target-plus", "target-leading-zero", "target-space", "target-arabic-digit",
+            "theta-underscore", "theta-exponent", "theta-nan", "theta-infinity",
+            "theta-negative-zero", "theta-empty", "theta-on-a-flip", "controls-trailing-comma",
+            "controls-unclosed", "control-polarity-case", "control-spacing", "control-float-q",
+            "separator-over-closing", "separator-over-opening"])
+    def test_near_miss_gate_texts(self, old, new):
+        # each edit keeps the file one character or one token away from what
+        # to_json writes: from_json and json.loads agree, and the fragment
+        # reader gives None or the same circuit, as the oracle reader does
+        circ = Circuit(4, (Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5),
+                           Gate("x", 3)))
+        text = to_json(circ)
+        assert text.count(old) == 1
+        edited = text.replace(old, new)
+        assert outcome(from_json, edited) == outcome(_load, edited)
+        got = outcome(_read_written, edited)
+        assert got is None or got == outcome(_load, edited)
+        assert got == outcome(read_written_by_rerender, edited)
+        if new.endswith("-0.0"):
+            # exactly what to_json writes for a -0.0 angle, read as one
+            assert got is not None
+            assert math.copysign(1, got[0].gates[0].theta) == -1
+
+    def test_repeats_are_not_copied(self):
+        # one 10-control mcx, 5000 times: the reader keeps one copy of its
+        # text, so its peak above the start is a small share of the file
+        gate = Gate("mcx", 10, tuple(Control(q, q % 2 == 0) for q in range(10)))
+        circ = Circuit(11, (gate,) * 5000)
+        text = to_json(circ)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            read = from_json(text)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert read == circ
+        assert peak < len(text) / 10, (peak, len(text))
 
 
 def twice(gate, edit):
