@@ -563,22 +563,23 @@ def _read_gate(piece: str, control_at: dict[str, Control]) -> Gate | None:
     read gives back their text.
     """
     if piece.startswith(_CONTROLS_OPEN):
-        listed, found, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
-        if not found or not listed.endswith("}"):
+        listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
+        if not listed.endswith("}"):
             return None
+        # a control missing from the table is a None, which Gate rejects
         controls = tuple(map(control_at.get, listed[:-1].split("},\n")))
-        if None in controls:
-            return None
     elif piece.startswith(_NO_CONTROLS):
         controls, rest = (), piece[len(_NO_CONTROLS):]
     else:
         return None
-    kind, found, rest = rest.partition(_TARGET)
+    # without _CONTROLS_CLOSE or _TARGET the target text is empty, which int
+    # rejects
+    kind, _, rest = rest.partition(_TARGET)
     target_text, has_theta, theta_text = rest.partition(_THETA)
     try:
         target = int(target_text)
         theta = _read_number(theta_text) if has_theta else None
-        if (not found or int.__repr__(target) != target_text
+        if (int.__repr__(target) != target_text
                 or has_theta and _number(theta) != theta_text):
             return None
         return Gate(kind, target, controls, theta)

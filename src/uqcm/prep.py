@@ -81,13 +81,13 @@ def solve_angles(target: PrepTarget) -> AngleTree:
     return AngleTree(tuple(levels))
 
 
-def emit_prep_circuit(angles: AngleTree, offset: int = 0, n_qubits: int | None = None) -> Circuit:
+def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     """Branch-controlled rotation circuit realizing the angle tree.
 
     2^n - 1 rotations in total; the level-L branch-b rotation is controlled
     on qubits 0..L-2 matching the binary expansion of b (negative controls
-    for 0 bits).  Tree qubit q is register qubit ``offset + q`` of a register
-    of ``n_qubits`` (by default just the tree's own n).
+    for 0 bits).  Tree qubit q is register qubit ``offset + q`` of the
+    smallest register that holds it, ``offset + n`` qubits.
     """
     n = angles.n_qubits
     polarities = [(Control(offset + q, False), Control(offset + q, True)) for q in range(n)]
@@ -96,7 +96,7 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0, n_qubits: int | None =
         for b, theta in enumerate(angles.levels[lev - 1]):
             controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
             gates.append(Gate("utheta", offset + lev - 1, controls, theta))
-    return Circuit(n if n_qubits is None else n_qubits, tuple(gates))
+    return Circuit(offset + n, tuple(gates))
 
 
 @dataclass(frozen=True)

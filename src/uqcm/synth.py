@@ -54,8 +54,7 @@ def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     register = RegisterLayout(spec, layout.n_aux)
     n_total, roles = register.n_qubits, register.roles()
     # the tree's qubits follow the inputs on the cloner register
-    prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)),
-                                   offset=spec.n_in, n_qubits=n_total)
+    prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)), offset=spec.n_in)
     clone_stage = compile_moves(plan, n_total - 1)  # every qubit but the flag
     circuit = Circuit(n_total, prep_stage.gates + clone_stage.gates, roles)
     return SynthesisResult(
