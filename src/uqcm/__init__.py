@@ -4,9 +4,8 @@ of N-to-M universal quantum cloning circuits."""
 __version__ = "0.1.0"
 
 from .circuit import Circuit, Control, Gate, RegisterLayout, apply, cnot_cost, inverse
-from .cloner_math import (CloneCoefficients, CloneSpec, FeasibilityCheck, alphas,
-                          basis_count, feasibility, ideal_output, theoretical_fidelity,
-                          weight_components)
+from .cloner_math import (CloneSpec, FeasibilityCheck, alphas, basis_count, feasibility,
+                          ideal_output, theoretical_fidelity, weight_components)
 from .ion_budget import (EmissionProbabilities, IonSpecies, ScanRow, TrapParams,
                          cloning_time, elementary_gate_time, emission_probability,
                          feasibility_scan, feasibility_threshold, lhs_mmax,
@@ -23,7 +22,7 @@ from .synth import SynthesisResult, reference_one_to_two, synthesize_cloner
 
 __all__ = [
     "__version__",
-    "AngleTree", "BasisLayout", "Circuit", "CloneCoefficients", "CloneSpec",
+    "AngleTree", "BasisLayout", "Circuit", "CloneSpec",
     "Control", "DensityMatrix", "EmissionProbabilities", "FeasibilityCheck",
     "Gate", "IonSpecies", "PermutationPlan", "PermutationSpec",
     "PlanError", "PrepTarget", "RegisterLayout", "ScanRow", "ScheduleError",

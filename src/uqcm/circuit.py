@@ -200,12 +200,10 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
     index array (``_flip_sources``) and moves all k rows with one gather.
     Rotations go in groups: maximal runs on one target and control-qubit
     tuple with pairwise distinct polarity patterns (a uniformly-controlled
-    rotation, such as a prep-tree level).  A group of ``_GROUP_MIN`` or more
-    gates is one update of the rows viewed as ``(k, 2**t, 2, 2**(n-1-t))``
-    for target t, each amplitude pair taking the entries its control bits
-    select (the identity's where no gate matches); a smaller group updates
-    two slices of the ``(k,) + (2,)*n`` tensor per gate.  Both do the same
-    arithmetic per pair.
+    rotation, such as a prep-tree level).  Each group is one update of the
+    rows viewed as ``(k, 2**t, 2, 2**(n-1-t))`` for target t, each amplitude
+    pair taking the entries its control bits select (the identity's where no
+    gate matches).
     """
     n = circuit.n_qubits
     rows = state.amps[np.newaxis] if isinstance(state, StateVector) else np.asarray(state)
@@ -217,22 +215,13 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
         if flips:
             out = np.take(out, _flip_sources(run, n), axis=1)
             continue
-        t = out.reshape((len(rows),) + (2,) * n)
         for group, target, qs, patterns in _rotation_groups(run):
-            if len(group) >= _GROUP_MIN:
-                updates = [_group_update(out, group, target, qs, patterns)]
-            else:
-                updates = [_gate_update(t, g) for g in group]
-            for a0, a1, (m00, m01, m10, m11) in updates:
-                b0 = m00 * a0 + m01 * a1
-                a1[...] = m10 * a0 + m11 * a1
-                a0[...] = b0
+            a0, a1, (m00, m01, m10, m11) = _group_update(out, group, target, qs, patterns)
+            b0 = m00 * a0 + m01 * a1
+            a1[...] = m10 * a0 + m11 * a1
+            a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
 
-
-# Below this many gates a group costs more as one update, with its pattern
-# table and index arrays, than as one two-slice update per gate.
-_GROUP_MIN = 3
 
 _QUBIT = itemgetter(0)
 _POLARITY = itemgetter(1)
@@ -262,13 +251,9 @@ def _runs(gates: tuple[Gate, ...]):
 def _rotation_groups(run):
     """Each group of the rotations ``run`` with its target and control qubits,
     and the polarity pattern of each of its gates (bit c-1-i is control i's
-    bit), or None for a run on one target and control set too short to be
-    one update: its gates go one by one whatever their patterns."""
+    bit)."""
     for (target, qs), same in groupby(run, lambda g: (g.target, tuple(map(_QUBIT, g.controls)))):
         same = tuple(same)
-        if len(same) < _GROUP_MIN:
-            yield same, target, qs, None
-            continue
         c = len(qs)
         polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in same),
                                dtype=np.intp, count=len(same) * c)
@@ -284,18 +269,6 @@ def _rotation_groups(run):
         yield same[start:], target, qs, patterns[start:]
 
 
-def _gate_update(t: np.ndarray, g: Gate):
-    """The two views of the ``(k,) + (2,)*n`` tensor ``t`` that ``g`` rotates,
-    and its entries."""
-    idx = [slice(None)] * t.ndim
-    for q, positive in g.controls:
-        idx[q + 1] = int(positive)
-    idx[g.target + 1] = 0
-    a0 = t[tuple(idx)]
-    idx[g.target + 1] = 1
-    return a0, t[tuple(idx)], _rotation_entries(g)
-
-
 def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...],
                   patterns: list[int]):
     """The two views of the rows ``out`` where ``target`` is 0 or 1, and the
@@ -304,19 +277,19 @@ def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tup
     k, size = out.shape
     n, c = size.bit_length() - 1, len(qs)
     t = out.reshape(k, 1 << target, 2, -1)
-    table = np.zeros((1 << c, 4), dtype=complex)
-    table[:, ::3] = 1
-    table[patterns] = np.fromiter(chain.from_iterable(map(_rotation_entries, gates)),
-                                  dtype=float, count=4 * len(gates)).reshape(-1, 4)
+    table = [(1.0, 0.0, 0.0, 1.0)] * (1 << c)
+    for pattern, g in zip(patterns, gates):
+        table[pattern] = _rotation_entries(g)
     # each pair's pattern, on the axes that carry its controls: (2**t, 1) for
-    # controls before the target, (2**(n-1-t),) after, both if both
-    before = np.arange(1 << target)[:, np.newaxis] if min(qs) < target else None
-    after = np.arange(1 << (n - 1 - target)) if max(qs) > target else None
+    # controls before the target, (2**(n-1-t),) after, both if both, and
+    # pattern 0 for every pair of an uncontrolled rotation
+    before = np.arange(1 << target)[:, np.newaxis] if min(qs, default=target) < target else None
+    after = np.arange(1 << (n - 1 - target)) if max(qs, default=target) > target else None
     pair = 0
     for i, q in enumerate(qs):
         axis, bit = (before, target - 1 - q) if q < target else (after, n - 1 - q)
         pair = pair | (axis >> bit & 1) << (c - 1 - i)
-    return t[:, :, 0], t[:, :, 1], table.T.take(pair, axis=1)
+    return t[:, :, 0], t[:, :, 1], np.array(table, dtype=complex).T[:, pair]
 
 
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:

@@ -84,13 +84,12 @@ def cmd_synth(args) -> int:
     check = feasibility(spec)
     result = synthesize_cloner(spec)
     counts = result.gate_counts()
-    rel = "<=" if check.feasible_without_aux else ">"
     register = RegisterLayout.of(spec, result.circuit)
     print(f"spec: N={spec.n_in} M={spec.m_out} "
           f"data_qubits={register.n_qubits - int(register.flag)} "
           f"aux={register.n_aux} flag={int(register.flag)}")
     # the suffix follows the register built: at equality no basis is left free
-    print(f"feasible: {check.lhs} {rel} {check.rhs}"
+    print(f"feasible: {check}"
           + (" (aux variant used)" if result.n_aux > 0 else ""))
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
     print(f"gates measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")

@@ -54,30 +54,7 @@ class CloneSpec:
         return f"{self.n_in}->{self.m_out}"
 
 
-@dataclass(frozen=True)
-class CloneCoefficients:
-    """Level coefficients of the cloning transformation, index j = 0 .. M-N."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.values):
-            raise ValueError("all level coefficients must be positive")
-        total = sum(v * v for v in self.values)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"coefficients not normalized: sum of squares = {total!r}")
-
-    def __getitem__(self, j: int) -> float:
-        return self.values[j]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def alphas(spec: CloneSpec) -> CloneCoefficients:
+def alphas(spec: CloneSpec) -> tuple[float, ...]:
     """Coefficient of each orthogonal level in the ideal cloner output.
 
     alpha_j = sqrt((N+1)/(M+1)) * sqrt((M-N)! (M-j)! / ((M-N-j)! M!)).
@@ -92,7 +69,12 @@ def alphas(spec: CloneSpec) -> CloneCoefficients:
                 / (math.factorial(m - n - j) * math.factorial(m))
             )
         )
-    return CloneCoefficients(tuple(vals))
+    if any(v <= 0 for v in vals):
+        raise ValueError("all level coefficients must be positive")
+    total = sum(v * v for v in vals)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"coefficients not normalized: sum of squares = {total!r}")
+    return tuple(vals)
 
 
 def _check_dense(spec: CloneSpec) -> None:

@@ -63,10 +63,11 @@ class TrapParams:
     def __post_init__(self) -> None:
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        if self.epsilon <= 0 or self.delta2 <= 0:
-            raise ValueError("epsilon and delta2 must be positive")
-        if self.gamma1 is not None and self.gamma1 <= 0:
-            raise ValueError("gamma1 must be positive")
+        # chained against inf, so NaN and inf fail where `<= 0` lets them by
+        if not (0 < self.epsilon < math.inf and 0 < self.delta2 < math.inf):
+            raise ValueError("epsilon and delta2 must be finite and positive")
+        if self.gamma1 is not None and not 0 < self.gamma1 < math.inf:
+            raise ValueError("gamma1 must be finite and positive")
 
 
 _SPECIES_KEYS = ("name", "omega1_per_s", "omega2_per_s", "gamma2_per_s")
@@ -110,8 +111,8 @@ def elementary_gate_time(spec: CloneSpec, params: TrapParams, omega1_rabi: float
     The sqrt factor is the Rabi-frequency dilution over the 2M-N ions
     sharing the vibrational bus.
     """
-    if omega1_rabi <= 0:
-        raise ValueError("omega1_rabi must be positive")
+    if not 0 < omega1_rabi < math.inf:
+        raise ValueError("omega1_rabi must be finite and positive")
     return 4 * math.pi * math.sqrt(spec.total_qubits) / (params.eta * omega1_rabi)
 
 
@@ -158,8 +159,8 @@ def emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapParam
     gamma1 = params.gamma1
     if x is None and omega1_rabi is not None:
         x = omega1_rabi / math.sqrt(gamma1)
-    if x is None or x <= 0:
-        raise ValueError("need a positive operating point x or omega1_rabi")
+    if x is None or not 0 < x < math.inf:
+        raise ValueError("need a finite positive operating point x or omega1_rabi")
     omega1_rabi = x * math.sqrt(gamma1)
     t_run = cloning_time(spec, params, omega1_rabi, gate_count_override)
     p1 = gamma1 * spec.total_qubits * t_run

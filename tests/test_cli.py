@@ -253,6 +253,15 @@ class TestValidationErrors:
         ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1=-1e6"],
         ["scan", "--species", "Ca+", "--gates", "5"],
         ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--eta-list", "0"],
+        # nan and inf printed a verdict: delta2 = inf gave "p_min=0 (feasible)"
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--delta2", "inf"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--epsilon", "nan"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1", "nan"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1", "inf"],
+        ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--gamma1", "nan",
+         "--omega1", "1e6"],
+        ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--delta2", "nan"],
+        ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--epsilon", "inf"],
     ])
     def test_bad_physics_inputs_rejected(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -261,7 +270,7 @@ class TestValidationErrors:
         assert out == ""  # rejected before any part of the report
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--omega1", "-1e6", "omega1_rabi must be positive"),
+        ("--omega1", "-1e6", "omega1_rabi must be finite and positive"),
         ("--eta", "-1e-2", "eta must lie in (0, 1]"),
     ])
     def test_negative_exponent_value_reaches_range_check(self, flag, value, message, capsys):

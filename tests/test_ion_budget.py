@@ -59,6 +59,11 @@ class TestGateTime:
         assert elementary_gate_time(SPEC12, params, 2e6) == pytest.approx(
             elementary_gate_time(SPEC12, params, 1e6) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("omega1_rabi", [0.0, -1e6, math.nan, math.inf, -math.inf])
+    def test_rabi_frequency_must_be_finite_and_positive(self, omega1_rabi):
+        with pytest.raises(ValueError, match="omega1_rabi must be finite and positive"):
+            elementary_gate_time(SPEC12, TrapParams(), omega1_rabi)
+
     def test_register_size_scaling(self):
         params = TrapParams(eta=0.02)
         t4 = elementary_gate_time(CloneSpec(2, 3), params, 1e6)   # 2M-N = 4
@@ -105,10 +110,17 @@ class TestEmissionProbability:
         with pytest.raises(ValueError):
             emission_probability(SPEC12, load_species()["Ca+"], params, x=1.0)
 
-    @pytest.mark.parametrize("gamma1", [0.0, -1.0])
+    @pytest.mark.parametrize("gamma1", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_gamma1_rejected(self, gamma1):
-        with pytest.raises(ValueError, match="gamma1"):
+        with pytest.raises(ValueError, match="gamma1 must be finite and positive"):
             TrapParams(gamma1=gamma1)
+
+    @pytest.mark.parametrize("field", ["epsilon", "delta2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_epsilon_and_delta2_must_be_finite_and_positive(self, field, value):
+        # nan and inf passed a bare `<= 0` test: delta2 = inf gave p_min = 0
+        with pytest.raises(ValueError, match="epsilon and delta2 must be finite and positive"):
+            TrapParams(**{field: value})
 
     def test_linear_in_run_time(self, species):
         params = TrapParams(gamma1=1.0)
@@ -125,10 +137,11 @@ class TestEmissionProbability:
         probs = emission_probability(SPEC12, sp, params, x=1e5, gate_count_override=6)
         assert probs.p2 == pytest.approx(0.0, abs=1e-40)
 
-    def test_rejects_nonpositive_x(self, species):
+    @pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_x(self, species, x):
         params = TrapParams(gamma1=1.0)
-        with pytest.raises(ValueError):
-            emission_probability(SPEC12, species["Ca+"], params, x=-1.0)
+        with pytest.raises(ValueError, match="finite positive operating point"):
+            emission_probability(SPEC12, species["Ca+"], params, x=x)
 
     def test_optimum_matches_analytic_minimum(self, species):
         # oracle: min over x of a/x + b x is 2 sqrt(a b); probe the curve directly

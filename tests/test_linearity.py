@@ -127,19 +127,19 @@ def test_rotation_groups_match_mask_oracle(n, monkeypatch):
     for seed in range(8):
         circ = multiplexed_circuit(n, seed=4000 * n + seed)
         assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
-    assert sizes   # the grouped update ran, not only the single-gate one
+    assert sizes
 
 
 def test_prep_tree_levels_are_one_update_each(sweep_results, monkeypatch):
     # level L of the preparation tree is 2^(L-1) rotations on one target and
-    # control set.  Levels 3 and up are one update each, prep_qubits - 2 in
-    # all; levels 1 and 2 (one and two gates) go gate by gate, and the cloning
-    # stage (flips only) adds none
+    # control set.  Every level, the lone uncontrolled rotation of level 1
+    # too, is one update, prep_qubits in all, and the cloning stage (flips
+    # only) adds none
     sizes = count_rotation_groups(monkeypatch)
     for nm, res in sweep_results.items():
         sizes.clear()
         apply(res.circuit, np.zeros((2, 2 ** res.circuit.n_qubits), dtype=complex))
-        assert sizes == [2 ** (lev - 1) for lev in range(3, res.layout.prep_qubits + 1)], nm
+        assert sizes == [2 ** (lev - 1) for lev in range(1, res.layout.prep_qubits + 1)], nm
 
 
 @pytest.mark.parametrize("n", range(1, 8))
