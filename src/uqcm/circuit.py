@@ -18,7 +18,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -224,7 +224,6 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
 
 
 _QUBIT = itemgetter(0)
-_POLARITY = itemgetter(1)
 
 
 def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
@@ -254,10 +253,12 @@ def _rotation_groups(run):
     bit)."""
     for (target, qs), same in groupby(run, lambda g: (g.target, tuple(map(_QUBIT, g.controls)))):
         same = tuple(same)
-        c = len(qs)
-        polarity = np.fromiter(chain.from_iterable(map(_POLARITY, g.controls) for g in same),
-                               dtype=np.intp, count=len(same) * c)
-        patterns = (polarity.reshape(len(same), c) @ (1 << np.arange(c - 1, -1, -1))).tolist()
+        patterns = []
+        for g in same:
+            p = 0
+            for ctl in g.controls:
+                p = p << 1 | ctl.positive
+            patterns.append(p)
         start, seen = 0, set(patterns)
         if len(seen) < len(same):   # a pattern repeats: its pairs start a new group
             seen = set()

@@ -6,9 +6,9 @@ Exit codes: 0 success (and verification pass), 1 validation or input error,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
     if args.circuit:
         try:
             circuit = from_json(Path(args.circuit).read_text())
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             _fail(f"cannot load circuit {args.circuit!r}: {exc}")
     else:
         result = synthesize_cloner(spec)
@@ -195,8 +195,7 @@ def cmd_scan(args) -> int:
     print("species thresholds:")
     for eta in etas:
         for sp in species_list:
-            thr = feasibility_threshold(sp, TrapParams(eta=eta, epsilon=params.epsilon,
-                                                       delta2=params.delta2))
+            thr = feasibility_threshold(sp, replace(params, eta=eta))
             print(f"  {sp.name} (eta={eta:g}): {thr:.6g}")
     print(render_scan_table(rows))
     if args.json_out:

@@ -146,9 +146,10 @@ class EmissionProbabilities:
 
 
 def emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapParams,
-                         x: float | None = None, omega1_rabi: float | None = None,
+                         omega1_rabi: float,
                          gate_count_override: int | float | None = None) -> EmissionProbabilities:
-    """Spontaneous-emission probabilities at operating point x = Omega_1/sqrt(Gamma_1).
+    """Spontaneous-emission probabilities at Rabi frequency ``omega1_rabi``
+    (operating point x = Omega_1/sqrt(Gamma_1) = omega1_rabi/sqrt(gamma1)).
 
     p1 = (1/2) 2 Gamma_1 (2M-N) T  (half the qubits sit in the upper level),
     p2 = (Omega_2^2 / 8 Delta_2^2) 2 Gamma_2 T, with Omega_2 eliminated via
@@ -157,11 +158,6 @@ def emission_probability(spec: CloneSpec, species: IonSpecies, params: TrapParam
     if params.gamma1 is None:
         raise ValueError("params.gamma1 is required for intensity-resolved probabilities")
     gamma1 = params.gamma1
-    if x is None and omega1_rabi is not None:
-        x = omega1_rabi / math.sqrt(gamma1)
-    if x is None or not 0 < x < math.inf:
-        raise ValueError("need a finite positive operating point x or omega1_rabi")
-    omega1_rabi = x * math.sqrt(gamma1)
     t_run = cloning_time(spec, params, omega1_rabi, gate_count_override)
     p1 = gamma1 * spec.total_qubits * t_run
     omega2_sq = omega1_rabi ** 2 * (species.omega1 / species.omega2) ** 3 \

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Control, Gate
-from .cloner_math import AMP_EPS, CloneSpec, weight_components
+from .cloner_math import AMP_EPS, weight_components
 from .prep import BasisLayout
 
 VALUE_TOL = 1e-8  # amplitudes closer than this are interchangeable
@@ -87,13 +87,15 @@ def _group_key(reps: list[float], v: float) -> int | None:
     return None
 
 
-def build_permutation(spec: CloneSpec, layout: BasisLayout) -> PermutationSpec:
-    """Destination assignment for every populated (input pattern, prep basis).
+def build_permutation(layout: BasisLayout) -> PermutationSpec:
+    """Destination assignment for every populated (input pattern, prep basis)
+    of ``layout.spec``.
 
     Sources are pattern * 2^P + k with P the (possibly enlarged) preparation
     register; destinations are target-output bases shifted left by the number
     of auxiliary qubits, which therefore end in |0>.
     """
+    spec = layout.spec
     n, p_qubits, n_aux = spec.n_in, layout.prep_qubits, layout.n_aux
     n_data = n + p_qubits
     comp0 = weight_components(spec, layout.machine_complement)[0]
@@ -213,35 +215,28 @@ def validate_plan(perm: PermutationSpec, moves: tuple[tuple[int, int], ...] | Pe
     """Symbolic replay: raise PlanError unless the moves realize the mapping."""
     if isinstance(moves, PermutationPlan):
         moves = moves.moves
-    position = {s: s for s in perm.mapping}   # token (named by its source) -> basis
-    holder = {s: s for s in perm.mapping}     # basis -> token
-    occupied = set(perm.mapping)
+    holder = {s: s for s in perm.mapping}   # occupied basis -> token, named by its source
     for s, d in moves:
-        if s not in occupied:
+        if s not in holder:
             raise PlanError(f"move {s}->{d} reads an empty basis")
-        if d in occupied:
+        if d in holder:
             raise PlanError(f"move {s}->{d} overwrites an occupied basis")
-        token = holder.pop(s)
-        holder[d] = token
-        position[token] = d
-        occupied.discard(s)
-        occupied.add(d)
-    for token, where in position.items():
-        if where != perm.mapping[token]:
-            raise PlanError(
-                f"amplitude from basis {token} ended at {where}, wanted {perm.mapping[token]}")
+        holder[d] = holder.pop(s)
+    for token, want in perm.mapping.items():
+        if holder.get(want) != token:
+            where = next(basis for basis, held in holder.items() if held == token)
+            raise PlanError(f"amplitude from basis {token} ended at {where}, wanted {want}")
 
 
-def compile_moves(plan: PermutationPlan, n_qubits: int) -> Circuit:
-    """Three-step flag gadget per move on ``n_qubits`` data qubits plus a flag.
+def compile_moves(plan: PermutationPlan) -> Circuit:
+    """Three-step flag gadget per move on the plan's data qubits plus a flag.
 
     (i) flip the flag on the full polarity pattern of the source, (ii) flip
     every differing data bit controlled on the flag, (iii) flip the flag back
     on the full pattern of the destination.  Because every move lands on an
     empty basis, the flag returns to |0> exactly.
     """
-    if n_qubits != plan.n_qubits:
-        raise ValueError(f"plan is over {plan.n_qubits} qubits, got {n_qubits}")
+    n_qubits = plan.n_qubits
     flag, dim = n_qubits, 1 << n_qubits
     # every move draws on the same 2n controls and n flag CNOTs, and a basis
     # met again (one move's destination is often the next one's source) reuses

@@ -150,9 +150,10 @@ class BasisLayout:
         return cls(spec=spec, n_aux=n_aux, placements=tuple(enumerate(values)))
 
     @classmethod
-    def custom(cls, spec: CloneSpec, placements, n_aux: int = 0,
+    def custom(cls, spec: CloneSpec, placements,
                machine_complement: bool = True) -> "BasisLayout":
-        """Explicit placement; the amplitude multiset must match the ideal one."""
+        """Explicit placement on the 2(M-N) baseline qubits, no aux; the
+        amplitude multiset must match the ideal one."""
         placements = tuple((int(k), float(v)) for k, v in placements)
         got = sorted(v for _, v in placements)
         want = sorted(_required_values(spec))
@@ -160,7 +161,7 @@ class BasisLayout:
             abs(g - w) for g, w in zip(got, want)
         ) > 1e-9:
             raise ValueError("placement amplitudes do not match the required multiset")
-        return cls(spec=spec, n_aux=n_aux, placements=placements,
+        return cls(spec=spec, n_aux=0, placements=placements,
                    machine_complement=machine_complement)
 
 
@@ -172,8 +173,7 @@ def _required_values(spec: CloneSpec) -> list[float]:
     return vals
 
 
-def prep_for_spec(spec: CloneSpec, layout: BasisLayout | None = None) -> PrepTarget:
-    """Preparation target carrying every amplitude of the ideal output."""
-    if layout is None:
-        layout = BasisLayout.packed(spec)
+def prep_for_spec(layout: BasisLayout) -> PrepTarget:
+    """Preparation target carrying every amplitude of ``layout.spec``'s ideal
+    output, on the bases ``layout`` places them."""
     return PrepTarget(layout.coefficients())

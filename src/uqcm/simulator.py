@@ -8,7 +8,7 @@ of the clone reduced density matrices, and (d) residual population outside
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,20 +84,10 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "uqcm-verification/2",
-            "n_in": self.spec.n_in,
-            "m_out": self.spec.m_out,
-            "max_state_error": self.max_state_error,
-            "clone_fidelity_mean": self.clone_fidelity_mean,
-            "clone_fidelity_std": self.clone_fidelity_std,
-            "clone_symmetry_error": self.clone_symmetry_error,
-            "ancilla_purity_error": self.ancilla_purity_error,
-            "gate_counts": self.gate_counts,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        """Every field, with ``spec`` flattened to ``n_in`` and ``m_out``."""
+        fields = asdict(self)
+        return {"schema": "uqcm-verification/2", **fields.pop("spec"), **fields,
+                "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -47,16 +47,15 @@ def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     populated bases would otherwise leave no free basis (``BasisLayout.packed``).
     """
     layout = BasisLayout.packed(spec)
-    perm = build_permutation(spec, layout)
+    perm = build_permutation(layout)
     plan = schedule(perm)
     validate_plan(perm, plan)
 
     register = RegisterLayout(spec, layout.n_aux)
-    n_total, roles = register.n_qubits, register.roles()
     # the tree's qubits follow the inputs on the cloner register
-    prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(spec, layout)), offset=spec.n_in)
-    clone_stage = compile_moves(plan, n_total - 1)  # every qubit but the flag
-    circuit = Circuit(n_total, prep_stage.gates + clone_stage.gates, roles)
+    prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(layout)), offset=spec.n_in)
+    clone_stage = compile_moves(plan)
+    circuit = Circuit(register.n_qubits, prep_stage.gates + clone_stage.gates, register.roles())
     return SynthesisResult(
         spec=spec, circuit=circuit, layout=layout, permutation=perm, plan=plan,
         prep_cost=cnot_cost(prep_stage), clone_cost=cnot_cost(clone_stage))

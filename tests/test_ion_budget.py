@@ -38,7 +38,7 @@ def golden_minimum(f, lo, hi, iters=120):
 
 def numeric_min_over_x(spec, sp, params, override=None):
     def f(x):
-        return emission_probability(spec, sp, params, x=x,
+        return emission_probability(spec, sp, params, omega1_rabi=x * math.sqrt(params.gamma1),
                                     gate_count_override=override).p_total
     # bracket by decade scan, then refine
     xs = [10.0 ** k for k in range(-6, 30)]
@@ -108,7 +108,7 @@ class TestEmissionProbability:
     def test_requires_gamma1(self):
         params = TrapParams()
         with pytest.raises(ValueError):
-            emission_probability(SPEC12, load_species()["Ca+"], params, x=1.0)
+            emission_probability(SPEC12, load_species()["Ca+"], params, omega1_rabi=1.0)
 
     @pytest.mark.parametrize("gamma1", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_gamma1_rejected(self, gamma1):
@@ -124,9 +124,9 @@ class TestEmissionProbability:
 
     def test_linear_in_run_time(self, species):
         params = TrapParams(gamma1=1.0)
-        p1 = emission_probability(SPEC12, species["Ca+"], params, x=1e5,
+        p1 = emission_probability(SPEC12, species["Ca+"], params, omega1_rabi=1e5,
                                   gate_count_override=6)
-        p2 = emission_probability(SPEC12, species["Ca+"], params, x=1e5,
+        p2 = emission_probability(SPEC12, species["Ca+"], params, omega1_rabi=1e5,
                                   gate_count_override=12)
         assert p2.p_total == pytest.approx(2 * p1.p_total, rel=1e-12)
         assert p2.p1 == pytest.approx(2 * p1.p1, rel=1e-12)
@@ -134,14 +134,15 @@ class TestEmissionProbability:
     def test_stable_level_two_emits_nothing(self, species):
         sp = replace(species["Ca+"], gamma2=1e-30)
         params = TrapParams(gamma1=1.0)
-        probs = emission_probability(SPEC12, sp, params, x=1e5, gate_count_override=6)
+        probs = emission_probability(SPEC12, sp, params, omega1_rabi=1e5, gate_count_override=6)
         assert probs.p2 == pytest.approx(0.0, abs=1e-40)
 
     @pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_nonpositive_x(self, species, x):
         params = TrapParams(gamma1=1.0)
-        with pytest.raises(ValueError, match="finite positive operating point"):
-            emission_probability(SPEC12, species["Ca+"], params, x=x)
+        # at gamma1 = 1 the operating point x is omega1_rabi itself
+        with pytest.raises(ValueError, match="omega1_rabi must be finite and positive"):
+            emission_probability(SPEC12, species["Ca+"], params, omega1_rabi=x)
 
     def test_optimum_matches_analytic_minimum(self, species):
         # oracle: min over x of a/x + b x is 2 sqrt(a b); probe the curve directly
@@ -280,9 +281,12 @@ class TestDimensionalConsistency:
         p_scaled = min_emission_probability(SPEC12, scaled, params_scaled,
                                             gate_count_override=6)
         assert p_scaled == pytest.approx(p, rel=1e-12)
-        e = emission_probability(SPEC12, sp, params, x=1e4, gate_count_override=6)
+        e = emission_probability(SPEC12, sp, params, omega1_rabi=1e4 * math.sqrt(params.gamma1),
+                                 gate_count_override=6)
         e_scaled = emission_probability(SPEC12, scaled, params_scaled,
-                                        x=1e4 * math.sqrt(lam), gate_count_override=6)
+                                        omega1_rabi=1e4 * math.sqrt(lam)
+                                        * math.sqrt(params_scaled.gamma1),
+                                        gate_count_override=6)
         assert e_scaled.p_total == pytest.approx(e.p_total, rel=1e-12)
 
 

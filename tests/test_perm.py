@@ -31,27 +31,27 @@ def one_to_two_layout():
 
 class TestBuildPermutation:
     def test_one_to_two_reproduces_the_reference_table(self):
-        perm = build_permutation(CloneSpec(1, 2), one_to_two_layout())
+        perm = build_permutation(one_to_two_layout())
         assert perm.mapping == ONE_TO_TWO_TABLE
         assert perm.universal_routing
 
     def test_two_to_four_anchor_rows(self):
         spec = CloneSpec(2, 4)
-        perm = build_permutation(spec, BasisLayout.packed(spec))
+        perm = build_permutation(BasisLayout.packed(spec))
         assert perm.mapping[0b000000] == 0b000011
         assert perm.mapping[0b110000] == 0b111100
 
     def test_identity_rows_survive_and_compile_to_nothing(self):
-        perm = build_permutation(CloneSpec(1, 2), one_to_two_layout())
+        perm = build_permutation(one_to_two_layout())
         assert perm.mapping[0b000] == 0b000
         assert perm.mapping[0b011] == 0b011
-        circ = compile_moves(schedule(perm), 3)
+        circ = compile_moves(schedule(perm))
         # five moves of (2 pattern flips + bit flips) each; fixed rows add nothing
         assert sum(1 for g in circ.gates if g.kind == "mcx") == 10
 
     def test_default_one_to_two_block_size(self):
         spec = CloneSpec(1, 2)
-        perm = build_permutation(spec, BasisLayout.packed(spec))
+        perm = build_permutation(BasisLayout.packed(spec))
         assert len(perm.mapping) == 6
         assert perm.universal_routing
 
@@ -70,7 +70,7 @@ class TestBuildPermutation:
         # mixed source 0b01000's own basis already receives the all-zeros
         # source 0b00010, so it goes to the first free aux-clean basis, 0b00000
         spec = CloneSpec(2, 3)
-        perm = build_permutation(spec, BasisLayout.packed(spec))
+        perm = build_permutation(BasisLayout.packed(spec))
         assert perm.mapping == {
             0b00000: 0b00010, 0b00001: 0b00100, 0b00010: 0b01000, 0b00011: 0b10000,
             0b01000: 0b00000, 0b01001: 0b00110, 0b01010: 0b01010, 0b01011: 0b01100,
@@ -80,7 +80,7 @@ class TestBuildPermutation:
 
     def test_mixed_patterns_flagged_when_not_value_matchable(self):
         spec = CloneSpec(2, 4)
-        perm = build_permutation(spec, BasisLayout.packed(spec))
+        perm = build_permutation(BasisLayout.packed(spec))
         assert not perm.universal_routing  # amplitude multiset cannot split across blocks
 
     def test_mixed_weights_have_too_few_destinations_to_match(self):
@@ -106,7 +106,7 @@ class TestBuildPermutation:
     def test_single_input_specs_route_universally(self):
         for m in (2, 3, 4):
             spec = CloneSpec(1, m)
-            perm = build_permutation(spec, BasisLayout.packed(spec))
+            perm = build_permutation(BasisLayout.packed(spec))
             assert perm.universal_routing
             # one block per input pattern, each carrying every populated basis
             assert len(perm.mapping) == 2 * basis_count(spec)
@@ -130,13 +130,40 @@ class TestSchedule:
 
     def test_validator_rejects_overwrites(self):
         perm = PermutationSpec(3, dict(ONE_TO_TWO_TABLE))
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="move 1->5 overwrites an occupied basis"):
             validate_plan(perm, ((0b001, 0b101),))  # |101> still occupied
 
     def test_validator_rejects_wrong_final_positions(self):
         perm = PermutationSpec(2, {0: 1})
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="amplitude from basis 0 ended at 3, wanted 1"):
             validate_plan(perm, ((0, 2), (2, 3)))
+
+    def test_validator_rejects_reads_of_empty_bases(self):
+        perm = PermutationSpec(3, dict(ONE_TO_TWO_TABLE))
+        with pytest.raises(PlanError, match="move 2->6 reads an empty basis"):
+            validate_plan(perm, ((0b010, 0b110),))  # nothing sits on |010>
+
+    def test_validator_reports_the_first_misplaced_source_in_mapping_order(self):
+        # no move at all: sources 3 and then 1 are both off target
+        perm = PermutationSpec(2, {3: 0, 2: 2, 1: 3})
+        with pytest.raises(PlanError, match="amplitude from basis 3 ended at 3, wanted 0"):
+            validate_plan(perm, ())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_validator_rejects_broken_scheduler_plans(self, seed):
+        rng = np.random.default_rng(seed)
+        perm = PermutationSpec(4, {int(s): int(d) for s, d in zip(
+            rng.choice(16, size=12, replace=False), rng.choice(16, size=12, replace=False))})
+        moves = schedule(perm).moves
+        assert moves
+        validate_plan(perm, moves)
+        # the last move puts its amplitude on its destination; without it
+        # that amplitude stays where it was
+        with pytest.raises(PlanError, match="ended at"):
+            validate_plan(perm, moves[:-1])
+        # the first move run twice finds its source vacated the second time
+        with pytest.raises(PlanError, match=f"move {moves[0][0]}->{moves[0][1]} reads an empty"):
+            validate_plan(perm, moves[:1] + moves)
 
     def test_random_partial_permutations_replay(self):
         rng = np.random.default_rng(77)
@@ -157,7 +184,7 @@ class TestSchedule:
 class TestCompileMoves:
     def test_single_move_structure(self):
         perm = PermutationSpec(3, {0b101: 0b010})
-        circ = compile_moves(schedule(perm), 3)
+        circ = compile_moves(schedule(perm))
         kinds = [g.kind for g in circ.gates]
         assert kinds == ["mcx", "cnot", "cnot", "cnot", "mcx"]  # all three bits differ
         assert circ.gates[0].target == 3 and circ.gates[-1].target == 3
@@ -167,8 +194,8 @@ class TestCompileMoves:
     def test_compiled_one_to_two_clones_both_basis_inputs(self):
         spec = CloneSpec(1, 2)
         layout = one_to_two_layout()
-        perm = build_permutation(spec, layout)
-        circ = compile_moves(schedule(perm), 3)
+        perm = build_permutation(layout)
+        circ = compile_moves(schedule(perm))
         prep = StateVector(layout.coefficients().astype(complex))
         for b in (0, 1):
             inp = StateVector.basis(1, b).tensor(prep).tensor(StateVector.basis(1, 0))
@@ -180,9 +207,9 @@ class TestCompileMoves:
     def test_compiled_two_to_four_reaches_the_fifteen_base_state(self):
         spec = CloneSpec(2, 4)
         layout = BasisLayout.packed(spec)
-        perm = build_permutation(spec, layout)
+        perm = build_permutation(layout)
         plan = schedule(perm)
-        circ = compile_moves(plan, 6)
+        circ = compile_moves(plan)
         prep = StateVector(layout.coefficients().astype(complex))
         inp = StateVector.basis(2, 0).tensor(prep).tensor(StateVector.basis(1, 0))
         out = apply(circ, inp)
@@ -192,8 +219,8 @@ class TestCompileMoves:
     def test_flag_disentangles_for_superposition_inputs(self):
         spec = CloneSpec(1, 3)
         layout = BasisLayout.packed(spec)
-        perm = build_permutation(spec, layout)
-        circ = compile_moves(schedule(perm), 5)
+        perm = build_permutation(layout)
+        circ = compile_moves(schedule(perm))
         prep = StateVector(layout.coefficients().astype(complex))
         rng = np.random.default_rng(9)
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -204,7 +231,7 @@ class TestCompileMoves:
 
     def test_compiled_circuit_is_classical_reversible(self):
         perm = PermutationSpec(3, dict(ONE_TO_TWO_TABLE))
-        circ = compile_moves(schedule(perm), 3)
+        circ = compile_moves(schedule(perm))
         for basis in range(16):
             out = apply(circ, StateVector.basis(4, basis))
             nonzero = np.abs(out.amps) > 1e-12
@@ -215,18 +242,18 @@ class TestCompileMoves:
     def test_out_of_range_move_rejected(self, move):
         # a hand-built plan: its bases must lie in the 2^3 register
         with pytest.raises(ValueError, match="out of range"):
-            compile_moves(PermutationPlan(3, (move,)), 3)
+            compile_moves(PermutationPlan(3, (move,)))
 
     def test_cost_bound_per_move(self):
         spec = CloneSpec(2, 4)
-        perm = build_permutation(spec, BasisLayout.packed(spec))
+        perm = build_permutation(BasisLayout.packed(spec))
         plan = schedule(perm)
-        circ = compile_moves(plan, 6)
+        circ = compile_moves(plan)
         assert cnot_cost(circ) <= 3 * len(plan.moves) * 6 ** 2
 
     def test_fixed_points_emit_nothing(self):
         perm = PermutationSpec(2, {1: 1, 2: 2})
-        circ = compile_moves(schedule(perm), 2)
+        circ = compile_moves(schedule(perm))
         assert len(circ) == 0
 
     @pytest.mark.parametrize("nm", [(2, 4), (3, 6)])
@@ -234,7 +261,7 @@ class TestCompileMoves:
         # the flag CNOTs and each basis's flag flip are built once, however
         # many moves reach that basis; building per move fails here
         spec = CloneSpec(*nm)
-        plan = schedule(build_permutation(spec, BasisLayout.packed(spec)))
+        plan = schedule(build_permutation(BasisLayout.packed(spec)))
         built = []
         post_init = Gate.__post_init__
 
@@ -243,11 +270,6 @@ class TestCompileMoves:
             post_init(gate)
 
         monkeypatch.setattr(Gate, "__post_init__", counted)
-        circ = compile_moves(plan, plan.n_qubits)
+        circ = compile_moves(plan)
         monkeypatch.undo()
         assert len(built) == len(set(circ.gates)) < len(circ.gates)
-
-    def test_width_mismatch_rejected(self):
-        perm = PermutationSpec(3, {0: 1})
-        with pytest.raises(ValueError):
-            compile_moves(schedule(perm), 4)

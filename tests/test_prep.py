@@ -112,18 +112,18 @@ class TestEmitCircuit:
 
 class TestPrepForSpec:
     def test_one_to_two_values(self):
-        target = prep_for_spec(CloneSpec(1, 2))
+        target = prep_for_spec(BasisLayout.packed(CloneSpec(1, 2)))
         np.testing.assert_allclose(target.coeffs, [SQ(2 / 3), SQ(1 / 6), SQ(1 / 6), 0.0],
                                    atol=1e-14)
 
     def test_two_to_four_is_the_packed_fifteen_amplitude_state(self):
-        target = prep_for_spec(CloneSpec(2, 4))
+        target = prep_for_spec(BasisLayout.packed(CloneSpec(2, 4)))
         np.testing.assert_allclose(target.coeffs, eq_two_to_four_target().coeffs, atol=1e-14)
 
     def test_aux_variant_enlarges_register(self):
         layout = BasisLayout.packed(CloneSpec(3, 6))
         assert layout.n_aux == 1 and layout.prep_qubits == 7
-        target = prep_for_spec(CloneSpec(3, 6), layout)
+        target = prep_for_spec(layout)
         assert target.n_qubits == 7
         assert int(np.sum(target.coeffs > 0)) == 84
 
@@ -144,7 +144,7 @@ class TestPrepForSpec:
         spec = CloneSpec(1, 2)
         good = BasisLayout.custom(spec, [(0, SQ(2 / 3)), (1, SQ(1 / 6)), (3, SQ(1 / 6))])
         np.testing.assert_allclose(
-            prep_for_spec(spec, good).coeffs, [SQ(2 / 3), SQ(1 / 6), 0.0, SQ(1 / 6)], atol=1e-14)
+            prep_for_spec(good).coeffs, [SQ(2 / 3), SQ(1 / 6), 0.0, SQ(1 / 6)], atol=1e-14)
         with pytest.raises(ValueError):
             BasisLayout.custom(spec, [(0, SQ(1 / 2)), (1, SQ(1 / 4)), (3, SQ(1 / 4))])
 
