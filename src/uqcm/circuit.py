@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ def _is_finite(theta: int | float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     target: int
@@ -54,6 +54,8 @@ class Gate:
     theta: float | None = None
     # the highest qubit the gate touches, for the register-bound check
     top_qubit: int = field(init=False, repr=False, compare=False)
+    # cnot_cost(), summed by cnot_cost(circuit) without a call per gate
+    cnot_eq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the rules a circuit file is loaded by, so whatever to_json writes
@@ -89,6 +91,7 @@ class Gate:
             raise ValueError(f"{self.kind} gate takes no theta")
         if self.kind == "cnot" and len(controls) != 1:
             raise ValueError("cnot requires exactly one control")
+        object.__setattr__(self, "cnot_eq", self.cnot_cost())
 
     def inverse(self) -> "Gate":
         if self.kind == "roty":
@@ -101,6 +104,23 @@ class Gate:
             return 0
         flips = 1 if c == 1 else (c if aux_available else c * c)
         return 2 * flips if self.kind in ROTATION_KINDS else flips
+
+
+def _bit_tables(options: list[tuple[tuple, tuple]]) -> tuple[list[tuple], list[tuple], int]:
+    """Tables ``(high, low, shift)`` that give, for an index z over
+    ``len(options)`` bits (bit i of z its i-th most significant), the
+    concatenation over i of ``options[i][bit i of z]`` as
+    ``high[z >> shift] + low[z & (1 << shift) - 1]``.  Each table covers half
+    the bits, so building them costs 2^(n/2) concatenations, not 2^n.
+    """
+    def table(half):
+        rows = [()]
+        for zero, one in half:
+            rows = [row + option for row in rows for option in (zero, one)]
+        return rows
+
+    split = len(options) // 2
+    return table(options[:split]), table(options[split:]), len(options) - split
 
 
 @dataclass(frozen=True)
@@ -351,9 +371,15 @@ def _span(shift: int, images: list[int]) -> np.ndarray:
     return out
 
 
+_CNOT_EQ = attrgetter("cnot_eq")
+
+
 def cnot_cost(circuit: Circuit, aux_available: bool = False) -> int:
-    """Total CNOT-equivalent cost; additive over concatenation."""
-    return sum(g.cnot_cost(aux_available) for g in circuit.gates)
+    """Total CNOT-equivalent cost; additive over concatenation.  Without aux
+    it sums the cost each gate stored when it was built."""
+    if aux_available:
+        return sum(g.cnot_cost(True) for g in circuit.gates)
+    return sum(map(_CNOT_EQ, circuit.gates))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -481,9 +507,12 @@ def _read_written(text: str) -> Circuit | None:
     The trailer must be the one ``_trailer`` writes for the register size and
     roles it holds, and each gate text must be one ``_gate_text`` could write
     (``_read_gate``), so whatever this accepts ``_load`` reads to an equal
-    circuit.  The gates array is read in one forward scan: each gate text is
-    sliced out, looked up and dropped, so only the distinct texts stay alive,
-    as the memo's keys.  It raises nothing of its own; a circuit that
+    circuit.  The gates array is read forward in chunks of about ``_CHUNK``
+    characters, each cut at a separator and split at every separator by
+    ``str.split``; each gate text is looked up in a memo whose misses
+    ``_read_gate`` reads, so the per-gate scan runs in C, and only the
+    distinct texts stay alive, as the memo's keys.  The first text read as
+    no gate ends the read.  It raises nothing of its own; a circuit that
     ``Circuit`` rejects raises as it would from ``_load``.
     """
     if type(text) is not str or not text.startswith(_GATES_OPEN):
@@ -510,22 +539,48 @@ def _read_written(text: str) -> Circuit | None:
                   for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
     # separators are looked for only inside the array: the opening and the
     # trailer hold none, and part of one overlapping either stays on the
-    # first or last gate text, which _read_gate then rejects
-    memo: dict[str, Gate] = {}
-    gates = []
+    # first or last gate text, which _read_gate then rejects.  The array is
+    # split a chunk at a time, each cut at a separator, so only one chunk's
+    # pieces are alive at once.
+    memo = _GateMemo(control_at)
+    gates: list[Gate] = []
     start = len(_GATES_OPEN)
-    while True:
-        stop = text.find(_GATE_SEP, start, end)
-        piece = text[start:end if stop < 0 else stop]
-        gate = memo.get(piece)
+    try:
+        while True:
+            cut = text.find(_GATE_SEP, start + _CHUNK, end)
+            stop = end if cut < 0 else cut
+            gates += map(memo.__getitem__, text[start:stop].split(_GATE_SEP))
+            if cut < 0:
+                return Circuit(n_qubits, tuple(gates), roles or None)
+            start = cut + len(_GATE_SEP)
+    except _Rejected:
+        return None
+
+
+# _read_written splits the gates array in chunks of this many characters,
+# each run on to the next separator
+_CHUNK = 16 * 1024
+
+
+class _Rejected(Exception):
+    """A gate text that ``_gate_text`` could not have written."""
+
+
+class _GateMemo(dict):
+    """The gate of each distinct gate text met so far; a text met for the
+    first time is read by ``_read_gate``, and raises ``_Rejected`` if it
+    reads as no gate."""
+
+    def __init__(self, control_at: dict[str, Control]) -> None:
+        super().__init__()
+        self.control_at = control_at
+
+    def __missing__(self, piece: str) -> Gate:
+        gate = _read_gate(piece, self.control_at)
         if gate is None:
-            gate = memo[piece] = _read_gate(piece, control_at)
-            if gate is None:
-                return None
-        gates.append(gate)
-        if stop < 0:
-            return Circuit(n_qubits, tuple(gates), roles or None)
-        start = stop + len(_GATE_SEP)
+            raise _Rejected
+        self[piece] = gate
+        return gate
 
 
 def _read_gate(piece: str, control_at: dict[str, Control]) -> Gate | None:

@@ -20,12 +20,13 @@ computational inputs, and ``universal_routing`` reports which.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate
+from .circuit import Circuit, Control, Gate, _bit_tables
 from .cloner_math import AMP_EPS, weight_components
 from .prep import BasisLayout
 
@@ -178,36 +179,57 @@ def build_permutation(layout: BasisLayout) -> PermutationSpec:
 def schedule(perm: PermutationSpec) -> PermutationPlan:
     """Order the moves so every destination is empty when written.
 
-    Chains are unwound from their open end; cycles are broken by parking the
-    smallest pending source in the smallest currently free basis.
+    Moves go in rounds, each in increasing source order: a source moves once
+    its destination is empty, so chains unwind from their open end.  The
+    mapping is injective, so moving s readies at most the one source waiting
+    on s: it moves in this round if it is larger than s, else in the next.
+    A heap of the ready sources keeps this order in O(moves log moves),
+    however many rounds there are.  When a round moves nothing, every pending
+    source lies on a cycle; the smallest one is parked in the smallest free
+    basis, and its cycle then unwinds one move at a time, backward, ending
+    with the parked amplitude.  That frees the buffer again, so every cycle
+    uses the same one.
     """
     pending = {s: d for s, d in perm.mapping.items() if s != d}
-    occupied = set(perm.mapping)
+    # a pending source's destination holds either nothing or a pending source
+    waiting = {d: s for s, d in pending.items() if d in pending}
+    ready = [s for s, d in pending.items() if d not in pending]
     moves: list[tuple[int, int]] = []
-    dim = 2 ** perm.n_qubits
-    while pending:
-        progressed = True
-        while progressed:
-            progressed = False
-            for s in sorted(pending):
-                d = pending[s]
-                if d not in occupied:
-                    moves.append((s, d))
-                    occupied.discard(s)
-                    occupied.add(d)
-                    del pending[s]
-                    progressed = True
-        if pending:
-            buf = next((z for z in range(dim) if z not in occupied), None)
-            if buf is None:
-                raise ScheduleError(
-                    "every basis is occupied, so no cycle can be broken; "
-                    "the mapping must leave at least one basis free")
-            s0 = min(pending)
-            moves.append((s0, buf))
-            occupied.discard(s0)
-            occupied.add(buf)
-            pending[buf] = pending.pop(s0)
+    while ready:
+        heapq.heapify(ready)
+        later = []
+        while ready:
+            s = heapq.heappop(ready)
+            moves.append((s, pending.pop(s)))
+            w = waiting.pop(s, None)
+            if w is None:
+                continue
+            if w > s:
+                heapq.heappush(ready, w)
+            else:
+                later.append(w)
+        ready = later
+    if not pending:
+        return PermutationPlan(n_qubits=perm.n_qubits, moves=tuple(moves))
+    # no move changes how many bases are occupied
+    if len(perm.mapping) == 2 ** perm.n_qubits:
+        raise ScheduleError(
+            "every basis is occupied, so no cycle can be broken; "
+            "the mapping must leave at least one basis free")
+    # a pending amplitude sits on its source, every other on its destination
+    occupied = set(pending).union(d for s, d in perm.mapping.items() if s not in pending)
+    buf = next(z for z in itertools.count() if z not in occupied)
+    for s0 in sorted(pending):
+        if s0 not in pending:   # on a cycle already unwound
+            continue
+        d0 = pending.pop(s0)
+        moves.append((s0, buf))
+        s, w = s0, waiting.pop(s0)
+        while w != s0:   # back along the cycle to d0, whose waiter was s0
+            del pending[w]
+            moves.append((w, s))
+            s, w = w, waiting.pop(w)
+        moves.append((buf, d0))
     return PermutationPlan(n_qubits=perm.n_qubits, moves=tuple(moves))
 
 
@@ -240,17 +262,20 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
     flag, dim = n_qubits, 1 << n_qubits
     # every move draws on the same 2n controls and n flag CNOTs, and a basis
     # met again (one move's destination is often the next one's source) reuses
-    # its flag flip; each gate is built once
-    polarities = [(Control(q, False), Control(q, True)) for q in range(n_qubits)]
-    flips = [Gate("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
+    # its flag flip; each gate is built once.  A basis's full pattern and a
+    # move's flag CNOTs each join a high-bit and a low-bit table entry (qubit
+    # 0 is the most significant bit).
+    high, low, shift = _bit_tables(
+        [((Control(q, False),), (Control(q, True),)) for q in range(n_qubits)])
+    flips_high, flips_low, _ = _bit_tables(
+        [((), (Gate("cnot", q, (Control(flag, True),)),)) for q in range(n_qubits)])
+    mask = (1 << shift) - 1
     patterns: dict[int, Gate] = {}
-    width = f"0{n_qubits}b"   # qubit 0 is the most significant bit
 
     def flag_flip(z: int) -> Gate:
         gate = patterns.get(z)
         if gate is None:
-            gate = patterns[z] = Gate("mcx", flag, tuple(
-                pair[bit == "1"] for pair, bit in zip(polarities, format(z, width))))
+            gate = patterns[z] = Gate("mcx", flag, high[z >> shift] + low[z & mask])
         return gate
 
     gates: list[Gate] = []
@@ -260,7 +285,8 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
         if s == d:
             continue
         gates.append(flag_flip(s))
-        gates.extend(flips[q] for q, bit in enumerate(format(s ^ d, width)) if bit == "1")
+        differ = s ^ d
+        gates += flips_high[differ >> shift]
+        gates += flips_low[differ & mask]
         gates.append(flag_flip(d))
     return Circuit(n_qubits + 1, tuple(gates))
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate
+from .circuit import Circuit, Control, Gate, _bit_tables
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
@@ -90,12 +90,14 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     smallest register that holds it, ``offset + n`` qubits.
     """
     n = angles.n_qubits
-    polarities = [(Control(offset + q, False), Control(offset + q, True)) for q in range(n)]
+    polarities = [((Control(offset + q, False),), (Control(offset + q, True),)) for q in range(n)]
     gates = []
-    for lev in range(1, n + 1):
-        for b, theta in enumerate(angles.levels[lev - 1]):
-            controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
-            gates.append(Gate("utheta", offset + lev - 1, controls, theta))
+    for q, level in enumerate(angles.levels):
+        # each branch's controls from its high and low bits' tables
+        high, low, shift = _bit_tables(polarities[:q])
+        mask = (1 << shift) - 1
+        gates += [Gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta)
+                  for b, theta in enumerate(level)]
     return Circuit(offset + n, tuple(gates))
 
 

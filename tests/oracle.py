@@ -20,7 +20,10 @@ they are compared on, ``flip_heavy_circuit`` the long flip runs that
 ``apply`` turns into one basis permutation each, and ``multiplexed_circuit``
 the runs of rotations on one target and control set that it applies as one
 grouped update each.  ``flip_sources_by_gate`` composes a flip run's basis
-permutation one gate's index array at a time.
+permutation one gate's index array at a time.  ``schedule_by_rescan`` orders
+a permutation's moves by rescanning every pending move each round, and
+``compile_moves_by_bit`` and ``emit_prep_circuit_by_bit`` build each gate's
+controls one bit at a time.
 """
 from __future__ import annotations
 
@@ -30,9 +33,10 @@ from itertools import combinations
 
 import numpy as np
 
-from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, RegisterLayout,
-                  StateVector, VerificationReport, alphas, cnot_cost, fidelity_against_pure,
-                  ideal_output, partial_trace)
+from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, PermutationPlan,
+                  PermutationSpec, RegisterLayout, ScheduleError, StateVector,
+                  VerificationReport, alphas, cnot_cost, fidelity_against_pure, ideal_output,
+                  partial_trace)
 from uqcm.circuit import (_CONTROL, _CONTROLS_CLOSE, _CONTROLS_OPEN, _GATE_SEP, _GATES_CLOSE,
                           _GATES_OPEN, _NO_CONTROLS, _TARGET, _THETA, CIRCUIT_SCHEMA,
                           ROTATION_KINDS, _control_texts, _gate_text, _read_number, _trailer)
@@ -382,3 +386,76 @@ def multiplexed_circuit(n, seed, n_runs=8):
             controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
             gates.append(Gate("mcx" if k else "x", int(qubits[0]), controls))
     return Circuit(n, tuple(gates))
+
+
+def schedule_by_rescan(perm: PermutationSpec) -> PermutationPlan:
+    """The move order ``uqcm.schedule`` gives, found by rescanning every
+    pending move in source order, round after round, until a round moves
+    nothing; then the smallest pending source is parked in the smallest free
+    basis.  O(rounds x pending)."""
+    pending = {s: d for s, d in perm.mapping.items() if s != d}
+    occupied = set(perm.mapping)
+    moves: list[tuple[int, int]] = []
+    dim = 2 ** perm.n_qubits
+    while pending:
+        progressed = True
+        while progressed:
+            progressed = False
+            for s in sorted(pending):
+                d = pending[s]
+                if d not in occupied:
+                    moves.append((s, d))
+                    occupied.discard(s)
+                    occupied.add(d)
+                    del pending[s]
+                    progressed = True
+        if pending:
+            buf = next((z for z in range(dim) if z not in occupied), None)
+            if buf is None:
+                raise ScheduleError(
+                    "every basis is occupied, so no cycle can be broken; "
+                    "the mapping must leave at least one basis free")
+            s0 = min(pending)
+            moves.append((s0, buf))
+            occupied.discard(s0)
+            occupied.add(buf)
+            pending[buf] = pending.pop(s0)
+    return PermutationPlan(n_qubits=perm.n_qubits, moves=tuple(moves))
+
+
+def compile_moves_by_bit(plan: PermutationPlan) -> Circuit:
+    """The circuit ``uqcm.compile_moves`` gives, each basis's full control
+    pattern and each move's flag CNOTs read off its bits one at a time."""
+    n_qubits = plan.n_qubits
+    flag, dim = n_qubits, 1 << n_qubits
+    polarities = [(Control(q, False), Control(q, True)) for q in range(n_qubits)]
+    flips = [Gate("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
+    width = f"0{n_qubits}b"   # qubit 0 is the most significant bit
+
+    def flag_flip(z: int) -> Gate:
+        return Gate("mcx", flag, tuple(
+            pair[bit == "1"] for pair, bit in zip(polarities, format(z, width))))
+
+    gates: list[Gate] = []
+    for s, d in plan.moves:
+        if not (0 <= s < dim and 0 <= d < dim):
+            raise ValueError(f"move {s}->{d} out of range for {n_qubits} qubits")
+        if s == d:
+            continue
+        gates.append(flag_flip(s))
+        gates.extend(flips[q] for q, bit in enumerate(format(s ^ d, width)) if bit == "1")
+        gates.append(flag_flip(d))
+    return Circuit(n_qubits + 1, tuple(gates))
+
+
+def emit_prep_circuit_by_bit(angles: AngleTree, offset: int = 0) -> Circuit:
+    """The circuit ``uqcm.emit_prep_circuit`` gives, each branch's controls
+    read off the bits of its index one at a time."""
+    n = angles.n_qubits
+    polarities = [(Control(offset + q, False), Control(offset + q, True)) for q in range(n)]
+    gates = []
+    for lev in range(1, n + 1):
+        for b, theta in enumerate(angles.levels[lev - 1]):
+            controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
+            gates.append(Gate("utheta", offset + lev - 1, controls, theta))
+    return Circuit(offset + n, tuple(gates))

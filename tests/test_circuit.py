@@ -82,6 +82,57 @@ class TestCost:
         assert cnot_cost(Circuit(4, a.gates + b.gates)) == cnot_cost(a) + cnot_cost(b)
 
 
+def gates_of_every_kind(max_controls=4):
+    """Each kind with 0 to ``max_controls`` mixed-polarity controls, where the
+    kind allows that many."""
+    for kind in ("roty", "utheta", "x", "cnot", "mcx"):
+        for c in range(max_controls + 1):
+            if kind == "cnot" and c != 1:
+                continue
+            controls = tuple(Control(q, q % 2 == 0) for q in range(1, c + 1))
+            yield Gate(kind, 0, controls, 0.25 if kind in ("roty", "utheta") else None)
+
+
+class TestStoredCost:
+    def test_stored_cost_is_the_method_cost(self):
+        gates = list(gates_of_every_kind())
+        assert len(gates) == 21
+        for g in gates:
+            assert g.cnot_eq == g.cnot_cost() == g.cnot_cost(aux_available=False), g
+        assert cnot_cost(Circuit(5, tuple(gates))) == sum(g.cnot_cost() for g in gates)
+
+    def test_aux_costs_are_unchanged(self):
+        # a c-control flip costs c with aux (1 for c = 1), a rotation twice that
+        for g in gates_of_every_kind():
+            c = len(g.controls)
+            want = (2 if g.kind in ("roty", "utheta") else 1) * c
+            assert g.cnot_cost(aux_available=True) == want, g
+        gates = tuple(gates_of_every_kind())
+        assert cnot_cost(Circuit(5, gates), aux_available=True) == 2 * 2 * 10 + 2 * 10 + 1
+
+    def test_stored_cost_is_kept_out_of_repr_equality_and_hash(self):
+        gate = Gate("mcx", 0, (Control(1, True), Control(2, False)))
+        assert gate.cnot_eq == 4
+        assert "cnot_eq" not in repr(gate)
+        other = Gate("mcx", 0, (Control(1, True), Control(2, False)))
+        object.__setattr__(other, "cnot_eq", 5)   # as if stored wrongly
+        assert gate == other and hash(gate) == hash(other)
+
+    def test_replaced_gate_gets_its_own_cost(self):
+        gate = Gate("cnot", 0, (Control(1, True),))
+        wider = dataclasses.replace(gate, kind="mcx", controls=gate.controls + (Control(4, False),))
+        rotation = dataclasses.replace(wider, kind="roty", theta=0.5)
+        assert [g.cnot_eq for g in (gate, wider, rotation)] == [1, 4, 8]
+        assert [g.top_qubit for g in (gate, wider, rotation)] == [1, 4, 4]
+
+    @pytest.mark.parametrize("name", ["cnot_eq", "top_qubit", "target", "controls"])
+    def test_gate_is_frozen(self, name):
+        gate = Gate("x", 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gate, name, 3)
+        assert not hasattr(gate, "__dict__")   # slots: no per-gate dict
+
+
 class TestInverse:
     def test_cnot_self_inverse(self):
         circ = Circuit(2, (Gate("cnot", 1, (Control(0, True),)),))

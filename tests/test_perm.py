@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import SWEEP
+from oracle import compile_moves_by_bit, schedule_by_rescan
 
 from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, basis_count, build_permutation,
@@ -181,6 +183,62 @@ class TestSchedule:
             schedule(perm)
 
 
+def schedule_outcome(scheduler, perm):
+    """The moves a scheduler gives, or the ScheduleError message it raises."""
+    try:
+        return scheduler(perm).moves
+    except ScheduleError as exc:
+        return f"ScheduleError: {exc}"
+
+
+class TestScheduleMatchesRescan:
+    """``schedule`` keeps the order of the rescanning scheduler it replaced:
+    rounds in increasing source order, a cycle broken by parking the
+    smallest pending source in the smallest free basis."""
+
+    def test_sweep_permutations(self, sweep_results):
+        for nm in SWEEP:
+            result = sweep_results[nm]
+            want = schedule_by_rescan(result.permutation).moves
+            assert schedule(result.permutation).moves == want == result.plan.moves, nm
+
+    def test_four_to_eight(self):
+        perm = build_permutation(BasisLayout.packed(CloneSpec(4, 8)))
+        moves = schedule(perm).moves
+        assert moves == schedule_by_rescan(perm).moves
+        validate_plan(perm, moves)
+        # it takes cycle breaks as well as chains
+        assert len(moves) > sum(1 for s, d in perm.mapping.items() if s != d)
+
+    def test_random_partial_injections(self):
+        # every size from empty to full occupation, on 1 to 6 qubits
+        rng = np.random.default_rng(2121)
+        outcomes = {"moves": 0, "error": 0, "full": 0}
+        for _ in range(2400):
+            n = int(rng.integers(1, 7))
+            dim = 2 ** n
+            size = int(rng.integers(0, dim + 1))
+            perm = PermutationSpec(n, {int(s): int(d) for s, d in zip(
+                rng.choice(dim, size=size, replace=False),
+                rng.choice(dim, size=size, replace=False))})
+            got = schedule_outcome(schedule, perm)
+            assert got == schedule_outcome(schedule_by_rescan, perm), perm
+            outcomes["error" if isinstance(got, str) else "moves"] += 1
+            outcomes["full"] += size == dim
+            if not isinstance(got, str):
+                validate_plan(perm, got)
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_reversed_chain_takes_one_round_per_move(self):
+        # source i waits on i + 1, so the rescan moves one source per round,
+        # K rounds over up to K pending sources; the heap moves each once
+        k = 2 ** 12
+        perm = PermutationSpec(13, {i: i + 1 for i in range(k)})
+        plan = schedule(perm)
+        assert plan.moves == tuple((i, i + 1) for i in reversed(range(k)))
+        validate_plan(perm, plan)
+
+
 class TestCompileMoves:
     def test_single_move_structure(self):
         perm = PermutationSpec(3, {0b101: 0b010})
@@ -255,6 +313,20 @@ class TestCompileMoves:
         perm = PermutationSpec(2, {1: 1, 2: 2})
         circ = compile_moves(schedule(perm))
         assert len(circ) == 0
+
+    @pytest.mark.parametrize("width", range(1, 15))
+    def test_tables_build_the_per_bit_gates(self, width):
+        # random moves, fixed points and repeats among them, on odd and even
+        # widths: each gate equals the one its bits spell out one at a time
+        rng = np.random.default_rng(width)
+        dim = 2 ** width
+        moves = [(int(s), int(d)) for s, d in rng.integers(0, dim, size=(300, 2))]
+        moves += [moves[0], (moves[1][0], moves[1][0]), (0, dim - 1), (dim - 1, 0)]
+        plan = PermutationPlan(width, tuple(moves))
+        circ = compile_moves(plan)
+        want = compile_moves_by_bit(plan)
+        assert circ.n_qubits == want.n_qubits == width + 1
+        assert circ.gates == want.gates
 
     @pytest.mark.parametrize("nm", [(2, 4), (3, 6)])
     def test_builds_each_distinct_gate_once(self, nm, monkeypatch):

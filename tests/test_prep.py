@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracle import angle_tree_coefficients
+from oracle import angle_tree_coefficients, emit_prep_circuit_by_bit
 
-from uqcm import (BasisLayout, CloneSpec, PrepTarget, apply, basis_count, cnot_cost,
+from uqcm import (AngleTree, BasisLayout, CloneSpec, PrepTarget, apply, basis_count, cnot_cost,
                   emit_prep_circuit, prep_for_spec, solve_angles)
 from uqcm.statevec import StateVector
 
@@ -108,6 +108,19 @@ class TestEmitCircuit:
         assert [(g.kind, g.target - offset, [(q - offset, p) for q, p in g.controls], g.theta)
                 for g in placed.gates] == [(g.kind, g.target, list(g.controls), g.theta)
                                            for g in alone.gates]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_tables_build_the_per_bit_gates(self, n, offset):
+        # each branch's controls, joined from the high and low bits' tables,
+        # equal the ones its index spells out one bit at a time
+        rng = np.random.default_rng(n)
+        tree = AngleTree(tuple(tuple(rng.uniform(-math.pi, math.pi, size=2 ** lev).tolist())
+                               for lev in range(n)))
+        circ = emit_prep_circuit(tree, offset=offset)
+        want = emit_prep_circuit_by_bit(tree, offset=offset)
+        assert circ.n_qubits == want.n_qubits == offset + n
+        assert circ.gates == want.gates
 
 
 class TestPrepForSpec:
