@@ -18,9 +18,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +29,10 @@ from .cloner_math import CloneSpec
 from .statevec import StateVector
 
 CIRCUIT_SCHEMA = "uqcm-circuit/1"
+
+# the highest qubit index a gate may name: a gate holds its control qubits
+# as bitmasks, which grow with the highest of them
+MAX_QUBIT_INDEX = 1023
 
 ROTATION_KINDS = ("roty", "utheta")
 FLIP_KINDS = ("x", "cnot", "mcx")
@@ -54,6 +58,11 @@ class Gate:
     theta: float | None = None
     # the highest qubit the gate touches, for the register-bound check
     top_qubit: int = field(init=False, repr=False, compare=False)
+    # the control qubits, and the positive ones, as bitmasks: bit q is qubit
+    # q (least significant first), while an amplitude index has qubit 0 as
+    # its most significant bit
+    control_mask: int = field(init=False, repr=False, compare=False)
+    positive_mask: int = field(init=False, repr=False, compare=False)
     # cnot_cost(), summed by cnot_cost(circuit) without a call per gate
     cnot_eq: int = field(init=False, repr=False, compare=False)
 
@@ -67,21 +76,33 @@ class Gate:
         if type(controls) is not tuple:
             controls = tuple(controls)
             object.__setattr__(self, "controls", controls)
+        mask = positive = 0
+        clash = False   # a negative, too high or repeated control qubit
         for c in controls:
-            if type(c) is not Control or type(c.q) is not int or type(c.positive) is not bool:
+            if type(c) is not Control or type(q := c[0]) is not int or type(p := c[1]) is not bool:
                 raise ValueError(f"control {c!r} is not a Control(int qubit, bool polarity)")
+            if q < 0 or q > MAX_QUBIT_INDEX or mask & (bit := 1 << q):
+                clash = True
+                continue
+            mask |= bit
+            if p:
+                positive |= bit
         target = self.target
         if type(target) is not int:
             raise ValueError(f"gate target must be an integer, got {target!r}")
-        qs = [c.q for c in controls]
-        if len(set(qs)) != len(qs):
-            raise ValueError(f"duplicate control qubits in {qs}")
-        if target in qs:
-            raise ValueError(f"target {target} also appears as a control")
-        span = qs + [target]
-        if min(span) < 0:
-            raise ValueError(f"negative qubit index in target {target} or controls {qs}")
-        object.__setattr__(self, "top_qubit", max(span))
+        if clash or not 0 <= target <= MAX_QUBIT_INDEX or mask >> target & 1:
+            qs = [c.q for c in controls]
+            if len(set(qs)) != len(qs):
+                raise ValueError(f"duplicate control qubits in {qs}")
+            if target in qs:
+                raise ValueError(f"target {target} also appears as a control")
+            if min(qs + [target]) < 0:
+                raise ValueError(f"negative qubit index in target {target} or controls {qs}")
+            raise ValueError(f"qubit index above {MAX_QUBIT_INDEX} in target {target} "
+                             f"or controls {qs}")
+        object.__setattr__(self, "top_qubit", max(target, mask.bit_length() - 1))
+        object.__setattr__(self, "control_mask", mask)
+        object.__setattr__(self, "positive_mask", positive)
         theta = self.theta
         if self.kind in ROTATION_KINDS:
             if (type(theta) is bool or not isinstance(theta, (int, float))
@@ -104,6 +125,9 @@ class Gate:
             return 0
         flips = 1 if c == 1 else (c if aux_available else c * c)
         return 2 * flips if self.kind in ROTATION_KINDS else flips
+
+
+_TOP_QUBIT = attrgetter("top_qubit")
 
 
 def _bit_tables(options: list[tuple[tuple, tuple]]) -> tuple[list[tuple], list[tuple], int]:
@@ -138,7 +162,7 @@ class Circuit:
             raise ValueError(f"n_qubits must not be negative, got {self.n_qubits}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        if max([g.top_qubit for g in gates], default=-1) >= self.n_qubits:
+        if max(map(_TOP_QUBIT, gates), default=-1) >= self.n_qubits:
             g = next(g for g in gates if g.top_qubit >= self.n_qubits)
             raise ValueError(f"gate {g} exceeds register of {self.n_qubits} qubits")
         if self.roles is not None:
@@ -218,9 +242,10 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
     Nothing is kept between calls.  Each maximal run of consecutive flips (x,
     cnot, mcx) only permutes basis states, so it is worked out once as one
     index array (``_flip_sources``) and moves all k rows with one gather.
-    Rotations go in groups: maximal runs on one target and control-qubit
-    tuple with pairwise distinct polarity patterns (a uniformly-controlled
-    rotation, such as a prep-tree level).  Each group is one update of the
+    Rotations go in groups: maximal runs on one target and one set of
+    control qubits (one ``control_mask``, in any order) with pairwise
+    distinct polarity patterns (``positive_mask``), a uniformly-controlled
+    rotation such as a prep-tree level.  Each group is one update of the
     rows viewed as ``(k, 2**t, 2, 2**(n-1-t))`` for target t, each amplitude
     pair taking the entries its control bits select (the identity's where no
     gate matches).
@@ -235,15 +260,12 @@ def apply(circuit: Circuit, state: StateVector | np.ndarray) -> StateVector | np
         if flips:
             out = np.take(out, _flip_sources(run, n), axis=1)
             continue
-        for group, target, qs, patterns in _rotation_groups(run):
-            a0, a1, (m00, m01, m10, m11) = _group_update(out, group, target, qs, patterns)
+        for group in _rotation_groups(run):
+            a0, a1, (m00, m01, m10, m11) = _group_update(out, group)
             b0 = m00 * a0 + m01 * a1
             a1[...] = m10 * a0 + m11 * a1
             a0[...] = b0
     return StateVector(out[0]) if isinstance(state, StateVector) else out
-
-
-_QUBIT = itemgetter(0)
 
 
 def _rotation_entries(g: Gate) -> tuple[float, float, float, float]:
@@ -267,50 +289,72 @@ def _runs(gates: tuple[Gate, ...]):
         start = stop
 
 
+_GROUP_KEY = attrgetter("target", "control_mask")
+_POSITIVE = attrgetter("positive_mask")
+
+
 def _rotation_groups(run):
-    """Each group of the rotations ``run`` with its target and control qubits,
-    and the polarity pattern of each of its gates (bit c-1-i is control i's
-    bit)."""
-    for (target, qs), same in groupby(run, lambda g: (g.target, tuple(map(_QUBIT, g.controls)))):
+    """Each group of the rotations ``run``: gates on one target and control
+    mask whose polarity patterns (positive masks) are pairwise distinct."""
+    for _, same in groupby(run, _GROUP_KEY):
         same = tuple(same)
-        patterns = []
-        for g in same:
-            p = 0
-            for ctl in g.controls:
-                p = p << 1 | ctl.positive
-            patterns.append(p)
+        patterns = list(map(_POSITIVE, same))
         start, seen = 0, set(patterns)
         if len(seen) < len(same):   # a pattern repeats: its pairs start a new group
             seen = set()
             for i, pattern in enumerate(patterns):
                 if pattern in seen:
-                    yield same[start:i], target, qs, patterns[start:i]
+                    yield same[start:i]
                     start, seen = i, set()
                 seen.add(pattern)
-        yield same[start:], target, qs, patterns[start:]
+        yield same[start:]
 
 
-def _group_update(out: np.ndarray, gates: tuple[Gate, ...], target: int, qs: tuple[int, ...],
-                  patterns: list[int]):
-    """The two views of the rows ``out`` where ``target`` is 0 or 1, and the
-    entries for each of their amplitude pairs, for a group ``gates`` with
-    these polarity patterns."""
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _group_update(out: np.ndarray, gates: tuple[Gate, ...]):
+    """The two views of the rows ``out`` where the group ``gates``' target is
+    0 or 1, and the entries for each of their amplitude pairs."""
+    target, controls = gates[0].target, gates[0].control_mask
     k, size = out.shape
-    n, c = size.bit_length() - 1, len(qs)
+    n = size.bit_length() - 1
+    qs = [q for q in range(n) if controls >> q & 1]
     t = out.reshape(k, 1 << target, 2, -1)
-    table = [(1.0, 0.0, 0.0, 1.0)] * (1 << c)
-    for pattern, g in zip(patterns, gates):
-        table[pattern] = _rotation_entries(g)
-    # each pair's pattern, on the axes that carry its controls: (2**t, 1) for
+    # table index bit i holds control qs[i]: masks[i] is the positive mask
+    # of index i, and the table has the identity where no gate matches
+    masks = [0]
+    for q in qs:
+        masks += [m | 1 << q for m in masks]
+    entries = {g.positive_mask: _rotation_entries(g) for g in gates}
+    table = np.array([entries.get(m, _IDENTITY) for m in masks], dtype=complex)
+    # each pair's index, on the axes that carry its controls: (2**t, 1) for
     # controls before the target, (2**(n-1-t),) after, both if both, and
-    # pattern 0 for every pair of an uncontrolled rotation
-    before = np.arange(1 << target)[:, np.newaxis] if min(qs, default=target) < target else None
-    after = np.arange(1 << (n - 1 - target)) if max(qs, default=target) > target else None
+    # index 0 for every pair of an uncontrolled rotation
+    before = np.arange(1 << target)[:, np.newaxis] if controls & (1 << target) - 1 else None
+    after = np.arange(1 << (n - 1 - target)) if controls >> target else None
     pair = 0
     for i, q in enumerate(qs):
         axis, bit = (before, target - 1 - q) if q < target else (after, n - 1 - q)
-        pair = pair | (axis >> bit & 1) << (c - 1 - i)
-    return t[:, :, 0], t[:, :, 1], np.array(table, dtype=complex).T[:, pair]
+        pair = pair | (axis >> bit & 1) << i
+    return t[:, :, 0], t[:, :, 1], table.T[:, pair]
+
+
+def _reversal_tables(n: int) -> tuple[list[int], list[int], int]:
+    """Tables ``(high, low, shift)`` that give, for a mask m over n qubits
+    (bit q is qubit q), the index over n bits with the same qubits set (qubit
+    0 its most significant bit) as ``high[m >> shift] | low[m & mask]``,
+    where mask is ``(1 << shift) - 1``.  Each table covers half the qubits,
+    so building them costs 2^(n/2) steps, as ``_bit_tables`` does."""
+    def table(qubits):
+        rows = [0]
+        for q in qubits:
+            unit = 1 << (n - 1 - q)
+            rows += [row | unit for row in rows]
+        return rows
+
+    shift = n // 2
+    return table(range(shift, n)), table(range(shift)), shift
 
 
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
@@ -322,31 +366,44 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
     L is an affine map of the index bits, kept as the image of each qubit's
     unit index (qubit 0 the most significant bit) and a shift, and ``table``
     starts as the identity.  A flip with at most one control is affine, so it
-    only changes L, by one or two XORs of small ints.  A flip with c >= 2
-    controls swaps the table entries at L of each of its 2^(n-1-c) index
-    pairs: one pair for the full-pattern mcx of the permutation stage, swapped
-    in a list, and more in one vectorized swap.  No gate costs work over all
-    2^n indices; only building src at the end does.
+    only changes L, by one or two XORs of small ints; its control's image is
+    no longer the unit index, and the qubit is marked dirty.  A flip with
+    c >= 2 controls swaps the table entries at L of each of its 2^(n-1-c)
+    index pairs: one pair for the full-pattern mcx of the permutation stage,
+    swapped in a list, and more in one vectorized swap.  L of a gate's
+    control pattern is the shift XOR the images of its positive controls:
+    those of the clean ones are their ``positive_mask`` bit-reversed, two
+    table lookups, and each dirty one's image is XORed in on its own.  No
+    gate costs work over all 2^n indices; only building src at the end does.
     """
     image = [1 << (n - 1 - q) for q in range(n)]
-    shift = 0
-    table = None
+    full = (1 << n) - 1
+    dirty = shift = 0
+    table = high = None
     for g in flips:
         controls, flipped = g.controls, image[g.target]
         if len(controls) == 1:
             (q, positive), = controls
             image[q] ^= flipped
+            dirty |= 1 << q
             if not positive:
                 shift ^= flipped
             continue
         if not controls:
             shift ^= flipped
             continue
-        at = shift
-        for q, positive in controls:
-            if positive:
-                at ^= image[q]
-        if len(controls) == n - 1:
+        if high is None:
+            high, low, half = _reversal_tables(n)
+            low_bits = (1 << half) - 1
+        positive = g.positive_mask
+        clean = positive & ~dirty
+        at = shift ^ high[clean >> half] ^ low[clean & low_bits]
+        stained = positive & dirty
+        while stained:
+            q = stained.bit_length() - 1
+            at ^= image[q]
+            stained ^= 1 << q
+        if g.control_mask | 1 << g.target == full:
             if table is None:
                 table = list(range(1 << n))
             other = at ^ flipped
@@ -354,8 +411,8 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
             continue
         if type(table) is not np.ndarray:
             table = np.arange(1 << n) if table is None else np.array(table)
-        fixed = set(map(_QUBIT, controls))
-        at = _span(at, [image[q] for q in range(n) if q != g.target and q not in fixed])
+        free = full ^ g.control_mask ^ 1 << g.target
+        at = _span(at, [image[q] for q in range(n) if free >> q & 1])
         other = at ^ flipped
         table[at], table[other] = table[other], table[at]
     src = _span(shift, image)
@@ -449,7 +506,7 @@ def to_json(circuit: Circuit) -> str:
     """
     # controls name qubits below the highest one any gate touches, and a
     # register may be far wider than that
-    control_text = _control_texts(max([g.top_qubit for g in circuit.gates], default=-1) + 1)
+    control_text = _control_texts(max(map(_TOP_QUBIT, circuit.gates), default=-1) + 1)
     # a gate object met again (synthesis shares them) reuses its text; the
     # circuit holds every gate, so no id is reused during the loop
     texts: dict[int, str] = {}
@@ -543,18 +600,21 @@ def _read_written(text: str) -> Circuit | None:
     # split a chunk at a time, each cut at a separator, so only one chunk's
     # pieces are alive at once.
     memo = _GateMemo(control_at)
-    gates: list[Gate] = []
-    start = len(_GATES_OPEN)
-    try:
+
+    def chunks():
+        start = len(_GATES_OPEN)
         while True:
             cut = text.find(_GATE_SEP, start + _CHUNK, end)
-            stop = end if cut < 0 else cut
-            gates += map(memo.__getitem__, text[start:stop].split(_GATE_SEP))
+            yield map(memo.__getitem__, text[start:end if cut < 0 else cut].split(_GATE_SEP))
             if cut < 0:
-                return Circuit(n_qubits, tuple(gates), roles or None)
+                return
             start = cut + len(_GATE_SEP)
+
+    try:
+        gates = tuple(chain.from_iterable(chunks()))
     except _Rejected:
         return None
+    return Circuit(n_qubits, gates, roles or None)
 
 
 # _read_written splits the gates array in chunks of this many characters,

@@ -7,7 +7,7 @@ import pytest
 from oracle import random_circuit, states_close
 
 from uqcm import Circuit, Control, Gate, StateVector, apply, cnot_cost, inverse
-from uqcm.circuit import from_json, to_json
+from uqcm.circuit import MAX_QUBIT_INDEX, from_json, to_json
 
 
 def random_state(n, seed):
@@ -124,8 +124,88 @@ class TestStoredCost:
         rotation = dataclasses.replace(wider, kind="roty", theta=0.5)
         assert [g.cnot_eq for g in (gate, wider, rotation)] == [1, 4, 8]
         assert [g.top_qubit for g in (gate, wider, rotation)] == [1, 4, 4]
+        # and its own masks, when its controls change order, polarity or number
+        flipped = dataclasses.replace(wider, controls=(Control(4, True), Control(1, False)))
+        bare = dataclasses.replace(flipped, target=7, controls=())
+        assert [g.control_mask for g in (gate, wider, flipped, bare)] == [0b10, 0b10010,
+                                                                         0b10010, 0]
+        assert [g.positive_mask for g in (gate, wider, flipped, bare)] == [0b10, 0b10, 0b10000, 0]
+        assert bare.top_qubit == 7
 
-    @pytest.mark.parametrize("name", ["cnot_eq", "top_qubit", "target", "controls"])
+    def test_masks_hold_the_control_qubits_and_the_positive_ones(self):
+        # bit q of each mask is qubit q, whatever order the controls are listed in
+        for g in list(gates_of_every_kind()) + list(random_circuit(9, 60, seed=8).gates):
+            assert g.control_mask == sum(1 << q for q, _ in g.controls), g
+            assert g.positive_mask == sum(1 << q for q, p in g.controls if p), g
+            assert g.top_qubit == max([g.target] + [q for q, _ in g.controls]), g
+        gate = Gate("mcx", 2, (Control(5, True), Control(0, False), Control(3, True)))
+        assert (gate.control_mask, gate.positive_mask, gate.top_qubit) == (0b101001, 0b101000, 5)
+
+    def test_highest_qubit_index_is_allowed(self):
+        gate = Gate("mcx", MAX_QUBIT_INDEX - 1, (Control(MAX_QUBIT_INDEX, True), Control(0, False)))
+        assert (gate.control_mask, gate.positive_mask) == (1 << MAX_QUBIT_INDEX | 1,
+                                                           1 << MAX_QUBIT_INDEX)
+        assert gate.top_qubit == Gate("x", MAX_QUBIT_INDEX).top_qubit == MAX_QUBIT_INDEX
+
+    def test_masks_are_kept_out_of_repr_equality_and_hash(self):
+        gate = Gate("mcx", 0, (Control(1, True), Control(2, False)))
+        assert (gate.control_mask, gate.positive_mask) == (0b110, 0b010)
+        assert "mask" not in repr(gate)
+        other = Gate("mcx", 0, (Control(1, True), Control(2, False)))
+        object.__setattr__(other, "control_mask", 0b1)   # as if stored wrongly
+        object.__setattr__(other, "positive_mask", 0b100)
+        assert gate == other and hash(gate) == hash(other)
+
+    @pytest.mark.parametrize("make, message", [
+        # each message is the one the first failing check gives: the kind,
+        # the controls' types, the target's type, duplicates, the target among
+        # the controls, a negative index and last one above MAX_QUBIT_INDEX
+        (lambda: Gate("mcx", 0, (Control(-1, True), Control(-1, False))),
+         "duplicate control qubits in [-1, -1]"),
+        (lambda: Gate("mcx", 0, (Control(-2, True), Control(3, True), Control(3, False))),
+         "duplicate control qubits in [-2, 3, 3]"),
+        (lambda: Gate("mcx", -1, (Control(1, True), Control(1, False))),
+         "duplicate control qubits in [1, 1]"),
+        (lambda: Gate("x", 1.5, ((0, True),)),
+         "control (0, True) is not a Control(int qubit, bool polarity)"),
+        (lambda: Gate("mcx", True, (Control(0, True), Control(1, 1))),
+         "control Control(q=1, positive=1) is not a Control(int qubit, bool polarity)"),
+        (lambda: Gate("mcx", 0, (Control(1, True), Control(1, False), Control(2.0, True))),
+         "control Control(q=2.0, positive=True) is not a Control(int qubit, bool polarity)"),
+        (lambda: Gate("mcx", 0, (Control(-1, True), Control(1, True), Control(2, None))),
+         "control Control(q=2, positive=None) is not a Control(int qubit, bool polarity)"),
+        (lambda: Gate("mcx", 2.0, (Control(1, True), Control(1, False))),
+         "gate target must be an integer, got 2.0"),
+        (lambda: Gate("mcx", 3, (Control(-2, True), Control(3, True))),
+         "target 3 also appears as a control"),
+        (lambda: Gate("cnot", -1, (Control(-1, True),)),
+         "target -1 also appears as a control"),
+        (lambda: Gate("mcx", -1, (Control(0, True), Control(1, True))),
+         "negative qubit index in target -1 or controls [0, 1]"),
+        (lambda: Gate("mcx", 0, (Control(2, True), Control(-3, False))),
+         "negative qubit index in target 0 or controls [2, -3]"),
+        (lambda: Gate("roty", 1, (Control(1, True),)),
+         "target 1 also appears as a control"),
+        (lambda: Gate("cnot", 0, (Control(1, True), Control(1, True))),
+         "duplicate control qubits in [1, 1]"),
+        (lambda: Gate("bogus", -1, (Control(0, True), Control(0, True))),
+         "unknown gate kind 'bogus'"),
+        (lambda: Gate("cnot", 0, (Control(1024, True),)),
+         "qubit index above 1023 in target 0 or controls [1024]"),
+        (lambda: Gate("x", 10 ** 12),
+         "qubit index above 1023 in target 1000000000000 or controls []"),
+        (lambda: Gate("mcx", 0, (Control(10 ** 12, True), Control(-1, True))),
+         "negative qubit index in target 0 or controls [1000000000000, -1]"),
+        (lambda: Gate("mcx", 0, (Control(10 ** 12, True), Control(10 ** 12, False))),
+         "duplicate control qubits in [1000000000000, 1000000000000]"),
+    ])
+    def test_faults_give_the_first_checks_message(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["cnot_eq", "top_qubit", "control_mask", "positive_mask",
+                                      "target", "controls"])
     def test_gate_is_frozen(self, name):
         gate = Gate("x", 0)
         with pytest.raises(dataclasses.FrozenInstanceError):

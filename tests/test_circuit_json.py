@@ -148,6 +148,18 @@ class TestWrittenLayoutReader:
         assert circ == Circuit(10 ** 12, (gate,)) == _load(text)
         assert to_json(circ) == text   # nor does writing it back
 
+    def test_wide_control_index_builds_no_wide_mask(self):
+        # a gate holds its controls as bitmasks, so a control index past
+        # MAX_QUBIT_INDEX is refused before a mask of that many bits is built
+        gate = Gate("cnot", 0, (Control(1, True),))
+        text = to_json(Circuit(2, (gate,)))
+        assert text.count('"q": 1\n') == 1
+        text = (text.replace('"q": 1\n', '"q": 1000000000000\n')
+                .replace('"n_qubits": 2', '"n_qubits": 1000000000001'))
+        for load in (from_json, _load):
+            with pytest.raises(ValueError, match="qubit index above 1023"):
+                load(text)
+
     def test_integer_angle_too_large_for_a_float_fails_alike(self):
         text = to_json(Circuit(1, (Gate("roty", 0, (), 0.5),))).replace("0.5", "1" + "0" * 400)
         for load in (from_json, _load):

@@ -108,6 +108,37 @@ def test_flip_runs_of_every_shape_match_gate_by_gate_oracle(n):
                                       flip_sources_by_gate(run, n))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flips_on_dirty_controls_match_gate_by_gate_oracle(n):
+    # a one-control flip changes its control's image, so a later flip with
+    # two or more controls that names that qubit, as a positive or a
+    # negative control, must read its image, not its unit index; full-pattern
+    # mcx and flips with 2 to n-2 controls both meet such qubits here
+    rng = np.random.default_rng(500 + n)
+    met = 0
+    for _ in range(8):
+        gates, dirty = [], set()
+        for _ in range(30):
+            target, *others = (int(q) for q in rng.permutation(n))
+            named = [q for q in others if q in dirty]
+            if n >= 3 and named and rng.random() < 0.5:
+                c = n - 1 if n == 3 or rng.random() < 0.5 else int(rng.integers(2, n - 1))
+                first = named[int(rng.integers(len(named)))]
+                qs = [first] + [q for q in others if q != first][:c - 1]
+                controls = tuple(Control(q, bool(rng.integers(2))) for q in qs)
+                gates.append(Gate("mcx", target, controls))
+                met += 1
+            elif others and rng.random() < 0.8:
+                gates.append(Gate("cnot", target, (Control(others[0], bool(rng.integers(2))),)))
+                dirty.add(others[0])
+            else:
+                gates.append(Gate("x", target))
+        run = tuple(gates)
+        np.testing.assert_array_equal(circuit_module._flip_sources(run, n),
+                                      flip_sources_by_gate(run, n))
+    assert met > 0 or n < 3
+
+
 def count_rotation_groups(monkeypatch):
     """Record the size of each grouped rotation update ``apply`` makes."""
     sizes = []
@@ -128,6 +159,28 @@ def test_rotation_groups_match_mask_oracle(n, monkeypatch):
         circ = multiplexed_circuit(n, seed=4000 * n + seed)
         assert_apply_matches_mask(circ, k=1 + seed % 4, seed=seed)
     assert max(sizes) > 1   # the multiplexed runs went as groups, not gate by gate
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rotations_listing_their_controls_in_any_order_go_as_one_group(n, monkeypatch):
+    # one target and one set of control qubits, every polarity pattern once,
+    # each gate listing the controls rotated one place from the last gate's
+    # order: one update, which must give the bits the gate-by-gate oracle gives
+    sizes = count_rotation_groups(monkeypatch)
+    rng = np.random.default_rng(600 + n)
+    for c in range(1, n):
+        target, *qs = (int(q) for q in rng.permutation(n)[:c + 1])
+        gates = []
+        for j, pattern in enumerate(rng.permutation(2 ** c)):
+            controls = [Control(q, bool(pattern >> i & 1)) for i, q in enumerate(qs)]
+            kind = ("roty", "utheta")[int(rng.integers(2))]
+            gates.append(Gate(kind, target, tuple(controls[j % c:] + controls[:j % c]),
+                              float(rng.uniform(-np.pi, np.pi))))
+        orders = [tuple(q for q, _ in g.controls) for g in gates]
+        assert all(a != b for a, b in zip(orders, orders[1:])) or c == 1
+        sizes.clear()
+        assert_apply_matches_mask(Circuit(n, tuple(gates)), k=2, seed=c)
+        assert sizes == [2 ** c] * 3   # the batch, then each row alone
 
 
 def test_prep_tree_levels_are_one_update_each(sweep_results, monkeypatch):
