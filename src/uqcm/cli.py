@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .circuit import RegisterLayout, from_json, to_json
+from .circuit import from_json, to_json
 from .cloner_math import CloneSpec, basis_count, feasibility
 from .ion_budget import (DEFAULT_FEASIBLE_THRESHOLD, SPECIES_ENV_VAR, TrapParams,
                          check_threshold, cloning_time, elementary_gate_time,
@@ -45,8 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _artifact_path(args, spec: CloneSpec, n_aux: int) -> Path:
-    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{n_aux}_v{__version__}.json"
+def _artifact_path(args, register) -> Path:
+    spec = register.spec
+    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{register.n_aux}_v{__version__}.json"
     return Path(args.artifacts) / name
 
 
@@ -84,17 +85,17 @@ def cmd_synth(args) -> int:
     check = feasibility(spec)
     result = synthesize_cloner(spec)
     counts = result.gate_counts()
-    register = RegisterLayout.of(spec, result.circuit)
+    register = result.layout.register
     print(f"spec: N={spec.n_in} M={spec.m_out} "
           f"data_qubits={register.n_qubits - int(register.flag)} "
           f"aux={register.n_aux} flag={int(register.flag)}")
     # the suffix follows the register built: at equality no basis is left free
     print(f"feasible: {check}"
-          + (" (aux variant used)" if result.n_aux > 0 else ""))
+          + (" (aux variant used)" if register.n_aux > 0 else ""))
     print(f"universal routing: {'yes' if result.universal else 'no (exact on computational inputs)'}")
     print(f"gates measured: prep={counts['prep']} clone={counts['clone']} total={counts['total']}")
     print(f"gates paper:    {formula_gate_count(spec, 1.0):.6g}")
-    path = Path(args.out) if args.out else _artifact_path(args, spec, result.n_aux)
+    path = Path(args.out) if args.out else _artifact_path(args, register)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_json(result.circuit))
     print(f"wrote: {path}")

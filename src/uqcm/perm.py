@@ -59,6 +59,8 @@ class PermutationSpec:
         if len(set(dests)) != len(dests):
             raise ValueError("mapping is not injective")
         for s, d in self.mapping.items():
+            if type(s) is not int or type(d) is not int:
+                raise ValueError(f"entry {s!r}->{d!r} has a basis that is not an int")
             if not (0 <= s < dim and 0 <= d < dim):
                 raise ValueError(f"entry {s}->{d} out of range for {self.n_qubits} qubits")
 
@@ -90,24 +92,23 @@ def _group_key(reps: list[float], v: float) -> int | None:
 
 def build_permutation(layout: BasisLayout) -> PermutationSpec:
     """Destination assignment for every populated (input pattern, prep basis)
-    of ``layout.spec``.
+    of ``layout.register``.
 
     Sources are pattern * 2^P + k with P the (possibly enlarged) preparation
     register; destinations are target-output bases shifted left by the number
     of auxiliary qubits, which therefore end in |0>.
     """
-    spec = layout.spec
-    n, p_qubits, n_aux = spec.n_in, layout.prep_qubits, layout.n_aux
+    spec, n_aux = layout.register.spec, layout.register.n_aux
+    n, p_qubits = spec.n_in, layout.prep_qubits
     n_data = n + p_qubits
     comp0 = weight_components(spec, layout.machine_complement)[0]
-    cvec = layout.coefficients()
-    nz = [int(k) for k in np.nonzero(cvec > AMP_EPS)[0]]
+    placed = [(k, v) for k, v in sorted(layout.placements) if v > AMP_EPS]
 
     reps = _value_groups([float(v) for v in comp0 if v > AMP_EPS])
     # populated prep bases by amplitude group, in basis order
     by_group: dict[int | None, list[int]] = {}
-    for k in nz:
-        by_group.setdefault(_group_key(reps, float(cvec[k])), []).append(k)
+    for k, v in placed:
+        by_group.setdefault(_group_key(reps, v), []).append(k)
 
     # destinations of the all-zeros output keyed by amplitude group (None:
     # negative or unmatched), embedded with aux zeros
@@ -162,7 +163,7 @@ def build_permutation(layout: BasisLayout) -> PermutationSpec:
     for pattern in range(1, 1 << (n - 1)):  # p < p ^ full: the top bit is clear
         shift = pattern << p_qubits
         # the source's own basis when free and aux-clean, else the next free one
-        for k in nz:
+        for k, _ in placed:
             s = shift | k
             if (s & aux_mask) == 0 and s not in used:
                 pick = s
@@ -280,6 +281,8 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
 
     gates: list[Gate] = []
     for s, d in plan.moves:
+        if type(s) is not int or type(d) is not int:
+            raise ValueError(f"move {s!r}->{d!r} has a basis that is not an int")
         if not (0 <= s < dim and 0 <= d < dim):
             raise ValueError(f"move {s}->{d} out of range for {n_qubits} qubits")
         if s == d:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, _bit_tables
+from .circuit import Circuit, Control, Gate, RegisterLayout, _bit_tables
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
@@ -30,7 +30,7 @@ class PrepTarget:
         c = np.asarray(self.coeffs, dtype=float)
         n = qubit_count_for(c.size)
         total = float(np.sum(c * c))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"target not normalized: sum of squares = {total!r}")
         c = c.copy()
         c.flags.writeable = False
@@ -105,16 +105,16 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
 class BasisLayout:
     """Placement of the required output amplitudes onto preparation bases.
 
-    ``placements`` pairs each populated preparation basis with the amplitude
-    it must carry; ``n_aux`` counts auxiliary qubits appended beyond the
-    2(M-N) baseline (the enlarged register still ends disentangled at |0>).
+    ``register`` is the cloner register the amplitudes are placed on; its
+    ``n_aux`` auxiliary qubits extend the 2(M-N)-qubit preparation register
+    (the enlarged register still ends disentangled at |0>).  ``placements``
+    pairs each populated preparation basis with the amplitude it must carry.
     ``machine_complement`` selects which of the two equivalent machine-bit
     conventions the cloning stage targets; the default matches the worked
     2->4 construction, the other one the hand-made 1->2 network.
     """
 
-    spec: CloneSpec
-    n_aux: int
+    register: RegisterLayout
     placements: tuple[tuple[int, float], ...]
     machine_complement: bool = True
 
@@ -125,13 +125,13 @@ class BasisLayout:
                 raise ValueError(f"basis {k} placed twice")
             if not 0 <= k < 2 ** self.prep_qubits:
                 raise ValueError(f"basis {k} out of range for {self.prep_qubits} prep qubits")
-            if v <= 0:
+            if not v > 0:
                 raise ValueError("placed amplitudes must be positive")
             seen.add(k)
 
     @property
     def prep_qubits(self) -> int:
-        return self.spec.prep_qubits + self.n_aux
+        return self.register.spec.prep_qubits + self.register.n_aux
 
     def coefficients(self) -> np.ndarray:
         c = np.zeros(2 ** self.prep_qubits)
@@ -149,7 +149,7 @@ class BasisLayout:
         """
         values = _required_values(spec)
         n_aux = max(0, len(values).bit_length() - spec.prep_qubits)
-        return cls(spec=spec, n_aux=n_aux, placements=tuple(enumerate(values)))
+        return cls(RegisterLayout(spec, n_aux), tuple(enumerate(values)))
 
     @classmethod
     def custom(cls, spec: CloneSpec, placements,
@@ -159,12 +159,11 @@ class BasisLayout:
         placements = tuple((int(k), float(v)) for k, v in placements)
         got = sorted(v for _, v in placements)
         want = sorted(_required_values(spec))
-        if len(got) != len(want) or max(
-            abs(g - w) for g, w in zip(got, want)
-        ) > 1e-9:
+        if len(got) != len(want) or not all(
+            abs(g - w) <= 1e-9 for g, w in zip(got, want)
+        ):
             raise ValueError("placement amplitudes do not match the required multiset")
-        return cls(spec=spec, n_aux=0, placements=placements,
-                   machine_complement=machine_complement)
+        return cls(RegisterLayout(spec), placements, machine_complement)
 
 
 def _required_values(spec: CloneSpec) -> list[float]:
@@ -176,6 +175,6 @@ def _required_values(spec: CloneSpec) -> list[float]:
 
 
 def prep_for_spec(layout: BasisLayout) -> PrepTarget:
-    """Preparation target carrying every amplitude of ``layout.spec``'s ideal
-    output, on the bases ``layout`` places them."""
+    """Preparation target carrying every amplitude of ``layout.register.spec``'s
+    ideal output, on the bases ``layout`` places them."""
     return PrepTarget(layout.coefficients())

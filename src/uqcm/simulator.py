@@ -112,7 +112,7 @@ class VerificationReport:
 def _check_normalized(rows: np.ndarray, what: str) -> np.ndarray:
     """``rows`` of amplitudes, each of unit norm to ASSERT_ATOL."""
     drift = np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0)
-    if np.max(drift) > ASSERT_ATOL:
+    if not np.max(drift) <= ASSERT_ATOL:
         raise ValueError(f"{what} is not normalized: |norm^2 - 1| = {np.max(drift)!r}")
     return rows
 

@@ -33,7 +33,7 @@ class StateVector:
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the dense-representation cap of {MAX_QUBITS}")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > ASSERT_ATOL:
+        if not abs(norm2 - 1.0) <= ASSERT_ATOL:
             raise ValueError(f"state is not normalized: sum |amps|^2 = {norm2!r}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -81,10 +81,10 @@ class DensityMatrix:
         n = int(el.shape[0]).bit_length() - 1
         if el.ndim != 2 or el.shape != (2 ** n, 2 ** n):
             raise ValueError(f"density matrix shape {el.shape} is not (2^n, 2^n)")
-        if np.max(np.abs(el - el.conj().T)) > ASSERT_ATOL:
+        if not np.max(np.abs(el - el.conj().T)) <= ASSERT_ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(el))
-        if abs(tr - 1.0) > ASSERT_ATOL:
+        if not abs(tr - 1.0) <= ASSERT_ATOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         el = el.copy()
         el.flags.writeable = False

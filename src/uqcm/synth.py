@@ -27,7 +27,7 @@ class SynthesisResult:
 
     @property
     def n_aux(self) -> int:
-        return self.layout.n_aux
+        return self.layout.register.n_aux
 
     @property
     def universal(self) -> bool:
@@ -51,7 +51,7 @@ def synthesize_cloner(spec: CloneSpec) -> SynthesisResult:
     plan = schedule(perm)
     validate_plan(perm, plan)
 
-    register = RegisterLayout(spec, layout.n_aux)
+    register = layout.register
     # the tree's qubits follow the inputs on the cloner register
     prep_stage = emit_prep_circuit(solve_angles(prep_for_spec(layout)), offset=spec.n_in)
     clone_stage = compile_moves(plan)

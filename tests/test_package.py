@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,18 +13,47 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
+def load_spans():
+    """``perfbench/spans.py`` loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_export_resolves():
     missing = [name for name in uqcm.__all__ if not hasattr(uqcm, name)]
     assert not missing
     assert len(set(uqcm.__all__)) == len(uqcm.__all__)
 
 
+def test_no_unused_imports():
+    # a module-level import must be read in its module, or be a name the
+    # benchmark's traced run wraps there
+    traced = {(module, path.split(".")[0]) for module, path, *_ in load_spans().TARGETS}
+    unused = []
+    for path in sorted(Path(uqcm.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = f"uqcm.{path.stem}"
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (module, name) not in traced:
+                        unused.append(f"{module}: {name}")
+    assert not unused
+
+
 def test_every_traced_name_resolves_at_its_call_site():
     # the benchmark's traced run wraps each of these names where its caller
     # looks it up; a rename or deletion there would break only that run
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     missing = []
     for module, path, *_ in spans.TARGETS:
         owner = importlib.import_module(module)

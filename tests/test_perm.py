@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestBuildPermutation:
         # five moves of (2 pattern flips + bit flips) each; fixed rows add nothing
         assert sum(1 for g in circ.gates if g.kind == "mcx") == 10
 
+    def test_placement_order_does_not_change_the_mapping(self):
+        # the populated bases are read in basis order, however they are listed
+        reversed_one_to_two = BasisLayout.custom(
+            CloneSpec(1, 2), reversed(one_to_two_layout().placements), machine_complement=False)
+        assert build_permutation(reversed_one_to_two).mapping == ONE_TO_TWO_TABLE
+        packed = BasisLayout.packed(CloneSpec(2, 4))
+        flipped = replace(packed, placements=packed.placements[::-1])
+        assert flipped.placements != packed.placements
+        assert build_permutation(flipped).mapping == build_permutation(packed).mapping
+
     def test_default_one_to_two_block_size(self):
         spec = CloneSpec(1, 2)
         perm = build_permutation(BasisLayout.packed(spec))
@@ -63,7 +74,7 @@ class TestBuildPermutation:
         for (n, _), result in sweep_results.items():
             perm, layout = result.permutation, result.layout
             pattern_flip = ((1 << n) - 1) << layout.prep_qubits
-            flip_mask = ((1 << perm.n_qubits) - 1) & ~((1 << layout.n_aux) - 1)
+            flip_mask = ((1 << perm.n_qubits) - 1) & ~((1 << layout.register.n_aux) - 1)
             for s, d in perm.mapping.items():
                 assert perm.mapping[s ^ pattern_flip] == d ^ flip_mask, (result.spec, s)
 
@@ -113,6 +124,14 @@ class TestBuildPermutation:
             # one block per input pattern, each carrying every populated basis
             assert len(perm.mapping) == 2 * basis_count(spec)
             assert len(set(perm.mapping.values())) == len(perm.mapping)
+
+
+class TestPermutationSpec:
+    @pytest.mark.parametrize("mapping", [{1.5: 2}, {1: 2.0}, {True: 2}])
+    def test_non_int_basis_rejected(self, mapping):
+        # a float basis failed later inside compile_moves, and True compiled as 1
+        with pytest.raises(ValueError, match="not an int"):
+            PermutationSpec(3, mapping)
 
 
 class TestSchedule:
@@ -295,6 +314,12 @@ class TestCompileMoves:
             nonzero = np.abs(out.amps) > 1e-12
             assert int(np.sum(nonzero)) == 1
             assert abs(np.abs(out.amps[nonzero][0]) - 1) < 1e-12
+
+    @pytest.mark.parametrize("move", [(1.5, 2), (1, 2.0), (True, 2)])
+    def test_non_int_move_rejected(self, move):
+        # a float basis failed with a bare TypeError, and True compiled as 1
+        with pytest.raises(ValueError, match="not an int"):
+            compile_moves(PermutationPlan(3, (move,)))
 
     @pytest.mark.parametrize("move", [(8, 1), (1, 8), (-1, 1)])
     def test_out_of_range_move_rejected(self, move):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from oracle import angle_tree_coefficients, emit_prep_circuit_by_bit
 
-from uqcm import (AngleTree, BasisLayout, CloneSpec, PrepTarget, apply, basis_count, cnot_cost,
-                  emit_prep_circuit, prep_for_spec, solve_angles)
+from uqcm import (AngleTree, BasisLayout, CloneSpec, PrepTarget, RegisterLayout, apply,
+                  basis_count, cnot_cost, emit_prep_circuit, prep_for_spec, solve_angles)
 from uqcm.statevec import StateVector
 
 SQ = math.sqrt
@@ -135,14 +135,14 @@ class TestPrepForSpec:
 
     def test_aux_variant_enlarges_register(self):
         layout = BasisLayout.packed(CloneSpec(3, 6))
-        assert layout.n_aux == 1 and layout.prep_qubits == 7
+        assert layout.register.n_aux == 1 and layout.prep_qubits == 7
         target = prep_for_spec(layout)
         assert target.n_qubits == 7
         assert int(np.sum(target.coeffs > 0)) == 84
 
     def test_boundary_spec_gets_aux_headroom(self):
         layout = BasisLayout.packed(CloneSpec(2, 3))
-        assert layout.n_aux == 1  # all four bases would otherwise be populated
+        assert layout.register.n_aux == 1  # all four bases would otherwise be populated
 
     def test_aux_is_the_fewest_qubits_leaving_a_free_basis(self):
         for n in range(1, 5):
@@ -151,21 +151,28 @@ class TestPrepForSpec:
                 layout = BasisLayout.packed(spec)
                 count = basis_count(spec)
                 assert count < 2 ** layout.prep_qubits, spec
-                assert layout.n_aux == 0 or count >= 2 ** (layout.prep_qubits - 1), spec
+                assert layout.register.n_aux == 0 or count >= 2 ** (layout.prep_qubits - 1), spec
 
     def test_custom_layout_must_match_multiset(self):
         spec = CloneSpec(1, 2)
         good = BasisLayout.custom(spec, [(0, SQ(2 / 3)), (1, SQ(1 / 6)), (3, SQ(1 / 6))])
         np.testing.assert_allclose(
             prep_for_spec(good).coeffs, [SQ(2 / 3), SQ(1 / 6), 0.0, SQ(1 / 6)], atol=1e-14)
-        with pytest.raises(ValueError):
-            BasisLayout.custom(spec, [(0, SQ(1 / 2)), (1, SQ(1 / 4)), (3, SQ(1 / 4))])
+        for top in (SQ(1 / 2), math.nan, math.inf):
+            with pytest.raises(ValueError, match="multiset"):
+                BasisLayout.custom(spec, [(0, top), (1, SQ(1 / 6)), (3, SQ(1 / 6))])
+
+    @pytest.mark.parametrize("amp", [0.0, -0.5, math.nan])
+    def test_placed_amplitudes_must_be_positive(self, amp):
+        with pytest.raises(ValueError, match="must be positive"):
+            BasisLayout(RegisterLayout(CloneSpec(1, 2)), ((0, 1.0), (1, amp)))
 
 
 class TestValidation:
-    def test_target_must_be_normalized(self):
-        with pytest.raises(ValueError):
-            PrepTarget(np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("coeffs", [[1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]])
+    def test_target_must_be_normalized(self, coeffs):
+        with pytest.raises(ValueError, match="not normalized"):
+            PrepTarget(np.array(coeffs))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

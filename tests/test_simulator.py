@@ -142,6 +142,14 @@ class TestVerifySynthesized:
         with pytest.raises(ValueError, match=f"^{name} must be an int"):
             verify(CloneSpec(1, 2), reference_one_to_two(), **{name: value})
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_output_rejected(self, monkeypatch, bad):
+        # NaN fails every comparison, so the norm check must read `not drift <= tol`
+        monkeypatch.setattr("uqcm.simulator.apply", lambda circuit, rows: rows * bad)
+        with pytest.raises(ValueError, match="pattern output is not normalized"):
+            verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=1)
+
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_needs_at_least_one_sample(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):

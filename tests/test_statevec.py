@@ -115,9 +115,10 @@ class TestFidelity:
 
 
 class TestValidation:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("amps", [[1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]])
+    def test_rejects_unnormalized(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(np.array(amps))
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ValueError):
@@ -127,9 +128,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateVector.basis(2, 4)
 
-    def test_density_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    # a NaN or inf anywhere makes el - el^H NaN, so the Hermitian check is
+    # the one that refuses it
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("el", [[[0.5, 0.5], [0.0, 0.5]], [[math.nan, 0.0], [0.0, 0.0]],
+                                    [[1.0, math.nan], [math.nan, 0.0]],
+                                    [[math.inf, 0.0], [0.0, 0.0]]])
+    def test_density_rejects_non_hermitian(self, el):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.array(el))
 
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ class TestRegisterLayout:
     def test_round_trips_every_circuit(self, sweep_results):
         for res in sweep_results.values():
             layout = RegisterLayout.of(res.spec, res.circuit)
-            assert layout == RegisterLayout(res.spec, res.n_aux)
+            assert layout == res.layout.register
             assert layout.roles() == res.circuit.roles
         ref = RegisterLayout.of(CloneSpec(1, 2), reference_one_to_two())
         assert ref == RegisterLayout(CloneSpec(1, 2), flag=False)
