@@ -1,10 +1,11 @@
 """Closed-form mathematics of the N-to-M universal quantum cloning machine.
 
 Provides the coefficient ladder of the optimal symmetric cloning
-transformation, the exact ideal output state it prescribes, the optimal
-cloning fidelity, and the counting conditions that decide whether the
-two-stage (preparation + basis-permutation) circuit construction fits in the
-available Hilbert space.
+transformation, the closed-form (Buzek-Hillery / Gisin-Massar) weight
+components of the ideal output and the exact output state built from them,
+the optimal cloning fidelity, and the counting conditions that decide whether
+the two-stage (preparation + basis-permutation) circuit construction fits in
+the available Hilbert space.
 """
 from __future__ import annotations
 
@@ -91,41 +92,37 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return counts
 
 
-def _level_amplitudes(n_bits: int, j: int, base: tuple[complex, complex],
-                      flipped: tuple[complex, complex]) -> np.ndarray:
-    """Amplitude per popcount k of the uniform superposition of the C(n, j)
-    placements of ``flipped`` among ``base`` on n = ``n_bits`` qubits.
+def _weight_tables(spec: CloneSpec, machine_complement: bool) -> list[np.ndarray]:
+    """Class table comp_w[k, l] of each input weight w = 0 .. N.
 
-    A basis string with k ones gets C(k, i) C(n-k, j-i) placements that put i
-    flipped factors on its ones, each worth
-    base0^(n-k-j+i) base1^(k-i) flipped0^(j-i) flipped1^i.
+    The cloner maps the weight-w part of psi^(x)N to
+    sum_t gamma_{w,t} |D^M_{w+t}>|D^{M-N}_t> over t = 0 .. M - N, with the
+    Buzek-Hillery / Gisin-Massar coefficients (quant-ph/9703046,
+    quant-ph/9705046)
+    gamma_{w,t}^2 = alpha_t^2 C(w+t, w) C(M-w-t, N-w) C(N, w) / C(M-t, N);
+    each basis state of a Dicke state D^n_k carries 1/sqrt(C(n, k)).  The
+    ratio is exactly 1 at w = 0.  comp_N is comp_0 with both popcounts
+    complemented, which is bit-exact where the formula at w = N is not.
+    Not capped: the tables have (M+1) x (M-N+1) entries.
     """
-    (b0, b1), (f0, f1) = base, flipped
-    amps = np.zeros(n_bits + 1, dtype=complex)
-    for k in range(n_bits + 1):
-        for i in range(max(0, j - (n_bits - k)), min(j, k) + 1):
-            amps[k] += (math.comb(k, i) * math.comb(n_bits - k, j - i)
-                        * b0 ** (n_bits - k - j + i) * b1 ** (k - i) * f0 ** (j - i) * f1 ** i)
-    return amps / math.sqrt(math.comb(n_bits, j))
-
-
-def _class_table(spec: CloneSpec, a: complex, b: complex, machine_complement: bool) -> np.ndarray:
-    """Ideal output amplitude per (clone popcount k, machine popcount l).
-
-    T[k, l] = sum_j alpha_j clone_j[k] machine_j[l]; every basis state of the
-    ideal output carries the entry of its (k, l) class.
-    """
-    base, perp = (a, b), (b.conjugate(), -a.conjugate())
-    conj, conj_perp = (a.conjugate(), b.conjugate()), (b, -a)
     n, m = spec.n_in, spec.m_out
-    table = np.zeros((m + 1, m - n + 1), dtype=complex)
-    for j, alpha in enumerate(alphas(spec)):
-        clone = _level_amplitudes(m, j, base, perp)
-        machine = _level_amplitudes(m - n, j, conj, conj_perp)
-        table += alpha * np.outer(clone, machine)
+    alpha = alphas(spec)
+    tables = []
+    for w in range(n):
+        table = np.zeros((m + 1, m - n + 1))
+        for t in range(m - n + 1):
+            k = w + t
+            ratio = (math.comb(k, w) * math.comb(m - k, n - w) * math.comb(n, w)
+                     / math.comb(m - t, n))
+            # grouped as the Kronecker product over placements rounds it, so
+            # comp_0, which the preparation angles are solved from, is bit-equal
+            table[k, t] = alpha[t] * math.sqrt(ratio) * (
+                (1 / math.sqrt(math.comb(m, k))) * (1 / math.sqrt(math.comb(m - n, t))))
+        tables.append(table)
+    tables.append(tables[0][::-1, ::-1])
     if machine_complement:
-        table = table[:, ::-1]  # X on every machine qubit: l -> M - N - l
-    return table
+        tables = [table[:, ::-1] for table in tables]  # X on every machine qubit: l -> M - N - l
+    return tables
 
 
 def _dense(spec: CloneSpec, table: np.ndarray) -> np.ndarray:
@@ -149,49 +146,29 @@ def ideal_output(spec: CloneSpec, psi: StateVector,
     exercised by the standard worked examples: the 1->2 network leaves the
     bits as-is while the 2->4 construction complements them.
 
-    The output is symmetric within each register, so its amplitude depends
-    only on the clone and machine popcounts; it is computed on that
-    (M+1) x (M-N+1) table and then written out densely.
+    The output is linear in psi^(x)N, so it is sum_w a^(N-w) b^w comp_w over
+    the weight tables, each (M+1) x (M-N+1) by clone and machine popcount,
+    and then written out densely.
     """
     _check_dense(spec)
     if psi.n_qubits != 1:
         raise ValueError("psi must be a single-qubit state")
     a, b = complex(psi.amps[0]), complex(psi.amps[1])
-    return StateVector(_dense(spec, _class_table(spec, a, b, machine_complement)))
+    n = spec.n_in
+    tables = _weight_tables(spec, machine_complement)
+    return StateVector(_dense(spec, sum(a ** (n - w) * b ** w * t for w, t in enumerate(tables))))
 
 
 def weight_components(spec: CloneSpec, machine_complement: bool = False) -> list[np.ndarray]:
     """Decompose the cloner output by input excitation weight.
 
     Returns real arrays ``comp[0..N]`` with, for every input a|0> + b|1>,
-    ``ideal_output == sum_w a^(N-w) b^w comp[w]``.  The endpoint components
-    are the computational-basis outputs themselves; interior ones are solved
-    from exact evaluations at interpolation nodes.  Both are computed on the
-    popcount class table.  Entries below ``AMP_EPS`` are snapped to zero.
+    ``ideal_output == sum_w a^(N-w) b^w comp[w]``: the weight tables of
+    ``_weight_tables`` written out densely.  comp[0] and comp[N] are the
+    computational-basis outputs themselves.
     """
     _check_dense(spec)
-    n = spec.n_in
-
-    def exact(a: float, b: float) -> np.ndarray:
-        return _class_table(spec, complex(a), complex(b), machine_complement).real
-
-    tables: list[np.ndarray | None] = [None] * (n + 1)
-    tables[0] = exact(1.0, 0.0)
-    tables[n] = exact(0.0, 1.0)
-    interior = list(range(1, n))
-    if interior:
-        ts = [math.pi * (i + 1) / (2 * (len(interior) + 1)) for i in range(len(interior))]
-        lhs = np.zeros((len(ts), len(interior)))
-        rhs = np.zeros((len(ts), tables[0].size))
-        for i, t in enumerate(ts):
-            a, b = math.cos(t), math.sin(t)
-            rhs[i] = (exact(a, b) - a ** n * tables[0] - b ** n * tables[n]).reshape(-1)
-            for c, w in enumerate(interior):
-                lhs[i, c] = a ** (n - w) * b ** w
-        sol = np.linalg.solve(lhs, rhs)
-        for c, w in enumerate(interior):
-            tables[w] = sol[c].reshape(tables[0].shape)
-    return [_dense(spec, np.where(np.abs(t) < AMP_EPS, 0.0, t)) for t in tables]
+    return [_dense(spec, t) for t in _weight_tables(spec, machine_complement)]
 
 
 def theoretical_fidelity(spec: CloneSpec) -> float:

@@ -15,7 +15,7 @@ group.  Every other pattern p < p ^ 1...1 follows in increasing p and takes its
 own basis when free and aux-clean, else the next free basis, aux-clean first.
 A permutation cannot merge the C(N, w) patterns of a mixed weight 0 < w < N,
 so only N = 1 routes universally; the fallback keeps the circuit faithful on
-computational inputs, and ``universal_routing`` reports which.
+computational inputs, and ``SynthesisResult.universal`` reports which.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ class PermutationSpec:
 
     n_qubits: int
     mapping: dict[int, int]
-    universal_routing: bool = True
 
     def __post_init__(self) -> None:
         dim = 2 ** self.n_qubits
@@ -151,12 +150,10 @@ def build_permutation(layout: BasisLayout) -> PermutationSpec:
                 raise SynthesisError(f"{spec}: destination pool exhausted for pattern {'0' * n}")
             assign(k, pick)
 
-    # No mixed weight 0 < w < N can be routed by value: matching needs
-    # C(N, w) * C(2M-N, M) destinations, but comp_w lies on the C(2M-N, M-w)
-    # bases whose clone and machine popcounts sum to M-N+w, fewer for every
-    # such w (for w = 1 the inequality reduces to (N-1)(M-N) > 0).
-    # Free destinations go aux-clean-first, so the aux register ends in |0>
-    # when the counting allows; `used` only grows, so a skipped basis stays taken.
+    # Mixed weights 0 < w < N cannot be routed by value (the count is in
+    # SynthesisResult.universal).  Free destinations go aux-clean-first, so
+    # the aux register ends in |0> when the counting allows; `used` only
+    # grows, so a skipped basis stays taken.
     free = (z for z in itertools.chain(range(0, 2 ** n_data, aux_mask + 1),
                                        (z for z in range(2 ** n_data) if z & aux_mask))
             if z not in used)
@@ -173,8 +170,7 @@ def build_permutation(layout: BasisLayout) -> PermutationSpec:
                     raise SynthesisError(
                         f"{spec}: no free destination left for pattern {pattern:0{n}b}")
             assign(s, pick)
-    # by the count above, only N = 1 (no mixed weight) is routed wholly by value
-    return PermutationSpec(n_qubits=n_data, mapping=mapping, universal_routing=n == 1)
+    return PermutationSpec(n_qubits=n_data, mapping=mapping)
 
 
 def schedule(perm: PermutationSpec) -> PermutationPlan:

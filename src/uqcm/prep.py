@@ -10,6 +10,7 @@ round-trip without extra sign-correction gates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,6 @@ def solve_angles(target: PrepTarget) -> AngleTree:
     0.  The leaf level uses atan2 of the raw (signed) coefficient pair.
     """
     c = target.coeffs
-    if not np.any(np.abs(c) > 0):
-        raise ValueError("all-zero target")
     n = target.n_qubits
     weights = c * c
     levels: list[tuple[float, ...]] = []
@@ -121,6 +120,8 @@ class BasisLayout:
     def __post_init__(self) -> None:
         seen = set()
         for k, v in self.placements:
+            if type(k) is not int:
+                raise ValueError(f"basis {k!r} is not an int")
             if k in seen:
                 raise ValueError(f"basis {k} placed twice")
             if not 0 <= k < 2 ** self.prep_qubits:
@@ -155,8 +156,11 @@ class BasisLayout:
     def custom(cls, spec: CloneSpec, placements,
                machine_complement: bool = True) -> "BasisLayout":
         """Explicit placement on the 2(M-N) baseline qubits, no aux; the
-        amplitude multiset must match the ideal one."""
-        placements = tuple((int(k), float(v)) for k, v in placements)
+        amplitude multiset must match the ideal one.  Bases go through
+        ``operator.index``, which takes NumPy ints and refuses floats; a bool
+        is kept as given, for ``__post_init__`` to refuse."""
+        placements = tuple((k if type(k) is bool else operator.index(k), float(v))
+                           for k, v in placements)
         got = sorted(v for _, v in placements)
         want = sorted(_required_values(spec))
         if len(got) != len(want) or not all(

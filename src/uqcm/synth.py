@@ -32,8 +32,15 @@ class SynthesisResult:
     @property
     def universal(self) -> bool:
         """True iff the routing reproduces the ideal transformation for
-        arbitrary superposition inputs, not only computational ones."""
-        return self.permutation.universal_routing
+        arbitrary superposition inputs, not only computational ones.
+
+        That is exactly N = 1.  No mixed input weight 0 < w < N can be routed
+        by value: matching needs C(N, w) * C(2M-N, M) destinations, but comp_w
+        lies on the C(2M-N, M-w) bases whose clone and machine popcounts sum
+        to M-N+w, fewer for every such w (for w = 1 the inequality reduces to
+        (N-1)(M-N) > 0).
+        """
+        return self.spec.n_in == 1
 
     def gate_counts(self) -> dict[str, int]:
         return {"prep": self.prep_cost, "clone": self.clone_cost,

@@ -198,6 +198,10 @@ class TestStoredCost:
          "negative qubit index in target 0 or controls [1000000000000, -1]"),
         (lambda: Gate("mcx", 0, (Control(10 ** 12, True), Control(10 ** 12, False))),
          "duplicate control qubits in [1000000000000, 1000000000000]"),
+        (lambda: Gate("cnot", 0),
+         "cnot requires exactly one control"),
+        (lambda: Gate("cnot", 0, (Control(1, True), Control(2, False))),
+         "cnot requires exactly one control"),
     ])
     def test_faults_give_the_first_checks_message(self, make, message):
         with pytest.raises(ValueError) as err:

@@ -224,6 +224,43 @@ class TestScanAndBudget:
         assert code == 0
         assert "p_min=0.0623487" in out
 
+    def test_budget_reports_both_emission_terms(self, capsys):
+        code, out, _ = run_cli(
+            ["budget", "-N", "1", "-M", "2", "--species", "Ca+", "--omega1", "1e6",
+             "--gamma1", "1.0"], capsys)
+        assert code == 0
+        assert "elementary gate time: 0.00217656 s   run time: 9.03975 s" in out
+        line = next(ln for ln in out.splitlines() if "at omega1=" in ln)
+        assert line == "    at omega1=1e+06: p1=27.1193 p2=17.1707 p_total=44.2899"
+        p1, p2, total = (float(part.split("=")[1]) for part in line.split()[2:])
+        assert total == pytest.approx(p1 + p2, rel=1e-5)   # to the printed digits
+
+    def test_scan_of_an_oversized_spec_lists_no_measured_count(self, capsys):
+        # 1->11 needs 21 qubits, past the dense cap: the scan skips its synthesis
+        code, out, _ = run_cli(["scan", "-N", "1", "-M", "11", "--species", "Ca+"], capsys)
+        assert code == 0
+        row = next(ln for ln in out.splitlines() if ln.startswith("Ca+  1  11"))
+        assert row.split() == ["Ca+", "1", "11", "0.01", "5.12692e+09", "no", "-", "-", "-"]
+
+    def test_scan_json_out(self, tmp_path, capsys):
+        path = tmp_path / "scan.json"
+        code, out, _ = run_cli(
+            ["scan", "-N", "1", "-M", "2", "--species", "Ca+", "--json-out", str(path)], capsys)
+        assert code == 0
+        assert f"wrote: {path}" in out.splitlines()
+        data = json.loads(path.read_text())
+        assert data["schema"] == "uqcm-scan/2"
+        assert [(r["species"], r["n_in"], r["m_out"], r["gates_measured"]) for r in data["rows"]] \
+            == [("Ca+", 1, 2, 102)]
+
+    def test_count_past_the_dense_cap_reports_and_succeeds(self, capsys):
+        code, out, _ = run_cli(["count", "-N", "1", "-M", "11"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert "bases populated: 352716" in lines
+        assert lines[-1] == ("synthesis unavailable: 1->11 needs 21 qubits, above the "
+                             "dense-representation cap of 20 (statevec.MAX_QUBITS)")
+
     def test_count_command(self, capsys):
         code, out, _ = run_cli(["count", "-N", "2", "-M", "4"], capsys)
         assert code == 0

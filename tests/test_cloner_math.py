@@ -10,6 +10,7 @@ from oracle import ideal_output_by_kron, weight_components_by_kron
 from uqcm import (CloneSpec, StateVector, alphas, basis_count, feasibility,
                   fidelity_against_pure, ideal_output,
                   partial_trace, theoretical_fidelity, weight_components)
+from uqcm import cloner_math
 from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import haar_random_qubit
 from uqcm.statevec import MAX_QUBITS
@@ -113,7 +114,21 @@ class TestIdealOutput:
 
 
 class TestKronOracle:
-    """The class-table computation against the dense Kronecker-product oracle."""
+    """The weight-table computation against the dense Kronecker-product oracle."""
+
+    @pytest.mark.parametrize("machine_complement", [False, True])
+    def test_basis_outputs_equal_oracle_bit_for_bit(self, machine_complement):
+        # the prep angles and verify's basis-state errors read these outputs;
+        # the closed form evaluated at w = N instead of flipping comp_0 is off
+        # in the last bit at |1>
+        specs = all_specs(max_total_qubits=12, max_m=12)
+        assert len(specs) == 30
+        for spec in specs:
+            for b in (0, 1):
+                psi = StateVector.basis(1, b)
+                want = ideal_output_by_kron(spec, psi, machine_complement)
+                assert np.array_equal(ideal_output(spec, psi, machine_complement).amps, want), \
+                    (spec, b)
 
     @pytest.mark.parametrize("machine_complement", [False, True])
     def test_ideal_output_matches_oracle(self, machine_complement):
@@ -230,6 +245,22 @@ class TestWeightComponents:
             rebuilt = sum(a ** (n - w) * b ** w * comps[w] for w in range(n + 1))
             exact = ideal_output(spec, StateVector(z)).amps
             np.testing.assert_allclose(rebuilt, exact, atol=1e-11)
+
+    @pytest.mark.parametrize("machine_complement", [False, True])
+    def test_tables_past_the_dense_cap_have_binomial_norms(self, monkeypatch, machine_complement):
+        def refuse(spec):
+            raise AssertionError(f"{spec}: the weight tables must not need a dense check")
+
+        monkeypatch.setattr(cloner_math, "_check_dense", refuse)
+        for n, m in ((1, 40), (8, 40)):
+            tables = cloner_math._weight_tables(CloneSpec(n, m), machine_complement)
+            assert len(tables) == n + 1
+            # each table entry stands for C(M, k) C(M-N, l) basis states
+            # (as floats: up to C(40, 20) C(39, 19) ~ 1e22 states, past int64)
+            states = np.outer([float(math.comb(m, k)) for k in range(m + 1)],
+                              [float(math.comb(m - n, l)) for l in range(m - n + 1)])
+            for w, table in enumerate(tables):
+                assert abs(np.sum(states * table ** 2) - math.comb(n, w)) <= 1e-12, (n, m, w)
 
     def test_supports_are_disjoint_with_binomial_norms(self):
         for spec in (CloneSpec(2, 4), CloneSpec(3, 4)):

@@ -8,7 +8,7 @@ from oracle import compile_moves_by_bit, schedule_by_rescan
 
 from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, basis_count, build_permutation,
-                  cnot_cost, compile_moves, ideal_output, schedule,
+                  cnot_cost, compile_moves, ideal_output, schedule, synthesize_cloner,
                   validate_plan, weight_components)
 from uqcm.statevec import MAX_QUBITS
 
@@ -36,7 +36,6 @@ class TestBuildPermutation:
     def test_one_to_two_reproduces_the_reference_table(self):
         perm = build_permutation(one_to_two_layout())
         assert perm.mapping == ONE_TO_TWO_TABLE
-        assert perm.universal_routing
 
     def test_two_to_four_anchor_rows(self):
         spec = CloneSpec(2, 4)
@@ -63,10 +62,9 @@ class TestBuildPermutation:
         assert build_permutation(flipped).mapping == build_permutation(packed).mapping
 
     def test_default_one_to_two_block_size(self):
-        spec = CloneSpec(1, 2)
-        perm = build_permutation(BasisLayout.packed(spec))
-        assert len(perm.mapping) == 6
-        assert perm.universal_routing
+        res = synthesize_cloner(CloneSpec(1, 2))
+        assert len(res.permutation.mapping) == 6
+        assert res.universal
 
     def test_flip_symmetry_between_complementary_patterns(self, sweep_results):
         # the complement pattern (same prep basis) lands on the complemented
@@ -82,19 +80,17 @@ class TestBuildPermutation:
         # pins the fallback for a pattern that cannot be value-matched: the
         # mixed source 0b01000's own basis already receives the all-zeros
         # source 0b00010, so it goes to the first free aux-clean basis, 0b00000
-        spec = CloneSpec(2, 3)
-        perm = build_permutation(BasisLayout.packed(spec))
-        assert perm.mapping == {
+        res = synthesize_cloner(CloneSpec(2, 3))
+        assert res.permutation.mapping == {
             0b00000: 0b00010, 0b00001: 0b00100, 0b00010: 0b01000, 0b00011: 0b10000,
             0b01000: 0b00000, 0b01001: 0b00110, 0b01010: 0b01010, 0b01011: 0b01100,
             0b10000: 0b11110, 0b10001: 0b11000, 0b10010: 0b10100, 0b10011: 0b10010,
             0b11000: 0b11100, 0b11001: 0b11010, 0b11010: 0b10110, 0b11011: 0b01110}
-        assert not perm.universal_routing
+        assert not res.universal
 
     def test_mixed_patterns_flagged_when_not_value_matchable(self):
-        spec = CloneSpec(2, 4)
-        perm = build_permutation(BasisLayout.packed(spec))
-        assert not perm.universal_routing  # amplitude multiset cannot split across blocks
+        res = synthesize_cloner(CloneSpec(2, 4))
+        assert not res.universal  # amplitude multiset cannot split across blocks
 
     def test_mixed_weights_have_too_few_destinations_to_match(self):
         # value matching the C(N, w) patterns of weight w needs C(N, w)
@@ -119,8 +115,9 @@ class TestBuildPermutation:
     def test_single_input_specs_route_universally(self):
         for m in (2, 3, 4):
             spec = CloneSpec(1, m)
-            perm = build_permutation(BasisLayout.packed(spec))
-            assert perm.universal_routing
+            res = synthesize_cloner(spec)
+            perm = res.permutation
+            assert res.universal
             # one block per input pattern, each carrying every populated basis
             assert len(perm.mapping) == 2 * basis_count(spec)
             assert len(set(perm.mapping.values())) == len(perm.mapping)
@@ -132,6 +129,17 @@ class TestPermutationSpec:
         # a float basis failed later inside compile_moves, and True compiled as 1
         with pytest.raises(ValueError, match="not an int"):
             PermutationSpec(3, mapping)
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({0: 5, 2: 5}, "mapping is not injective"),
+        ({0: 8}, "entry 0->8 out of range for 3 qubits"),
+        ({8: 0}, "entry 8->0 out of range for 3 qubits"),
+        ({-1: 0}, "entry -1->0 out of range for 3 qubits"),
+    ])
+    def test_bad_mapping_gives_its_message(self, mapping, message):
+        with pytest.raises(ValueError) as err:
+            PermutationSpec(3, mapping)
+        assert str(err.value) == message
 
 
 class TestSchedule:

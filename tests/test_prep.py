@@ -167,6 +167,42 @@ class TestPrepForSpec:
         with pytest.raises(ValueError, match="must be positive"):
             BasisLayout(RegisterLayout(CloneSpec(1, 2)), ((0, 1.0), (1, amp)))
 
+    @pytest.mark.parametrize("register, placements, message", [
+        (RegisterLayout(CloneSpec(1, 2)), ((1, 0.5), (0, 0.5), (1, 0.5)), "basis 1 placed twice"),
+        (RegisterLayout(CloneSpec(1, 2)), ((0, 0.5), (4, 0.5)),
+         "basis 4 out of range for 2 prep qubits"),
+        (RegisterLayout(CloneSpec(1, 2), 1), ((8, 0.5),), "basis 8 out of range for 3 prep qubits"),
+        (RegisterLayout(CloneSpec(1, 2)), ((-1, 0.5),), "basis -1 out of range for 2 prep qubits"),
+    ])
+    def test_bases_must_be_distinct_and_in_range(self, register, placements, message):
+        with pytest.raises(ValueError) as err:
+            BasisLayout(register, placements)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("basis", [1.0, np.int64(1), True])
+    def test_placed_basis_must_be_an_int(self, basis):
+        # a float basis used to fail later in prep_for_spec and build_permutation
+        with pytest.raises(ValueError) as err:
+            BasisLayout(RegisterLayout(CloneSpec(1, 2)),
+                        ((0, SQ(2 / 3)), (basis, SQ(1 / 6)), (3, SQ(1 / 6))))
+        assert str(err.value) == f"basis {basis!r} is not an int"
+
+    def test_custom_takes_numpy_int_bases(self):
+        spec = CloneSpec(1, 2)
+        placements = [(np.int64(0), SQ(2 / 3)), (np.int64(1), SQ(1 / 6)), (np.int64(3), SQ(1 / 6))]
+        layout = BasisLayout.custom(spec, placements)
+        assert layout == BasisLayout.custom(spec, [(0, SQ(2 / 3)), (1, SQ(1 / 6)), (3, SQ(1 / 6))])
+        assert all(type(k) is int for k, _ in layout.placements)
+
+    def test_custom_refuses_fractional_and_bool_bases(self):
+        # int(1.5) used to place the amplitude on basis 1 without a word
+        spec = CloneSpec(1, 2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            BasisLayout.custom(spec, [(0, SQ(2 / 3)), (1.5, SQ(1 / 6)), (3, SQ(1 / 6))])
+        with pytest.raises(ValueError) as err:
+            BasisLayout.custom(spec, [(0, SQ(2 / 3)), (True, SQ(1 / 6)), (3, SQ(1 / 6))])
+        assert str(err.value) == "basis True is not an int"
+
 
 class TestValidation:
     @pytest.mark.parametrize("coeffs", [[1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]])
@@ -175,5 +211,5 @@ class TestValidation:
             PrepTarget(np.array(coeffs))
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not normalized"):
             PrepTarget(np.zeros(4))
