@@ -52,6 +52,8 @@ def _is_finite(theta: int | float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    # checked by __post_init__; _gate builds one unchecked from parts known valid,
+    # for perm.compile_moves, prep.emit_prep_circuit and _read_gate
     kind: str
     target: int
     controls: tuple[Control, ...] = ()
@@ -125,6 +127,27 @@ class Gate:
             return 0
         flips = 1 if c == 1 else (c if aux_available else c * c)
         return 2 * flips if self.kind in ROTATION_KINDS else flips
+
+
+# each slot's setter, which a frozen Gate's __setattr__ does not go through
+(_SET_KIND, _SET_TARGET, _SET_CONTROLS, _SET_THETA, _SET_TOP_QUBIT, _SET_CONTROL_MASK,
+ _SET_POSITIVE_MASK, _SET_CNOT_EQ) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
+
+
+def _gate(kind: str, target: int, controls: tuple[Control, ...], theta: float | None,
+          control_mask: int, positive_mask: int) -> Gate:
+    """The ``Gate`` of parts that ``__post_init__`` would accept and whose
+    masks the caller holds, unchecked, its other slots derived as there."""
+    gate = object.__new__(Gate)
+    _SET_KIND(gate, kind)
+    _SET_TARGET(gate, target)
+    _SET_CONTROLS(gate, controls)
+    _SET_THETA(gate, theta)
+    _SET_TOP_QUBIT(gate, max(target, control_mask.bit_length() - 1))
+    _SET_CONTROL_MASK(gate, control_mask)
+    _SET_POSITIVE_MASK(gate, positive_mask)
+    _SET_CNOT_EQ(gate, gate.cnot_cost())
+    return gate
 
 
 _TOP_QUBIT = attrgetter("top_qubit")
@@ -538,11 +561,11 @@ def from_json(text: str) -> Circuit:
 
     Text exactly as ``to_json`` writes it is read by its fragments in one
     scan of the gates array (``_read_written``): each gate text is sliced out
-    and looked up, each distinct one is built into a ``Gate`` once, and only
-    the distinct texts are kept while it reads, so a file of many repeats
-    costs little memory beyond the text.  Any other layout of the same JSON,
-    and every malformed file, goes through ``json.loads`` (``_load``), which
-    gives the same circuit and raises every error.
+    and looked up, each distinct one is checked and built by ``_gate`` once,
+    and only the distinct texts are kept while it reads, so a file of many
+    repeats costs little memory beyond the text.  Any other layout of the
+    same JSON, and every malformed file (nested too deeply too), goes through
+    ``json.loads`` (``_load``) and ``Gate``: the same circuit, or the error.
     """
     # Either path makes an object per distinct gate and control, and json.loads
     # a dict or list per gate and control besides; none of them is cyclic, so
@@ -580,7 +603,7 @@ def _read_written(text: str) -> Circuit | None:
     trailer = text[end + len(_GATES_CLOSE):]
     try:
         data = json.loads("{" + trailer)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     n_qubits, roles = data.get("n_qubits"), data.get("roles")
     if (type(n_qubits) is not int or type(roles) is not dict
@@ -589,10 +612,11 @@ def _read_written(text: str) -> Circuit | None:
             or _trailer(n_qubits, roles) != trailer):
         return None
     # a control on a qubit past the table is a miss; bounding the table by
-    # the text keeps a huge n_qubits from building a huge one.  It is keyed
-    # on each fragment less its closing "}", as "},\n" only ever joins two.
-    control_text = _control_texts(min(n_qubits, len(text) // len(_CONTROL)))
-    control_at = {t[:-1]: Control(q, bool(p))
+    # the text and MAX_QUBIT_INDEX keeps a huge n_qubits from building a huge
+    # one.  It is keyed on each fragment less its closing "}", as "},\n" only
+    # ever joins two, and gives its Control and its bits of the two masks.
+    control_text = _control_texts(min(n_qubits, MAX_QUBIT_INDEX + 1, len(text) // len(_CONTROL)))
+    control_at = {t[:-1]: (Control(q, bool(p)), 1 << q, p << q)
                   for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
     # separators are looked for only inside the array: the opening and the
     # trailer hold none, and part of one overlapping either stays on the
@@ -631,7 +655,7 @@ class _GateMemo(dict):
     first time is read by ``_read_gate``, and raises ``_Rejected`` if it
     reads as no gate."""
 
-    def __init__(self, control_at: dict[str, Control]) -> None:
+    def __init__(self, control_at: dict[str, tuple[Control, int, int]]) -> None:
         super().__init__()
         self.control_at = control_at
 
@@ -643,22 +667,26 @@ class _GateMemo(dict):
         return gate
 
 
-def _read_gate(piece: str, control_at: dict[str, Control]) -> Gate | None:
+def _read_gate(piece: str, control_at: dict[str, tuple[Control, int, int]]) -> Gate | None:
     """The gate whose ``_gate_text`` is exactly ``piece``, or None.
 
     Each part is read only in the one spelling ``_gate_text`` writes it in:
-    the controls by exact lookup, the kind through ``Gate``, which knows only
-    ``KINDS``, and the target and theta only where ``_number`` of the value
-    read gives back their text.
+    the controls by exact lookup, and the target and theta only where
+    ``_number`` of the value read gives back their text.  The parts pass the
+    checks of ``Gate.__post_init__`` (else None: ``_load`` raises the error)
+    and ``_gate`` builds the gate from the masks the lookups add up.
     """
     if piece.startswith(_CONTROLS_OPEN):
         listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
-        if not listed.endswith("}"):
+        found = list(map(control_at.get, listed[:-1].split("},\n")))
+        if not listed.endswith("}") or None in found:
             return None
-        # a control missing from the table is a None, which Gate rejects
-        controls = tuple(map(control_at.get, listed[:-1].split("},\n")))
+        controls, bits, positives = zip(*found)
+        mask, positive = sum(bits), sum(positives)
+        if mask.bit_count() != len(controls):   # a qubit repeats
+            return None
     elif piece.startswith(_NO_CONTROLS):
-        controls, rest = (), piece[len(_NO_CONTROLS):]
+        controls, rest, mask, positive = (), piece[len(_NO_CONTROLS):], 0, 0
     else:
         return None
     # without _CONTROLS_CLOSE or _TARGET the target text is empty, which int
@@ -668,12 +696,14 @@ def _read_gate(piece: str, control_at: dict[str, Control]) -> Gate | None:
     try:
         target = int(target_text)
         theta = _read_number(theta_text) if has_theta else None
-        if (int.__repr__(target) != target_text
-                or has_theta and _number(theta) != theta_text):
-            return None
-        return Gate(kind, target, controls, theta)
     except ValueError:
         return None
+    if (int.__repr__(target) != target_text or has_theta and _number(theta) != theta_text
+            or kind not in KINDS or (kind in ROTATION_KINDS) != bool(has_theta)
+            or has_theta and not _is_finite(theta) or kind == "cnot" and len(controls) != 1
+            or not 0 <= target <= MAX_QUBIT_INDEX or mask >> target & 1):
+        return None
+    return _gate(kind, target, controls, theta, mask, positive)
 
 
 def _read_number(text: str) -> int | float:
@@ -685,7 +715,10 @@ def _read_number(text: str) -> int | float:
 
 
 def _load(text: str) -> Circuit:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("circuit JSON is nested too deeply") from None
     if type(data) is not dict:
         raise ValueError(f"a circuit file must hold a JSON object, got {type(data).__name__}")
     if data.get("schema") != CIRCUIT_SCHEMA:

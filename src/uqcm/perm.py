@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, _bit_tables
+from .circuit import MAX_QUBIT_INDEX, Circuit, Control, Gate, _bit_tables, _gate, _reversal_tables
 from .cloner_math import AMP_EPS, weight_components
 from .prep import BasisLayout
 
@@ -256,23 +256,28 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
     empty basis, the flag returns to |0> exactly.
     """
     n_qubits = plan.n_qubits
+    if type(n_qubits) is not int or not 0 <= n_qubits <= MAX_QUBIT_INDEX:
+        raise ValueError(f"plan on {n_qubits!r} qubits leaves no flag qubit index")
     flag, dim = n_qubits, 1 << n_qubits
     # every move draws on the same 2n controls and n flag CNOTs, and a basis
     # met again (one move's destination is often the next one's source) reuses
-    # its flag flip; each gate is built once.  A basis's full pattern and a
-    # move's flag CNOTs each join a high-bit and a low-bit table entry (qubit
-    # 0 is the most significant bit).
+    # its flag flip; each gate is built once, by _gate.  A basis's full pattern,
+    # its positive mask (z bit-reversed) and a move's flag CNOTs each join a
+    # high-bit and a low-bit table entry (qubit 0 is the most significant bit).
     high, low, shift = _bit_tables(
         [((Control(q, False),), (Control(q, True),)) for q in range(n_qubits)])
     flips_high, flips_low, _ = _bit_tables(
-        [((), (Gate("cnot", q, (Control(flag, True),)),)) for q in range(n_qubits)])
-    mask = (1 << shift) - 1
+        [((), (_gate("cnot", q, (Control(flag, True),), None, 1 << flag, 1 << flag),))
+         for q in range(n_qubits)])
+    rev_high, rev_low, half = _reversal_tables(n_qubits)
+    mask, rev_mask = (1 << shift) - 1, (1 << half) - 1
     patterns: dict[int, Gate] = {}
 
     def flag_flip(z: int) -> Gate:
         gate = patterns.get(z)
         if gate is None:
-            gate = patterns[z] = Gate("mcx", flag, high[z >> shift] + low[z & mask])
+            gate = patterns[z] = _gate("mcx", flag, high[z >> shift] + low[z & mask], None,
+                                       dim - 1, rev_high[z >> half] | rev_low[z & rev_mask])
         return gate
 
     gates: list[Gate] = []

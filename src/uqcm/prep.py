@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, RegisterLayout, _bit_tables
+from .circuit import (MAX_QUBIT_INDEX, Circuit, Control, Gate, RegisterLayout, _bit_tables,
+                      _gate, _reversal_tables)
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
@@ -90,12 +91,21 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     """
     n = angles.n_qubits
     polarities = [((Control(offset + q, False),), (Control(offset + q, True),)) for q in range(n)]
+    # _gate takes register qubits and finite float angles; anything else goes
+    # through Gate, which names what is wrong
+    fits = type(offset) is int and 0 <= offset <= MAX_QUBIT_INDEX + 1 - n
     gates = []
     for q, level in enumerate(angles.levels):
-        # each branch's controls from its high and low bits' tables
+        fast = fits and set(map(type, level)) <= {float} and math.isfinite(sum(level))
+        # each branch's controls, and its positive mask (b bit-reversed), from
+        # its high and low bits' tables
         high, low, shift = _bit_tables(polarities[:q])
-        mask = (1 << shift) - 1
-        gates += [Gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta)
+        rev_high, rev_low, half = _reversal_tables(q)
+        mask, rev_mask = (1 << shift) - 1, (1 << half) - 1
+        controls = ((1 << q) - 1) << offset if fast else 0
+        gates += [_gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta, controls,
+                        (rev_high[b >> half] | rev_low[b & rev_mask]) << offset)
+                  if fast else Gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta)
                   for b, theta in enumerate(level)]
     return Circuit(offset + n, tuple(gates))
 

@@ -23,7 +23,9 @@ grouped update each.  ``flip_sources_by_gate`` composes a flip run's basis
 permutation one gate's index array at a time.  ``schedule_by_rescan`` orders
 a permutation's moves by rescanning every pending move each round, and
 ``compile_moves_by_bit`` and ``emit_prep_circuit_by_bit`` build each gate's
-controls one bit at a time.
+controls one bit at a time.  ``gate_slots`` lists every slot of a gate, the
+derived ones that gate equality leaves out included, and ``checked_slots``
+those of the gate ``Gate``'s checked constructor makes of the same parts.
 """
 from __future__ import annotations
 
@@ -42,6 +44,19 @@ from uqcm.circuit import (_CONTROL, _CONTROLS_CLOSE, _CONTROLS_OPEN, _GATE_SEP, 
                           ROTATION_KINDS, _control_texts, _gate_text, _read_number, _trailer)
 from uqcm.cloner_math import AMP_EPS
 from uqcm.ion_budget import formula_gate_count
+
+
+def gate_slots(gate: Gate) -> tuple[str, list[type]]:
+    """Every slot of ``gate``, the derived ones that ``Gate`` equality leaves
+    out included, as their repr (which tells -0.0 from 0.0) and their types."""
+    values = [getattr(gate, name) for name in Gate.__slots__]
+    return repr(values), list(map(type, values))
+
+
+def checked_slots(gate: Gate) -> tuple[str, list[type]]:
+    """``gate_slots`` of the gate ``Gate``'s checked constructor makes of the
+    parts of ``gate``."""
+    return gate_slots(Gate(gate.kind, gate.target, gate.controls, gate.theta))
 
 
 def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:

@@ -7,7 +7,7 @@ import pytest
 from oracle import random_circuit, states_close
 
 from uqcm import Circuit, Control, Gate, StateVector, apply, cnot_cost, inverse
-from uqcm.circuit import MAX_QUBIT_INDEX, from_json, to_json
+from uqcm.circuit import MAX_QUBIT_INDEX, _load, from_json, to_json
 
 
 def random_state(n, seed):
@@ -350,6 +350,18 @@ class TestSerialization:
         edit(data)
         with pytest.raises(ValueError):
             from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("layout", ["bare", "written"])
+    def test_deeply_nested_json_is_a_value_error(self, layout):
+        # json.loads runs out of stack on deep nesting; either reader, on a
+        # bare array or on a trailer after a written gates array, gives a
+        # ValueError, not a RecursionError
+        deep = "[" * 100000
+        text = deep if layout == "bare" else to_json(Circuit(1, (Gate("x", 0),))).replace(
+            '"n_qubits": 1', '"n_qubits": ' + deep)
+        for load in (from_json, _load):
+            with pytest.raises(ValueError, match="nested too deeply"):
+                load(text)
 
     def test_apply_equivalence_after_round_trip(self):
         circ = random_circuit(4, 25, seed=19)

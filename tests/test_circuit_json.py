@@ -18,9 +18,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import random_circuit, read_written_by_rerender, to_json_by_dumps
+from oracle import (checked_slots, gate_slots, random_circuit, read_written_by_rerender,
+                    to_json_by_dumps)
 
-from uqcm import Circuit, Control, Gate, reference_one_to_two
+from uqcm import Circuit, CloneSpec, Control, Gate, reference_one_to_two, synthesize_cloner
 from uqcm.circuit import KINDS, _load, _read_written, from_json, to_json
 
 THETA_EDGES = Circuit(2, tuple(Gate("roty", 0, (Control(1, False),), t)
@@ -123,6 +124,15 @@ def outcome(load, text):
     return circ, to_json(circ), [type(g.theta) for g in circ.gates]
 
 
+def error_message(load, text):
+    """The message of the error ``load`` raises on ``text``, or None."""
+    try:
+        load(text)
+    except Exception as exc:
+        return str(exc)
+    return None
+
+
 # what an edit inserts or writes over: JSON's punctuation and number
 # characters, and letters of the keys, kinds and polarities
 EDIT_CHARS = '0123456789-+.eE ,:"{}[]\n\\acdegiklnopqrstuvxy'
@@ -212,24 +222,41 @@ class TestWrittenLayoutReader:
         ('"q": 2\n', '"q": 2.0\n'),
         ('\n    }\n  ],', '\n    },\n    {\n    }\n  ],'),
         ('"gates": [\n    {\n', '"gates": [\n    {\n    },\n    {\n'),
+        ('"q": 2\n', '"q": 0\n'),
+        ('"target": 1,', '"target": 2,'),
+        ('"kind": "roty",\n      "target": 1,\n      "theta": 0.5',
+         '"kind": "cnot",\n      "target": 1'),
+        ('"kind": "x"', '"kind": "y"'),
+        ('"target": 3', '"target": 1024'),
+        ('"kind": "x",\n      "target": 3',
+         '"kind": "mcx",\n      "target": 3,\n      "theta": 0.5'),
+        ('"target": 1,\n      "theta": 0.5', '"target": 1'),
     ], ids=["target-plus", "target-leading-zero", "target-space", "target-arabic-digit",
             "theta-underscore", "theta-exponent", "theta-nan", "theta-infinity",
             "theta-negative-zero", "theta-empty", "theta-on-a-flip", "controls-trailing-comma",
             "controls-unclosed", "control-polarity-case", "control-spacing", "control-float-q",
-            "separator-over-closing", "separator-over-opening"])
+            "separator-over-closing", "separator-over-opening", "control-repeated",
+            "target-among-controls", "cnot-two-controls", "kind-unknown", "target-1024",
+            "theta-on-an-mcx", "rotation-without-theta"])
     def test_near_miss_gate_texts(self, old, new):
         # each edit keeps the file one character or one token away from what
-        # to_json writes: from_json and json.loads agree, and the fragment
-        # reader gives None or the same circuit, as the oracle reader does
+        # to_json writes: from_json and json.loads agree, to the message of
+        # the error, and the fragment reader gives None or the same circuit,
+        # as the oracle reader does; where json.loads's circuit is an error,
+        # the fragment reader reads no gate and leaves the error to it
         circ = Circuit(4, (Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5),
                            Gate("x", 3)))
         text = to_json(circ)
         assert text.count(old) == 1
         edited = text.replace(old, new)
-        assert outcome(from_json, edited) == outcome(_load, edited)
+        want = outcome(_load, edited)
+        assert outcome(from_json, edited) == want
+        assert error_message(from_json, edited) == error_message(_load, edited)
         got = outcome(_read_written, edited)
-        assert got is None or got == outcome(_load, edited)
+        assert got is None or got == want
         assert got == outcome(read_written_by_rerender, edited)
+        if type(want) is type:
+            assert got is None
         if new.endswith("-0.0"):
             # exactly what to_json writes for a -0.0 angle, read as one
             assert got is not None
@@ -253,6 +280,31 @@ class TestWrittenLayoutReader:
                 tracemalloc.stop()
         assert read == circ
         assert peak < len(text) / 10, (peak, len(text))
+
+
+class TestUncheckedBuilder:
+    """Synthesis and the fragment reader build their gates with ``_gate``,
+    which skips ``Gate``'s checks and takes the control masks it is given.
+    Circuit equality leaves the masks, highest qubit and cost out, so each
+    gate is held to the one the checked constructor makes of its parts."""
+
+    @pytest.fixture(scope="class")
+    def circuits(self, sweep_results):
+        built = [res.circuit for res in sweep_results.values()]
+        built += [synthesize_cloner(CloneSpec(*nm)).circuit for nm in ((3, 6), (4, 8))]
+        return built
+
+    def test_synthesized_gates_equal_checked_ones(self, circuits):
+        for circ in circuits:
+            distinct = {id(g): g for g in circ.gates}.values()
+            assert [gate_slots(g) for g in distinct] == [checked_slots(g) for g in distinct]
+
+    def test_read_back_gates_equal_checked_ones(self, circuits):
+        for circ in circuits:
+            read = from_json(to_json(circ))
+            assert read == circ
+            distinct = {id(g): g for g in read.gates}.values()
+            assert [gate_slots(g) for g in distinct] == [checked_slots(g) for g in distinct]
 
 
 def twice(gate, edit):

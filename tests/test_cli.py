@@ -167,6 +167,14 @@ class TestVerify:
             assert code == 1, text[:200]
             assert "cannot load circuit" in err, text[:200]
 
+    def test_deeply_nested_circuit_file(self, tmp_path, capsys):
+        # too deep for json.loads: an input error, not a RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, _, err = run_cli(["verify", "-N", "1", "-M", "2", "--circuit", str(deep)], capsys)
+        assert code == 1
+        assert "cannot load circuit" in err and "nested too deeply" in err
+
     def test_verification_failure_exit_code(self, tmp_path, capsys):
         broken = tmp_path / "empty.json"
         broken.write_text(to_json(empty_one_to_two()))

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SWEEP
-from oracle import compile_moves_by_bit, schedule_by_rescan
+from oracle import compile_moves_by_bit, gate_slots, schedule_by_rescan
 
-from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
+from uqcm import (BasisLayout, CloneSpec, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, basis_count, build_permutation,
                   cnot_cost, compile_moves, ideal_output, schedule, synthesize_cloner,
                   validate_plan, weight_components)
+from uqcm import perm
 from uqcm.statevec import MAX_QUBITS
 
 SQ = math.sqrt
@@ -335,6 +336,13 @@ class TestCompileMoves:
         with pytest.raises(ValueError, match="out of range"):
             compile_moves(PermutationPlan(3, (move,)))
 
+    @pytest.mark.parametrize("n_qubits", [True, np.int64(3), 3.0, 1024])
+    def test_register_without_a_flag_index_rejected(self, n_qubits):
+        # the flag is qubit n_qubits, so it must be an int index up to
+        # MAX_QUBIT_INDEX; the gates are built unchecked from it
+        with pytest.raises(ValueError, match="no flag qubit index"):
+            compile_moves(PermutationPlan(n_qubits, ((0, 1),)))
+
     def test_cost_bound_per_move(self):
         spec = CloneSpec(2, 4)
         perm = build_permutation(BasisLayout.packed(spec))
@@ -360,21 +368,25 @@ class TestCompileMoves:
         want = compile_moves_by_bit(plan)
         assert circ.n_qubits == want.n_qubits == width + 1
         assert circ.gates == want.gates
+        # and so do the masks, highest qubit and cost stored beside them
+        assert list(map(gate_slots, circ.gates)) == list(map(gate_slots, want.gates))
 
     @pytest.mark.parametrize("nm", [(2, 4), (3, 6)])
     def test_builds_each_distinct_gate_once(self, nm, monkeypatch):
         # the flag CNOTs and each basis's flag flip are built once, however
-        # many moves reach that basis; building per move fails here
+        # many moves reach that basis; building per move fails here.  Every
+        # gate of the stage is built by the unchecked builder perm calls.
         spec = CloneSpec(*nm)
         plan = schedule(build_permutation(BasisLayout.packed(spec)))
         built = []
-        post_init = Gate.__post_init__
+        build = perm._gate
 
-        def counted(gate):
+        def counted(*parts):
+            gate = build(*parts)
             built.append(gate)
-            post_init(gate)
+            return gate
 
-        monkeypatch.setattr(Gate, "__post_init__", counted)
+        monkeypatch.setattr(perm, "_gate", counted)
         circ = compile_moves(plan)
         monkeypatch.undo()
         assert len(built) == len(set(circ.gates)) < len(circ.gates)

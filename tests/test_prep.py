@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import angle_tree_coefficients, emit_prep_circuit_by_bit
+from oracle import angle_tree_coefficients, emit_prep_circuit_by_bit, gate_slots
 
 from uqcm import (AngleTree, BasisLayout, CloneSpec, PrepTarget, RegisterLayout, apply,
                   basis_count, cnot_cost, emit_prep_circuit, prep_for_spec, solve_angles)
@@ -121,6 +121,35 @@ class TestEmitCircuit:
         want = emit_prep_circuit_by_bit(tree, offset=offset)
         assert circ.n_qubits == want.n_qubits == offset + n
         assert circ.gates == want.gates
+        # and so do the masks, highest qubit and cost stored beside them
+        assert list(map(gate_slots, circ.gates)) == list(map(gate_slots, want.gates))
+
+    @pytest.mark.parametrize("angle", [1, np.float64(0.25), -0.0, 1e308])
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_angles_of_any_accepted_type_build_as_checked(self, angle, offset):
+        # an int, a NumPy float, -0.0 and angles whose sum overflows are
+        # angles Gate accepts; they keep their type and value
+        tree = AngleTree(((0.5,), (angle, angle)))
+        circ = emit_prep_circuit(tree, offset=offset)
+        want = emit_prep_circuit_by_bit(tree, offset=offset)
+        assert list(map(gate_slots, circ.gates)) == list(map(gate_slots, want.gates))
+
+    @pytest.mark.parametrize("angle, offset, message", [
+        (math.nan, 0, "finite real theta"),
+        (math.inf, 0, "finite real theta"),
+        (True, 0, "finite real theta"),
+        ("0.5", 0, "finite real theta"),
+        (0.5, -1, "negative qubit index"),
+        (0.5, 1023, "qubit index above 1023"),
+        (0.5, 1.0, "target must be an integer"),
+    ])
+    def test_invalid_angles_and_offsets_fail_as_in_gate(self, angle, offset, message):
+        # what Gate refuses, emit_prep_circuit refuses with Gate's message
+        tree = AngleTree(((0.5,), (0.25, angle)))
+        with pytest.raises(ValueError, match=message):
+            emit_prep_circuit(tree, offset=offset)
+        with pytest.raises(ValueError, match=message):
+            emit_prep_circuit_by_bit(tree, offset=offset)
 
 
 class TestPrepForSpec:
