@@ -14,12 +14,10 @@ c-control flips.
 """
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from json.encoder import encode_basestring_ascii
+from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -28,7 +26,9 @@ import numpy as np
 from .cloner_math import CloneSpec
 from .statevec import StateVector
 
-CIRCUIT_SCHEMA = "uqcm-circuit/1"
+# the schema to_json writes; from_json also reads the JSON files of /1
+CIRCUIT_SCHEMA = "uqcm-circuit/2"
+_SCHEMA_V1 = "uqcm-circuit/1"
 
 # the highest qubit index a gate may name: a gate holds its control qubits
 # as bitmasks, which grow with the highest of them
@@ -52,8 +52,9 @@ def _is_finite(theta: int | float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
-    # checked by __post_init__; _gate builds one unchecked from parts known valid,
-    # for perm.compile_moves, prep.emit_prep_circuit and _read_gate
+    # checked by __post_init__, which every gate a circuit file loads goes
+    # through; _gate builds one unchecked from parts known valid, for
+    # perm.compile_moves and prep.emit_prep_circuit
     kind: str
     target: int
     controls: tuple[Control, ...] = ()
@@ -137,7 +138,8 @@ class Gate:
 def _gate(kind: str, target: int, controls: tuple[Control, ...], theta: float | None,
           control_mask: int, positive_mask: int) -> Gate:
     """The ``Gate`` of parts that ``__post_init__`` would accept and whose
-    masks the caller holds, unchecked, its other slots derived as there."""
+    masks the caller holds, unchecked, its other slots derived as there: for
+    synthesis, whose gates are valid by construction, never for a file."""
     gate = object.__new__(Gate)
     _SET_KIND(gate, kind)
     _SET_TARGET(gate, target)
@@ -468,250 +470,95 @@ def inverse(circuit: Circuit) -> Circuit:
                    circuit.roles)
 
 
-# Fragments of the uqcm-circuit/1 text, which is json.dumps of the circuit's
-# dict with indent=2 and sort_keys=True: gates sit at depth 2, keys in sorted
-# order (controls, kind, target, theta; polarity, q).  A gate's text runs from
-# its first key to its last value; the array opens before the first gate's
-# text, closes after the last one's, and separates each from the next.
-_GATES_OPEN = '{\n  "gates": [\n    {\n'
-_GATE_SEP = '\n    },\n    {\n'
-_GATES_CLOSE = '\n    }\n  ],\n  '
-_NO_GATES = '{\n  "gates": [],\n  '
-_CONTROL = '        {\n          "polarity": "%s",\n          "q": %d\n        }'
-_CONTROLS_OPEN = '      "controls": [\n'
-_CONTROLS_CLOSE = '\n      ],\n      "kind": "'
-_NO_CONTROLS = '      "controls": [],\n      "kind": "'
-_TARGET = '",\n      "target": '
-_THETA = ',\n      "theta": '
-_KIND_AFTER_CONTROLS = {kind: _CONTROLS_CLOSE + kind + _TARGET for kind in KINDS}
-_KIND_NO_CONTROLS = {kind: _NO_CONTROLS + kind + _TARGET for kind in KINDS}
-
-
-def _number(value: int | float) -> str:
-    # as json.dumps writes it: float.__repr__ for floats and their subclasses
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
-
-
-def _control_texts(n_qubits: int) -> list[tuple[str, str]]:
-    """The negative and the positive control fragment of each qubit."""
-    return [(_CONTROL % ("negative", q), _CONTROL % ("positive", q)) for q in range(n_qubits)]
-
-
-def _gate_text(g: Gate, control_text: list[tuple[str, str]]) -> str:
-    if g.controls:
-        head = (_CONTROLS_OPEN + ",\n".join([control_text[q][p] for q, p in g.controls])
-                + _KIND_AFTER_CONTROLS[g.kind])
-    else:
-        head = _KIND_NO_CONTROLS[g.kind]
-    if g.theta is None:
-        return f"{head}{g.target}"
-    return f"{head}{g.target}{_THETA}{_number(g.theta)}"
-
-
-def _trailer(n_qubits: int, roles: dict | None) -> str:
-    """The text after the gates array: register size, roles and schema."""
-    listed = ",\n".join(
-        f"    {encode_basestring_ascii(name)}: "
-        + ("[\n" + ",\n".join(f"      {q}" for q in qs) + "\n    ]" if qs else "[]")
-        for name, qs in sorted((roles or {}).items()))
-    return (f'"n_qubits": {n_qubits},\n  "roles": '
-            + ("{\n" + listed + "\n  }" if listed else "{}")
-            + f',\n  "schema": {encode_basestring_ascii(CIRCUIT_SCHEMA)}\n}}')
+def _line(g: Gate) -> str:
+    """The ``uqcm-circuit/2`` line of a gate: ``kind target c1 c2 ... [@theta]``."""
+    parts = [g.kind, str(g.target)] + [str(q) if p else f"~{q}" for q, p in g.controls]
+    theta = g.theta
+    if theta is not None:   # float.__repr__ for numpy floats too, whose repr names the type
+        parts.append("@" + (float.__repr__ if isinstance(theta, float) else int.__repr__)(theta))
+    return " ".join(parts)
 
 
 def to_json(circuit: Circuit) -> str:
-    """The circuit as ``uqcm-circuit/1`` text, one fragment per gate object, joined once.
-
-    The text is byte for byte ``json.dumps(d, indent=2, sort_keys=True)`` of
-    the dict ``{"schema", "n_qubits", "roles", "gates"}`` (the test oracle
-    ``to_json_by_dumps`` builds it that way); the stdlib takes its pure-Python
-    encoder for ``indent``, which is slow and memory-hungry on large circuits.
-    """
-    # controls name qubits below the highest one any gate touches, and a
-    # register may be far wider than that
-    control_text = _control_texts(max(map(_TOP_QUBIT, circuit.gates), default=-1) + 1)
-    # a gate object met again (synthesis shares them) reuses its text; the
-    # circuit holds every gate, so no id is reused during the loop
+    """The circuit as ``uqcm-circuit/2`` text: a one-line JSON header of the
+    register size, roles and schema, then one ``_line`` per gate, each line
+    ended by a newline."""
+    head = json.dumps({"n_qubits": circuit.n_qubits, "schema": CIRCUIT_SCHEMA,
+                       "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()}},
+                      sort_keys=True)
+    # a gate object met again (synthesis shares them) reuses its line; the
+    # circuit holds every gate, so no id is reused meanwhile
     texts: dict[int, str] = {}
-    parts = []
-    for g in circuit.gates:
-        text = texts.get(id(g))
-        if text is None:
-            text = texts[id(g)] = _gate_text(g, control_text)
-        parts.append(_GATE_SEP)
-        parts.append(text)
-    if parts:
-        parts[0] = _GATES_OPEN   # in place of the separator before the first gate
-        parts.append(_GATES_CLOSE)
-    else:
-        parts.append(_NO_GATES)
-    parts.append(_trailer(circuit.n_qubits, circuit.roles))
-    return "".join(parts)
+    lines = [texts.get(id(g)) or texts.setdefault(id(g), _line(g)) for g in circuit.gates]
+    return "\n".join([head, *lines, ""])
+
+
+class _Memo(dict):
+    """A dict that fills each missing key with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def from_json(text: str) -> Circuit:
+    """Load a circuit file: ``uqcm-circuit/2`` text if its first line is a
+    ``/2`` header (``_read_lines``), else ``uqcm-circuit/1`` JSON (``_load``).
+    ValueError (KeyError for a missing field of a /1 file) unless it holds a
+    circuit."""
+    head, _, body = text.partition("\n")
+    try:
+        data = json.loads(head)
+    except (ValueError, RecursionError):   # a /1 file, or no circuit: _load says which
+        data = None
+    if type(data) is not dict or data.get("schema") != CIRCUIT_SCHEMA:
+        return _load(text)
+    if not text.endswith("\n"):
+        raise ValueError(f"a {CIRCUIT_SCHEMA} text must end with a newline")
+    return _read_lines(data, body.split("\n")[:-1])
+
+
+def _read_lines(header: dict, lines: list[str]) -> Circuit:
+    """The circuit of a ``/2`` header and its gate lines.  Each distinct line
+    is built once by the checked ``Gate``, each distinct control token (``3``
+    positive, ``~3`` negative) once, and an angle is read as an int, else a
+    float; every repeat is one dict lookup."""
+    controls = _Memo(lambda token: Control(int(token[1:]), False) if token.startswith("~")
+                     else Control(int(token), True))
+
+    def gate(line: str) -> Gate:
+        try:
+            kind, target, *rest = line.split(" ")
+            theta = None
+            if rest and rest[-1].startswith("@"):
+                theta = rest.pop()[1:]
+                try:
+                    theta = int(theta)
+                except ValueError:
+                    theta = float(theta)
+            return Gate(kind, int(target), tuple(map(controls.__getitem__, rest)), theta)
+        except ValueError as exc:
+            raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
+
+    gates = tuple(map(_Memo(gate).__getitem__, lines))
+    return Circuit(header.get("n_qubits"), gates, _roles(header))
+
+
+def _roles(data: dict) -> dict | None:
+    roles = data.get("roles", {})
+    if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
+        raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")
+    return roles or None
 
 
 def _polarity(name: object) -> bool:
     if name not in ("positive", "negative"):
         raise ValueError(f"control polarity must be 'positive' or 'negative', got {name!r}")
     return name == "positive"
-
-
-def from_json(text: str) -> Circuit:
-    """Load ``uqcm-circuit/1`` text.  ValueError (KeyError for a missing field)
-    unless it is a circuit ``to_json`` could have written.
-
-    Text exactly as ``to_json`` writes it is read by its fragments in one
-    scan of the gates array (``_read_written``): each gate text is sliced out
-    and looked up, each distinct one is checked and built by ``_gate`` once,
-    and only the distinct texts are kept while it reads, so a file of many
-    repeats costs little memory beyond the text.  Any other layout of the
-    same JSON, and every malformed file (nested too deeply too), goes through
-    ``json.loads`` (``_load``) and ``Gate``: the same circuit, or the error.
-    """
-    # Either path makes an object per distinct gate and control, and json.loads
-    # a dict or list per gate and control besides; none of them is cyclic, so
-    # the collector's full sweeps that this many allocations set off would
-    # find nothing.  Pause it, and leave it as the caller had it.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        circuit = _read_written(text)
-        return _load(text) if circuit is None else circuit
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _read_written(text: str) -> Circuit | None:
-    """The circuit whose ``to_json`` text is exactly ``text``, or None.
-
-    The trailer must be the one ``_trailer`` writes for the register size and
-    roles it holds, and each gate text must be one ``_gate_text`` could write
-    (``_read_gate``), so whatever this accepts ``_load`` reads to an equal
-    circuit.  The gates array is read forward in chunks of about ``_CHUNK``
-    characters, each cut at a separator and split at every separator by
-    ``str.split``; each gate text is looked up in a memo whose misses
-    ``_read_gate`` reads, so the per-gate scan runs in C, and only the
-    distinct texts stay alive, as the memo's keys.  The first text read as
-    no gate ends the read.  It raises nothing of its own; a circuit that
-    ``Circuit`` rejects raises as it would from ``_load``.
-    """
-    if type(text) is not str or not text.startswith(_GATES_OPEN):
-        return None
-    end = text.find(_GATES_CLOSE + '"n_qubits": ')
-    if end < 0:
-        return None
-    trailer = text[end + len(_GATES_CLOSE):]
-    try:
-        data = json.loads("{" + trailer)
-    except (ValueError, RecursionError):
-        return None
-    n_qubits, roles = data.get("n_qubits"), data.get("roles")
-    if (type(n_qubits) is not int or type(roles) is not dict
-            or not all(type(qs) is list and all(type(q) is int for q in qs)
-                       for qs in roles.values())
-            or _trailer(n_qubits, roles) != trailer):
-        return None
-    # a control on a qubit past the table is a miss; bounding the table by
-    # the text and MAX_QUBIT_INDEX keeps a huge n_qubits from building a huge
-    # one.  It is keyed on each fragment less its closing "}", as "},\n" only
-    # ever joins two, and gives its Control and its bits of the two masks.
-    control_text = _control_texts(min(n_qubits, MAX_QUBIT_INDEX + 1, len(text) // len(_CONTROL)))
-    control_at = {t[:-1]: (Control(q, bool(p)), 1 << q, p << q)
-                  for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
-    # separators are looked for only inside the array: the opening and the
-    # trailer hold none, and part of one overlapping either stays on the
-    # first or last gate text, which _read_gate then rejects.  The array is
-    # split a chunk at a time, each cut at a separator, so only one chunk's
-    # pieces are alive at once.
-    memo = _GateMemo(control_at)
-
-    def chunks():
-        start = len(_GATES_OPEN)
-        while True:
-            cut = text.find(_GATE_SEP, start + _CHUNK, end)
-            yield map(memo.__getitem__, text[start:end if cut < 0 else cut].split(_GATE_SEP))
-            if cut < 0:
-                return
-            start = cut + len(_GATE_SEP)
-
-    try:
-        gates = tuple(chain.from_iterable(chunks()))
-    except _Rejected:
-        return None
-    return Circuit(n_qubits, gates, roles or None)
-
-
-# _read_written splits the gates array in chunks of this many characters,
-# each run on to the next separator
-_CHUNK = 16 * 1024
-
-
-class _Rejected(Exception):
-    """A gate text that ``_gate_text`` could not have written."""
-
-
-class _GateMemo(dict):
-    """The gate of each distinct gate text met so far; a text met for the
-    first time is read by ``_read_gate``, and raises ``_Rejected`` if it
-    reads as no gate."""
-
-    def __init__(self, control_at: dict[str, tuple[Control, int, int]]) -> None:
-        super().__init__()
-        self.control_at = control_at
-
-    def __missing__(self, piece: str) -> Gate:
-        gate = _read_gate(piece, self.control_at)
-        if gate is None:
-            raise _Rejected
-        self[piece] = gate
-        return gate
-
-
-def _read_gate(piece: str, control_at: dict[str, tuple[Control, int, int]]) -> Gate | None:
-    """The gate whose ``_gate_text`` is exactly ``piece``, or None.
-
-    Each part is read only in the one spelling ``_gate_text`` writes it in:
-    the controls by exact lookup, and the target and theta only where
-    ``_number`` of the value read gives back their text.  The parts pass the
-    checks of ``Gate.__post_init__`` (else None: ``_load`` raises the error)
-    and ``_gate`` builds the gate from the masks the lookups add up.
-    """
-    if piece.startswith(_CONTROLS_OPEN):
-        listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
-        found = list(map(control_at.get, listed[:-1].split("},\n")))
-        if not listed.endswith("}") or None in found:
-            return None
-        controls, bits, positives = zip(*found)
-        mask, positive = sum(bits), sum(positives)
-        if mask.bit_count() != len(controls):   # a qubit repeats
-            return None
-    elif piece.startswith(_NO_CONTROLS):
-        controls, rest, mask, positive = (), piece[len(_NO_CONTROLS):], 0, 0
-    else:
-        return None
-    # without _CONTROLS_CLOSE or _TARGET the target text is empty, which int
-    # rejects
-    kind, _, rest = rest.partition(_TARGET)
-    target_text, has_theta, theta_text = rest.partition(_THETA)
-    try:
-        target = int(target_text)
-        theta = _read_number(theta_text) if has_theta else None
-    except ValueError:
-        return None
-    if (int.__repr__(target) != target_text or has_theta and _number(theta) != theta_text
-            or kind not in KINDS or (kind in ROTATION_KINDS) != bool(has_theta)
-            or has_theta and not _is_finite(theta) or kind == "cnot" and len(controls) != 1
-            or not 0 <= target <= MAX_QUBIT_INDEX or mask >> target & 1):
-        return None
-    return _gate(kind, target, controls, theta, mask, positive)
-
-
-def _read_number(text: str) -> int | float:
-    # json.loads reads a number with a fraction or exponent as a float
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def _load(text: str) -> Circuit:
@@ -721,11 +568,9 @@ def _load(text: str) -> Circuit:
         raise ValueError("circuit JSON is nested too deeply") from None
     if type(data) is not dict:
         raise ValueError(f"a circuit file must hold a JSON object, got {type(data).__name__}")
-    if data.get("schema") != CIRCUIT_SCHEMA:
+    if data.get("schema") != _SCHEMA_V1:
         raise ValueError(f"unsupported circuit schema {data.get('schema')!r}")
-    roles = data.get("roles", {})
-    if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
-        raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")
+    roles = _roles(data)
     if type(data["gates"]) is not list:
         raise ValueError("gates must be a list")
     # Each distinct gate object is built and checked once, and each distinct
@@ -753,4 +598,4 @@ def _load(text: str) -> Circuit:
                          for ck in cks])
             gate = memo[key] = Gate(gd["kind"], gd["target"], ctl, gd.get("theta"))
         gates.append(gate)
-    return Circuit(data["n_qubits"], tuple(gates), roles or None)
+    return Circuit(data["n_qubits"], tuple(gates), roles)

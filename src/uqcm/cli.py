@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a circuit against the ideal transformation")
     _add_spec_args(p)
     p.add_argument("--circuit", default=None,
-                   help="circuit JSON to verify (default: synthesize one)")
+                   help="circuit file, uqcm-circuit/2 or /1, to verify (default: synthesize one)")
     p.add_argument("--samples", type=int, default=50, help="random input samples")
     p.add_argument("--seed", type=int, default=7, help="random stream seed")
     p.add_argument("--json-out", default=None, help="write the report as JSON")

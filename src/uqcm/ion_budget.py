@@ -99,6 +99,8 @@ def load_species(path: str | os.PathLike | None = None) -> dict[str, IonSpecies]
             species = IonSpecies(row["name"], row["omega1_per_s"], row["omega2_per_s"],
                                  row["gamma2_per_s"], row.get("level0", ""),
                                  row.get("level1", ""), row.get("level2", ""))
+            if species.name in out:
+                raise ValueError(f"{species.name} repeats the name of an earlier row")
             out[species.name] = species
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None

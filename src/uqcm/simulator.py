@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .circuit import Circuit, RegisterLayout, apply, cnot_cost
-from .cloner_math import CloneSpec, ideal_output, theoretical_fidelity
+from .cloner_math import CloneSpec, _check_dense, ideal_output, theoretical_fidelity
 from .ion_budget import formula_gate_count
 from .statevec import ASSERT_ATOL, DRIFT_ATOL, StateVector
 # unused here; perfbench/spans.py wraps them at these names in this module
@@ -129,9 +129,10 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
     Deterministic given ``seed``; the random inputs come from a counter-based
     stream (``seed`` taken mod 2^64) so runs are reproducible regardless of
-    sample count.  A layout with more than 10 aux and flag qubits is refused
-    before the circuit runs: one sample's residue matrix over them would pass
-    the 2^20-entry budget a chunk of samples is sized to.
+    sample count.  A spec over the dense-representation cap, and a layout with
+    more than 10 aux and flag qubits, are refused before the circuit runs: one
+    sample's residue matrix over those qubits would pass the 2^20-entry
+    budget a chunk of samples is sized to.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if type(value) is not int:
@@ -139,6 +140,7 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n_in, m = spec.n_in, spec.m_out
+    _check_dense(spec)   # before the batch of 2^N rows of 2^n amplitudes is built
     layout = RegisterLayout.of(spec, circuit)
     n, n_trailing = circuit.n_qubits, len(layout.trailing)
     if 2 * n_trailing > _BUDGET_BITS:

@@ -8,10 +8,8 @@ verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone;
 ``haar_qubit_by_key`` draws each of those samples from a generator of its own.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
-``to_json_by_dumps`` writes a circuit file through the circuit's dict and
-``json.dumps``, and ``read_written_by_rerender`` reads uqcm's own layout of
-it by splitting the gates array and rendering each gate read back to its
-text.  ``angle_tree_coefficients`` multiplies out a preparation
+``to_json_by_dumps`` writes a ``uqcm-circuit/1`` circuit file through the
+circuit's dict and ``json.dumps``.  ``angle_tree_coefficients`` multiplies out a preparation
 angle tree one level at a time.  ``ideal_output_by_kron`` builds the ideal
 cloner output from Kronecker products over every placement of the flipped
 factors, and ``weight_components_by_kron`` solves the weight decomposition on
@@ -39,9 +37,7 @@ from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, PermutationPlan,
                   PermutationSpec, RegisterLayout, ScheduleError, StateVector,
                   VerificationReport, alphas, cnot_cost, fidelity_against_pure, ideal_output,
                   partial_trace)
-from uqcm.circuit import (_CONTROL, _CONTROLS_CLOSE, _CONTROLS_OPEN, _GATE_SEP, _GATES_CLOSE,
-                          _GATES_OPEN, _NO_CONTROLS, _TARGET, _THETA, CIRCUIT_SCHEMA,
-                          ROTATION_KINDS, _control_texts, _gate_text, _read_number, _trailer)
+from uqcm.circuit import ROTATION_KINDS
 from uqcm.cloner_math import AMP_EPS
 from uqcm.ion_budget import formula_gate_count
 
@@ -248,9 +244,10 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
 
 def to_json_by_dumps(circuit: Circuit) -> str:
-    """The ``uqcm-circuit/1`` text: the circuit's dict through ``json.dumps``."""
+    """The ``uqcm-circuit/1`` text, which ``from_json`` still reads: the
+    circuit's dict through ``json.dumps``."""
     data = {
-        "schema": CIRCUIT_SCHEMA,
+        "schema": "uqcm-circuit/1",
         "n_qubits": circuit.n_qubits,
         "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()},
         "gates": [
@@ -267,56 +264,6 @@ def to_json_by_dumps(circuit: Circuit) -> str:
         ],
     }
     return json.dumps(data, indent=2, sort_keys=True)
-
-
-def read_written_by_rerender(text: str) -> Circuit | None:
-    """The circuit whose ``to_json`` text is exactly ``text``, or None, by
-    re-rendering: split the gates array at every separator, read each
-    distinct piece into a ``Gate`` however loosely, and accept it only if
-    ``_gate_text`` of that gate gives back exactly the piece.  The trailer
-    must be the one ``_trailer`` writes for what it holds."""
-    if type(text) is not str or not text.startswith(_GATES_OPEN):
-        return None
-    end = text.find(_GATES_CLOSE + '"n_qubits": ')
-    if end < 0:
-        return None
-    trailer = text[end + len(_GATES_CLOSE):]
-    try:
-        data = json.loads("{" + trailer)
-    except ValueError:
-        return None
-    n_qubits, roles = data.get("n_qubits"), data.get("roles")
-    if (type(n_qubits) is not int or type(roles) is not dict
-            or not all(type(qs) is list and all(type(q) is int for q in qs)
-                       for qs in roles.values())
-            or _trailer(n_qubits, roles) != trailer):
-        return None
-    control_text = _control_texts(min(n_qubits, len(text) // len(_CONTROL)))
-    control_at = {t[:-1]: Control(q, bool(p))
-                  for q, pair in enumerate(control_text) for p, t in enumerate(pair)}
-    # a separator overlapping the array's opening or closing leaves an empty
-    # first or last piece, and no gate renders to an empty text
-    pieces = text.split(_GATE_SEP)
-    pieces[0] = pieces[0][len(_GATES_OPEN):]
-    pieces[-1] = pieces[-1][:end - len(text)]
-    gate_of = {}
-    for piece in dict.fromkeys(pieces):
-        if piece.startswith(_CONTROLS_OPEN):
-            listed, _, rest = piece[len(_CONTROLS_OPEN):].partition(_CONTROLS_CLOSE)
-            controls = tuple(map(control_at.get, listed[:-1].split("},\n")))
-        else:
-            controls, rest = (), piece.removeprefix(_NO_CONTROLS)
-        kind, _, rest = rest.partition(_TARGET)
-        target, _, theta = rest.partition(_THETA)
-        try:
-            # a control missing from the table is a None, which Gate rejects
-            gate = Gate(kind, int(target), controls, _read_number(theta) if theta else None)
-        except ValueError:
-            return None
-        if _gate_text(gate, control_text) != piece:
-            return None
-        gate_of[piece] = gate
-    return Circuit(n_qubits, tuple(map(gate_of.__getitem__, pieces)), roles or None)
 
 
 def angle_tree_coefficients(tree: AngleTree) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import random_circuit, states_close
+from oracle import random_circuit, states_close, to_json_by_dumps
 
 from uqcm import Circuit, Control, Gate, StateVector, apply, cnot_cost, inverse
 from uqcm.circuit import MAX_QUBIT_INDEX, _load, from_json, to_json
@@ -346,15 +346,15 @@ class TestSerialization:
     def test_rejects_non_integer_index_and_non_finite_theta(self, edit):
         circ = Circuit(2, (Gate("roty", 0, (Control(1, True),), 0.5),),
                        roles={"input": (0,), "ancilla-flag": (1,)})
-        data = json.loads(to_json(circ))
+        data = json.loads(to_json_by_dumps(circ))
         edit(data)
         with pytest.raises(ValueError):
             from_json(json.dumps(data))
 
     @pytest.mark.parametrize("layout", ["bare", "written"])
     def test_deeply_nested_json_is_a_value_error(self, layout):
-        # json.loads runs out of stack on deep nesting; either reader, on a
-        # bare array or on a trailer after a written gates array, gives a
+        # json.loads runs out of stack on deep nesting; from_json and _load,
+        # on a bare array or on a uqcm-circuit/2 header line, give a
         # ValueError, not a RecursionError
         deep = "[" * 100000
         text = deep if layout == "bare" else to_json(Circuit(1, (Gate("x", 0),))).replace(

@@ -1,53 +1,81 @@
-"""Differential tests of the circuit-file writer and loader.
+"""Tests of the circuit-file writer and loader.
 
-``to_json`` writes the ``uqcm-circuit/1`` text one fragment per gate; it must
-give, byte for byte, what ``oracle.to_json_by_dumps`` (the circuit's dict
-through ``json.dumps``) gives.  ``from_json`` reads that exact text by its
-fragments (``_read_written``) and any other text through ``json.loads``
-(``_load``); on every text, edited or not, the two must give the same circuit
-or the same error, and the fragment reader must accept exactly the texts
-that ``oracle.read_written_by_rerender`` accepts.  Both build each distinct gate once; a later gate that
-differs only in a value's type or sign must not reuse it.  And whatever
-``Gate`` and ``Circuit`` accept, ``from_json`` reads back.
+``to_json`` writes ``uqcm-circuit/2`` text: a one-line JSON header of the
+register size, roles and schema, then one line per gate.  ``from_json``
+reads each distinct gate line once through the checked ``Gate``, and reads a
+``uqcm-circuit/1`` file (``oracle.to_json_by_dumps``) through ``json.loads``
+(``_load``); both give the same circuit.  Whatever ``Gate`` and ``Circuit``
+accept, ``from_json`` reads back, angle types and signs included; every
+edited text either loads to a circuit that round-trips or is a ValueError.
 """
-import gc
 import json
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import (checked_slots, gate_slots, random_circuit, read_written_by_rerender,
-                    to_json_by_dumps)
+from oracle import checked_slots, gate_slots, random_circuit, to_json_by_dumps
 
 from uqcm import Circuit, CloneSpec, Control, Gate, reference_one_to_two, synthesize_cloner
-from uqcm.circuit import KINDS, _load, _read_written, from_json, to_json
+from uqcm.circuit import KINDS, from_json, to_json
 
 THETA_EDGES = Circuit(2, tuple(Gate("roty", 0, (Control(1, False),), t)
                                for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70)))
 
 
-def assert_writes_like_dumps(circ):
+def same_angles(a, b):
+    """Whether two circuits' gates have the same angles, as int or float and
+    to the sign of a zero."""
+    def angles(circ):
+        return [None if t is None else float.__repr__(t) if isinstance(t, float) else int.__repr__(t)
+                for t in (g.theta for g in circ.gates)]
+    return angles(a) == angles(b)
+
+
+def assert_round_trips(circ):
+    """The written text reads back to ``circ``, angle types and signs kept, and
+    writes back to the same bytes; the /1 text of ``circ`` loads to it too."""
     text = to_json(circ)
-    assert text == to_json_by_dumps(circ)
     again = from_json(text)
     assert again == circ
+    assert same_angles(again, circ)
     assert to_json(again) == text
-    assert _load(text) == circ
+    assert text.isascii() and text.endswith("\n")
+    assert text.count("\n") == 1 + len(circ.gates)
+    assert from_json(to_json_by_dumps(circ)) == circ
+
+
+@pytest.fixture(scope="module")
+def large_circuits():
+    return {nm: synthesize_cloner(CloneSpec(*nm)).circuit for nm in ((3, 6), (4, 8))}
 
 
 class TestWriter:
+    def test_grammar(self):
+        circ = Circuit(3, (Gate("roty", 0, (Control(2, False), Control(1, True)), 0.5),
+                           Gate("x", 1), Gate("utheta", 2, (), 3), Gate("cnot", 2, (Control(0, False),)),
+                           Gate("mcx", 0, (Control(1, True), Control(2, True)))),
+                       roles={"input": (0,), "blank": (1, 2)})
+        assert to_json(circ) == (
+            '{"n_qubits": 3, "roles": {"blank": [1, 2], "input": [0]}, "schema": "uqcm-circuit/2"}\n'
+            "roty 0 ~2 1 @0.5\n"
+            "x 1\n"
+            "utheta 2 @3\n"
+            "cnot 2 ~0\n"
+            "mcx 0 1 2\n")
+        assert to_json(Circuit(1, ())) == (
+            '{"n_qubits": 1, "roles": {}, "schema": "uqcm-circuit/2"}\n')
+
     def test_sweep_circuits(self, sweep_results):
         # each full circuit holds every gate of both stages
         for res in sweep_results.values():
-            assert_writes_like_dumps(res.circuit)
+            assert_round_trips(res.circuit)
 
     def test_reference_network(self):
-        assert_writes_like_dumps(reference_one_to_two())
+        assert_round_trips(reference_one_to_two())
 
     def test_shared_gates_write_like_fresh_ones(self, sweep_results):
-        # to_json renders each gate object once and repeats its text; a copy
+        # to_json writes each gate object's line once and repeats it; a copy
         # built from fresh, unshared equal gates gives the same bytes
         for nm, res in sweep_results.items():
             circ = res.circuit
@@ -56,25 +84,39 @@ class TestWriter:
                 for g in circ.gates), circ.roles)
             assert len({id(g) for g in circ.gates}) < len(circ.gates), nm
             assert len({id(g) for g in fresh.gates}) == len(fresh.gates), nm
-            assert to_json(fresh) == to_json(circ) == to_json_by_dumps(circ), nm
+            assert to_json(fresh) == to_json(circ), nm
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_random_circuits(self, n):
         for seed in range(4):
             roles = {"input": tuple(range(n))} if seed % 2 else None
-            assert_writes_like_dumps(random_circuit(n, 30, seed=100 * n + seed, roles=roles))
+            assert_round_trips(random_circuit(n, 30, seed=100 * n + seed, roles=roles))
 
     @pytest.mark.parametrize("circ", [
         Circuit(3, ()),
         Circuit(2, (Gate("x", 1),)),
         Circuit(2, (), roles={"input": (0, 1), "blank": ()}),
         Circuit(2, (Gate("x", 0),), roles={'qu"bit\\ñ 𝜓': (1,), "a": (0,)}),
+        Circuit(2, (Gate("x", 0),), roles={"line\nbreak\r": (1,), "": (0,)}),
         THETA_EDGES,
         Circuit(1, (Gate("utheta", 0, (), np.float64(0.125)),)),
-    ], ids=["no-gates", "no-roles", "empty-role", "escaped-role-name", "theta-edges",
-            "numpy-theta"])
+    ], ids=["no-gates", "no-roles", "empty-role", "escaped-role-name", "newline-role-name",
+            "theta-edges", "numpy-theta"])
     def test_edge_cases(self, circ):
-        assert_writes_like_dumps(circ)
+        assert_round_trips(circ)
+
+    def test_header_is_one_ascii_line(self):
+        circ = Circuit(2, (Gate("x", 0),), roles={"ñ\n𝜓": (1,), "a\r\nb": (0,)})
+        head, gates = to_json(circ).split("\n", 1)
+        assert head.isascii() and gates == "x 0\n"
+        assert json.loads(head)["roles"] == {"ñ\n𝜓": [1], "a\r\nb": [0]}
+
+    def test_4_to_8_text_is_small(self, large_circuits):
+        # the /1 JSON of the same circuit is 23.5 MB
+        circ = large_circuits[(4, 8)]
+        text = to_json(circ)
+        assert len(text) < 1_500_000, len(text)
+        assert from_json(text) == circ
 
     def test_writer_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -107,192 +149,157 @@ class TestWriter:
         @hypothesis.settings(max_examples=150, deadline=None)
         @hypothesis.given(circ=circuits())
         def check(circ):
-            assert_writes_like_dumps(circ)
+            assert_round_trips(circ)
 
         check()
 
 
-def outcome(load, text):
-    """What ``load`` makes of ``text``: the circuit with its bytes and angle
-    types, None if it gives None, or the type of the error it raised."""
-    try:
-        circ = load(text)
-    except Exception as exc:
-        return type(exc)
-    if circ is None:
-        return None
-    return circ, to_json(circ), [type(g.theta) for g in circ.gates]
+class TestVersionOneFiles:
+    def test_v1_texts_load_to_the_same_circuit(self, sweep_results):
+        for nm, res in sweep_results.items():
+            circ = res.circuit
+            old, new = from_json(to_json_by_dumps(circ)), from_json(to_json(circ))
+            assert old == new == circ, nm
+            assert same_angles(old, new), nm
+
+    def test_compact_v1_text_loads(self):
+        # a /1 file on one line: its first line is JSON, but not a /2 header
+        circ = reference_one_to_two()
+        assert from_json(json.dumps(json.loads(to_json_by_dumps(circ)))) == circ
 
 
-def error_message(load, text):
-    """The message of the error ``load`` raises on ``text``, or None."""
-    try:
-        load(text)
-    except Exception as exc:
-        return str(exc)
-    return None
+# what an edit inserts or writes over: the characters of numbers, controls,
+# angles, kinds and the header
+EDIT_CHARS = '0123456789-+.eE_~@ \n\t{}[]":,\\acdegiklnoqrstuvxy'
 
 
-# what an edit inserts or writes over: JSON's punctuation and number
-# characters, and letters of the keys, kinds and polarities
-EDIT_CHARS = '0123456789-+.eE ,:"{}[]\n\\acdegiklnopqrstuvxy'
-
-
-class TestWrittenLayoutReader:
-    def test_reads_every_written_circuit(self, sweep_results):
-        # the fragment reader, not json.loads, takes to_json's own text; a
-        # compact copy of the same JSON is left to json.loads
-        circuits = [res.circuit for res in sweep_results.values()]
-        for circ in circuits + [reference_one_to_two(), THETA_EDGES]:
-            text = to_json(circ)
-            assert outcome(_read_written, text) == outcome(_load, text)
-            assert _read_written(text) == circ
-            compact = json.dumps(json.loads(text))
-            assert _read_written(compact) is None
-            assert outcome(from_json, compact) == outcome(_load, text)
-
+class TestReader:
     def test_wide_register_builds_no_wide_table(self):
         gate = Gate("cnot", 0, (Control(1, True),))
         text = to_json(Circuit(2, (gate,))).replace('"n_qubits": 2', '"n_qubits": 1000000000000')
-        circ = _read_written(text)
-        assert circ == Circuit(10 ** 12, (gate,)) == _load(text)
+        circ = from_json(text)
+        assert circ == Circuit(10 ** 12, (gate,))
         assert to_json(circ) == text   # nor does writing it back
 
     def test_wide_control_index_builds_no_wide_mask(self):
         # a gate holds its controls as bitmasks, so a control index past
         # MAX_QUBIT_INDEX is refused before a mask of that many bits is built
-        gate = Gate("cnot", 0, (Control(1, True),))
-        text = to_json(Circuit(2, (gate,)))
-        assert text.count('"q": 1\n') == 1
-        text = (text.replace('"q": 1\n', '"q": 1000000000000\n')
-                .replace('"n_qubits": 2', '"n_qubits": 1000000000001'))
-        for load in (from_json, _load):
-            with pytest.raises(ValueError, match="qubit index above 1023"):
-                load(text)
+        text = ('{"n_qubits": 1000000000001, "roles": {}, "schema": "uqcm-circuit/2"}\n'
+                "cnot 0 1000000000000\n")
+        with pytest.raises(ValueError, match="qubit index above 1023"):
+            from_json(text)
 
-    def test_integer_angle_too_large_for_a_float_fails_alike(self):
-        text = to_json(Circuit(1, (Gate("roty", 0, (), 0.5),))).replace("0.5", "1" + "0" * 400)
-        for load in (from_json, _load):
+    def test_integer_angle_too_large_for_a_float(self):
+        circ = Circuit(1, (Gate("roty", 0, (), 0.5),))
+        for text in (to_json(circ).replace("@0.5", "@1" + "0" * 400),
+                     to_json_by_dumps(circ).replace("0.5", "1" + "0" * 400)):
             with pytest.raises(ValueError, match="finite real theta"):
-                load(text)
+                from_json(text)
 
-    def test_edited_files_read_alike(self, sweep_results):
-        # one-character inserts, deletes and replaces of written files, half
-        # of them at a digit, where an edit most often leaves a file that
-        # to_json could have written: each edit gives the same circuit, bytes
-        # and angle types, or the same error, through from_json as through
-        # json.loads, and the fragment reader accepts it exactly when the
-        # re-rendering oracle does, with the same circuit
-        rng = random.Random(1616)
+    def test_edited_texts_load_or_fail(self, sweep_results):
+        # one-character inserts, deletes and replaces of written texts, half
+        # of them at a digit: each is a ValueError or a circuit that round-trips
+        rng = random.Random(2626)
         circuits = [reference_one_to_two(), sweep_results[(2, 3)].circuit, THETA_EDGES,
                     random_circuit(5, 20, seed=16, roles={"a": (0, 1), "b": (2, 3, 4)})]
-        read, edits = 0, 750
+        loaded = failed = 0
         for circ in circuits:
             text = to_json(circ)
             digits = [i for i, ch in enumerate(text) if ch.isdigit()]
-            for _ in range(edits):
+            for _ in range(750):
                 i = rng.choice(digits) if rng.random() < 0.5 else rng.randrange(len(text) + 1)
                 op = rng.choice(("insert", "delete", "replace"))
                 new = "" if op == "delete" else rng.choice(EDIT_CHARS)
                 edited = text[:i] + new + text[i + (op != "insert"):]
-                want = outcome(_load, edited)
-                assert outcome(from_json, edited) == want, (op, i, new)
-                got = outcome(_read_written, edited)
-                assert got == outcome(read_written_by_rerender, edited), (op, i, new)
-                read += type(got) is tuple
-        # the reader took part: it read 399 of the 3000 edited files
-        assert read >= 300, read
+                try:
+                    read = from_json(edited)
+                except ValueError:
+                    failed += 1
+                    continue
+                loaded += 1
+                again = from_json(to_json(read))
+                assert again == read and same_angles(again, read), (op, i, new)
+        # both outcomes are common: 755 of the 3000 edited texts load
+        assert loaded >= 500 and failed >= 1500, (loaded, failed)
 
-    @pytest.mark.parametrize("old, new", [
-        ('"target": 3', '"target": +3'),
-        ('"target": 3', '"target": 03'),
-        ('"target": 3', '"target":  3'),
-        ('"target": 3', '"target": \u0663'),
-        ('"theta": 0.5', '"theta": 1_0'),
-        ('"theta": 0.5', '"theta": 1e5'),
-        ('"theta": 0.5', '"theta": NaN'),
-        ('"theta": 0.5', '"theta": Infinity'),
-        ('"theta": 0.5', '"theta": -0.0'),
-        ('"theta": 0.5', '"theta": '),
-        ('"target": 3', '"target": 3,\n      "theta": 0.5'),
-        ('"q": 2\n        }\n      ]', '"q": 2\n        },\n      ]'),
-        ('"q": 2\n        }\n      ]', '"q": 2\n        \n      ]'),
-        ('"polarity": "negative"', '"polarity": "Negative"'),
-        ('"q": 2\n', '"q":  2\n'),
-        ('"q": 2\n', '"q": 2.0\n'),
-        ('\n    }\n  ],', '\n    },\n    {\n    }\n  ],'),
-        ('"gates": [\n    {\n', '"gates": [\n    {\n    },\n    {\n'),
-        ('"q": 2\n', '"q": 0\n'),
-        ('"target": 1,', '"target": 2,'),
-        ('"kind": "roty",\n      "target": 1,\n      "theta": 0.5',
-         '"kind": "cnot",\n      "target": 1'),
-        ('"kind": "x"', '"kind": "y"'),
-        ('"target": 3', '"target": 1024'),
-        ('"kind": "x",\n      "target": 3',
-         '"kind": "mcx",\n      "target": 3,\n      "theta": 0.5'),
-        ('"target": 1,\n      "theta": 0.5', '"target": 1'),
-    ], ids=["target-plus", "target-leading-zero", "target-space", "target-arabic-digit",
-            "theta-underscore", "theta-exponent", "theta-nan", "theta-infinity",
-            "theta-negative-zero", "theta-empty", "theta-on-a-flip", "controls-trailing-comma",
-            "controls-unclosed", "control-polarity-case", "control-spacing", "control-float-q",
-            "separator-over-closing", "separator-over-opening", "control-repeated",
-            "target-among-controls", "cnot-two-controls", "kind-unknown", "target-1024",
-            "theta-on-an-mcx", "rotation-without-theta"])
-    def test_near_miss_gate_texts(self, old, new):
-        # each edit keeps the file one character or one token away from what
-        # to_json writes: from_json and json.loads agree, to the message of
-        # the error, and the fragment reader gives None or the same circuit,
-        # as the oracle reader does; where json.loads's circuit is an error,
-        # the fragment reader reads no gate and leaves the error to it
+    @pytest.mark.parametrize("old, new, message", [
+        ("roty 1 0 ~2 @0.5", "roty -1 0 ~2 @0.5", "negative qubit index"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~-2 @0.5", "negative qubit index"),
+        ("roty 1 0 ~2 @0.5", "roty 1.5 0 ~2 @0.5", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0.0 ~2 @0.5", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~~2 @0.5", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0  ~2 @0.5", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @0.5 ", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @", "could not convert"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @nan", "finite real theta"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @-inf", "finite real theta"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2", "finite real theta"),
+        ("roty 1 0 ~2 @0.5", "roty 1 @0.5 0 ~2", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~0 @0.5", "duplicate control qubits"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~1 @0.5", "target 1 also appears as a control"),
+        ("roty 1 0 ~2 @0.5", "cnot 1 0 ~2", "cnot requires exactly one control"),
+        ("roty 1 0 ~2 @0.5", "Roty 1 0 ~2 @0.5", "unknown gate kind"),
+        ("roty 1 0 ~2 @0.5", "roty 1024 0 ~2 @0.5", "qubit index above 1023"),
+        ("roty 1 0 ~2 @0.5", "roty 1\n0 ~2 @0.5", "finite real theta"),
+        ("x 3", "x 3 @0.5", "x gate takes no theta"),
+        ("x 3", "x 4", "exceeds register of 4 qubits"),
+        ("x 3\n", "x 3\n\n", "not enough values"),
+        ("x 3\n", "x 3", "must end with a newline"),
+        ('"n_qubits": 4', '"n_qubits": "4"', "n_qubits must be an integer"),
+        ('"roles": {}', '"roles": []', "roles must map each name"),
+        ('"roles": {}', '"roles": {"a": 0}', "roles must map each name"),
+        ('"roles": {}', '"roles": {"a": [0.0, 1, 2, 3]}', "role qubits must be integers"),
+        ('"uqcm-circuit/2"', '"uqcm-circuit/3"', "Extra data"),
+    ], ids=["target-negative", "control-negative", "target-float", "control-float",
+            "control-double-tilde", "double-space", "trailing-space", "theta-empty", "theta-nan",
+            "theta-infinity", "rotation-without-theta", "theta-before-control",
+            "control-repeated", "target-among-controls", "cnot-two-controls", "kind-unknown",
+            "target-1024", "line-split", "theta-on-a-flip", "target-outside-register",
+            "empty-line", "no-final-newline", "n-qubits-string", "roles-array", "role-not-list",
+            "role-float-qubit", "schema-unknown"])
+    def test_near_miss_texts(self, old, new, message):
         circ = Circuit(4, (Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5),
                            Gate("x", 3)))
         text = to_json(circ)
         assert text.count(old) == 1
-        edited = text.replace(old, new)
-        want = outcome(_load, edited)
-        assert outcome(from_json, edited) == want
-        assert error_message(from_json, edited) == error_message(_load, edited)
-        got = outcome(_read_written, edited)
-        assert got is None or got == want
-        assert got == outcome(read_written_by_rerender, edited)
-        if type(want) is type:
-            assert got is None
-        if new.endswith("-0.0"):
-            # exactly what to_json writes for a -0.0 angle, read as one
-            assert got is not None
-            assert math.copysign(1, got[0].gates[0].theta) == -1
+        with pytest.raises(ValueError, match=message):
+            from_json(text.replace(old, new))
 
-    def test_repeats_are_not_copied(self):
-        # one 10-control mcx, 5000 times: the reader keeps one copy of its
-        # text, so its peak above the start is a small share of the file
-        gate = Gate("mcx", 10, tuple(Control(q, q % 2 == 0) for q in range(10)))
-        circ = Circuit(11, (gate,) * 5000)
-        text = to_json(circ)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            read = from_json(text)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert read == circ
-        assert peak < len(text) / 10, (peak, len(text))
+    @pytest.mark.parametrize("old, new, gate", [
+        ("roty 1", "roty +1", Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5)),
+        ("roty 1", "roty 01", Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5)),
+        ("@0.5", "@5e-1", Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5)),
+        ("@0.5", "@-0.0", Gate("roty", 1, (Control(0, True), Control(2, False)), -0.0)),
+        ("@0.5", "@1_0", Gate("roty", 1, (Control(0, True), Control(2, False)), 10)),
+    ], ids=["target-plus", "target-leading-zero", "theta-exponent", "theta-negative-zero",
+            "theta-underscore"])
+    def test_other_spellings_read_as_int_and_float_do(self, old, new, gate):
+        # the reader spells nothing out itself: a token is whatever int, or
+        # float for an angle, makes of it, and writes back in the one spelling
+        circ = Circuit(4, (Gate("roty", 1, (Control(0, True), Control(2, False)), 0.5),
+                           Gate("x", 3)))
+        read = from_json(to_json(circ).replace(old, new, 1))
+        want = Circuit(4, (gate, Gate("x", 3)))
+        assert read == want and same_angles(read, want)
+
+    def test_long_bad_line_is_cut_in_the_message(self):
+        line = "x 0 " + "~" * 1000
+        with pytest.raises(ValueError) as info:
+            from_json('{"n_qubits": 2, "roles": {}, "schema": "uqcm-circuit/2"}\n' + line + "\n")
+        assert repr(line[:200]) in str(info.value)
+        assert line not in str(info.value)
 
 
 class TestUncheckedBuilder:
-    """Synthesis and the fragment reader build their gates with ``_gate``,
-    which skips ``Gate``'s checks and takes the control masks it is given.
-    Circuit equality leaves the masks, highest qubit and cost out, so each
-    gate is held to the one the checked constructor makes of its parts."""
+    """Synthesis builds its gates with ``_gate``, which skips ``Gate``'s
+    checks and takes the control masks it is given.  Circuit equality leaves
+    the masks, highest qubit and cost out, so each gate is held to the one
+    the checked constructor makes of its parts; the loader builds every gate
+    with that constructor."""
 
     @pytest.fixture(scope="class")
-    def circuits(self, sweep_results):
-        built = [res.circuit for res in sweep_results.values()]
-        built += [synthesize_cloner(CloneSpec(*nm)).circuit for nm in ((3, 6), (4, 8))]
-        return built
+    def circuits(self, sweep_results, large_circuits):
+        return [res.circuit for res in sweep_results.values()] + list(large_circuits.values())
 
     def test_synthesized_gates_equal_checked_ones(self, circuits):
         for circ in circuits:
@@ -308,8 +315,8 @@ class TestUncheckedBuilder:
 
 
 def twice(gate, edit):
-    """A file of ``gate`` twice, the second copy edited."""
-    data = json.loads(to_json(Circuit(3, (gate, gate))))
+    """A /1 file of ``gate`` twice, the second copy edited."""
+    data = json.loads(to_json_by_dumps(Circuit(3, (gate, gate))))
     edit(data["gates"][1])
     return json.dumps(data)
 
@@ -333,18 +340,23 @@ class TestLoaderMemo:
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
     def test_equal_angles_of_another_spelling_stay_distinct(self, first, second):
-        data = json.loads(to_json(Circuit(1, (Gate("roty", 0, (), first),) * 2)))
+        # the /1 memo keys on each value's type and spelling, the /2 memo on
+        # the line, so neither reuses the first gate for the equal second one
+        circ = Circuit(1, (Gate("roty", 0, (), first), Gate("roty", 0, (), second)))
+        data = json.loads(to_json_by_dumps(Circuit(1, (Gate("roty", 0, (), first),) * 2)))
         data["gates"][1]["theta"] = second
-        text = json.dumps(data, indent=2, sort_keys=True)
-        circ = from_json(text)
-        for gate, want in zip(circ.gates, (first, second)):
-            assert type(gate.theta) is type(want)
-            assert math.copysign(1, gate.theta) == math.copysign(1, want)
-        assert to_json(circ) == text
+        v1 = json.dumps(data, indent=2, sort_keys=True)
+        assert v1 == to_json_by_dumps(circ)
+        for text in (v1, to_json(circ)):
+            read = from_json(text)
+            assert same_angles(read, circ)
+            for gate, want in zip(read.gates, (first, second)):
+                assert math.copysign(1, gate.theta) == math.copysign(1, want)
 
     def test_repeated_gates_are_shared(self, sweep_results):
-        circ = from_json(to_json(sweep_results[(2, 4)].circuit))
-        assert len({id(g) for g in circ.gates}) == len(set(circ.gates)) < len(circ.gates)
+        circ = sweep_results[(2, 4)].circuit
+        for read in (from_json(to_json(circ)), from_json(to_json_by_dumps(circ))):
+            assert len({id(g) for g in read.gates}) == len(set(read.gates)) < len(read.gates)
 
     @pytest.mark.parametrize("text", [
         "[]",
@@ -363,25 +375,6 @@ class TestLoaderMemo:
     def test_rejects_malformed_structure(self, text):
         with pytest.raises(ValueError):
             from_json(text)
-
-
-class TestLoaderLeavesCollectorAlone:
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_is_restored(self, enabled):
-        # the loader pauses the cyclic collector; a good load and a bad one
-        # must both hand it back as the caller left it
-        circ = reference_one_to_two()
-        text = to_json(circ)
-        was = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            assert from_json(text) == circ
-            assert gc.isenabled() is enabled
-            with pytest.raises(ValueError, match="polarity"):
-                from_json(text.replace('"positive"', '"sideways"', 1))
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was else gc.disable()
 
 
 class TestConstructorMatchesLoader:
@@ -414,4 +407,4 @@ class TestConstructorMatchesLoader:
         Gate("mcx", 0, [Control(1, False)]),
     ])
     def test_accepted_gates_round_trip(self, gate):
-        assert_writes_like_dumps(Circuit(2, (gate,)))
+        assert_round_trips(Circuit(2, (gate,)))

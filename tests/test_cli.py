@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from oracle import to_json_by_dumps
 
 from uqcm import CloneSpec, __version__, synthesize_cloner
-from uqcm.circuit import Circuit, Gate, RegisterLayout, to_json
+from uqcm.circuit import Circuit, Gate, RegisterLayout, from_json, to_json
 from uqcm.cli import main
 
 
@@ -29,8 +30,8 @@ class TestSynth:
         assert "feasible: 3 <= 4" in out
         written = list(tmp_path.glob("cloner_N1_M2_*.json"))
         assert len(written) == 1
-        data = json.loads(written[0].read_text())
-        assert data["schema"] == "uqcm-circuit/1"
+        header = written[0].read_text().split("\n", 1)[0]
+        assert json.loads(header)["schema"] == "uqcm-circuit/2"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["synth", "-N", "2", "-M", "4", "--artifacts", str(tmp_path)]
@@ -106,12 +107,13 @@ class TestVerify:
         assert "PASS" in out
 
     def test_compact_copy_of_an_artifact_reports_alike(self, tmp_path, capsys):
-        # a file in another JSON layout than synth writes is read through
-        # json.loads, and verifies to the same report
+        # a uqcm-circuit/1 file of the same circuit, here in compact JSON, is
+        # read through json.loads, and verifies to the same report
         written = tmp_path / "one_to_three.json"
         run_cli(["synth", "-N", "1", "-M", "3", "--out", str(written)], capsys)
         compact = tmp_path / "compact.json"
-        compact.write_text(json.dumps(json.loads(written.read_text())))
+        circuit = from_json(written.read_text())
+        compact.write_text(json.dumps(json.loads(to_json_by_dumps(circuit))))
         reports = []
         for path in (written, compact):
             report = tmp_path / f"report_{path.name}"
@@ -136,10 +138,12 @@ class TestVerify:
 
     def test_corrupted_circuit_file(self, tmp_path, capsys):
         # unparsable JSON, and single-field edits of the synthesized 1->2
-        # circuit: each is an input error (exit 1), not a traceback, a
-        # verification FAIL (exit 2) or a silently coerced index
-        # (gate 0 is a rotation, gate 1's control is qubit 1)
-        good = to_json(synthesize_cloner(CloneSpec(1, 2)).circuit)
+        # circuit's uqcm-circuit/1 and /2 files: each is an input error
+        # (exit 1), not a traceback, a verification FAIL (exit 2) or a
+        # silently coerced index (gate 0 is a rotation, gate 1's control is
+        # qubit 1, and the last gate is "mcx 3 ~0 ~1 2")
+        circuit = synthesize_cloner(CloneSpec(1, 2)).circuit
+        good = to_json_by_dumps(circuit)
         edits = [lambda d: d["gates"][-1].update(target=-1),
                  lambda d: d["gates"][-1]["controls"][0].update(q=-2),
                  lambda d: d["gates"][-1]["controls"][0].update(polarity="sideways"),
@@ -159,6 +163,16 @@ class TestVerify:
             data = json.loads(good)
             edit(data)
             texts.append(json.dumps(data))
+        lines = to_json(circuit).split("\n")
+        assert lines[1].startswith("utheta 1 @") and lines[-2] == "mcx 3 ~0 ~1 2"
+        for row, new in [(-2, "mcx -1 ~0 ~1 2"), (-2, "mcx 3 ~-2 ~1 2"),
+                         (0, lines[0].replace('"n_qubits": 4', '"n_qubits": "4"')),
+                         (1, lines[1].replace("utheta 1 ", "utheta 1.5 ")),
+                         (1, "utheta 1 @nan")]:
+            edited = lines.copy()
+            edited[row] = new
+            assert edited != lines
+            texts.append("\n".join(edited))
         bad = tmp_path / "broken.json"
         for text in texts:
             bad.write_text(text)

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -304,6 +305,18 @@ class TestSpeciesDatabase:
         monkeypatch.setenv("UQCM_SPECIES_DB", str(path))
         db = load_species()
         assert list(db) == ["X+"]
+
+    def test_repeated_name_names_file_and_row(self, tmp_path):
+        # a second row of one name is an error, not a silent replacement of the first
+        data = json.loads(resources.files("uqcm.data").joinpath("ion_species.json").read_text())
+        first = next(i for i, row in enumerate(data["species"]) if row["name"] == "Ca+")
+        data["species"].append({**data["species"][first], "omega1_per_s": 1.0})
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(data))
+        row = len(data["species"]) - 1
+        with pytest.raises(ValueError, match=f"species row {row}: Ca\\+ repeats the name") as info:
+            load_species(path)
+        assert str(path) in str(info.value)
 
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracle import input_state
 
-from uqcm import (CloneSpec, RegisterLayout, StateVector, apply,
+from uqcm import (Circuit, CloneSpec, RegisterLayout, StateVector, apply,
                   haar_random_qubit, partial_trace, reference_one_to_two,
                   theoretical_fidelity, verify)
 
@@ -149,6 +149,18 @@ class TestVerifySynthesized:
         monkeypatch.setattr("uqcm.simulator.apply", lambda circuit, rows: rows * bad)
         with pytest.raises(ValueError, match="pattern output is not normalized"):
             verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=1)
+
+    def test_spec_over_the_dense_cap_is_refused_before_the_circuit_runs(self, monkeypatch):
+        # 1->12 needs 23 qubits; the batch of its pattern inputs alone would
+        # be 2 x 2^24 amplitudes on the flagged register
+        def no_run(circuit, rows):
+            raise AssertionError("apply called on an over-cap spec")
+        monkeypatch.setattr("uqcm.simulator.apply", no_run)
+        spec = CloneSpec(1, 12)
+        layout = RegisterLayout(spec)
+        empty = Circuit(layout.n_qubits, (), layout.roles())
+        with pytest.raises(ValueError, match="dense-representation cap"):
+            verify(spec, empty, n_samples=1)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_needs_at_least_one_sample(self, n_samples):

@@ -54,9 +54,9 @@ class TestSynthesize:
         assert to_json(a.circuit) == to_json(b.circuit)
 
     @pytest.mark.parametrize("nm, digest", [
-        ((1, 4), "3b11e3170123a995f69516dc1cf42d48c0bc43ff89bd0f0b04f21154cd4e1f97"),
-        ((2, 4), "cba12395ef077ed04f83a29e1c9f70041c03396fdbd8ac2ab39412f337f767ad"),
-        ((3, 6), "e6e33a1d7d8741f15937aa30643d0b690b96c16bd08f7c536a17ba68b89fa04a"),
+        ((1, 4), "f94de6d93b1b6c66b404baeb46485a3294dca8e244095dd6aa4d31d9097fc3cb"),
+        ((2, 4), "4d0a17f82f31cb1ddaa344ccb999fe4130ec13c8967697d77b44ba59e3210d5b"),
+        ((3, 6), "e0302c6ce704597658edbe074df6f04bb02ecaef1723fd5ccfce952ab0530aac"),
     ])
     def test_artifact_bytes_are_pinned(self, nm, digest):
         # a writer or synthesis change that moves a single byte of an emitted
