@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
@@ -33,6 +34,7 @@ _SCHEMA_V1 = "uqcm-circuit/1"
 # the highest qubit index a gate may name: a gate holds its control qubits
 # as bitmasks, which grow with the highest of them
 MAX_QUBIT_INDEX = 1023
+_MASK_LIMIT = 1 << MAX_QUBIT_INDEX + 1
 
 ROTATION_KINDS = ("roty", "utheta")
 FLIP_KINDS = ("x", "cnot", "mcx")
@@ -52,104 +54,95 @@ def _is_finite(theta: int | float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
-    # checked by __post_init__, which every gate a circuit file loads goes
-    # through; _gate builds one unchecked from parts known valid, for
-    # perm.compile_moves and prep.emit_prep_circuit
+    # the control qubits, and the positive ones among them, as bitmasks: bit
+    # q is qubit q (least significant first), while an amplitude index has
+    # qubit 0 as its most significant bit; Gate.of takes a list of Controls
     kind: str
     target: int
-    controls: tuple[Control, ...] = ()
+    control_mask: int = 0
+    positive_mask: int = 0
     theta: float | None = None
     # the highest qubit the gate touches, for the register-bound check
     top_qubit: int = field(init=False, repr=False, compare=False)
-    # the control qubits, and the positive ones, as bitmasks: bit q is qubit
-    # q (least significant first), while an amplitude index has qubit 0 as
-    # its most significant bit
-    control_mask: int = field(init=False, repr=False, compare=False)
-    positive_mask: int = field(init=False, repr=False, compare=False)
     # cnot_cost(), summed by cnot_cost(circuit) without a call per gate
     cnot_eq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the rules a circuit file is loaded by, so whatever to_json writes
-        # from_json reads back: indices exactly int (bool is not an index),
-        # polarities bool, theta a finite int or float
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        controls = self.controls
-        if type(controls) is not tuple:
-            controls = tuple(controls)
-            object.__setattr__(self, "controls", controls)
-        mask = positive = 0
-        clash = False   # a negative, too high or repeated control qubit
-        for c in controls:
-            if type(c) is not Control or type(q := c[0]) is not int or type(p := c[1]) is not bool:
-                raise ValueError(f"control {c!r} is not a Control(int qubit, bool polarity)")
-            if q < 0 or q > MAX_QUBIT_INDEX or mask & (bit := 1 << q):
-                clash = True
-                continue
-            mask |= bit
-            if p:
-                positive |= bit
-        target = self.target
+        # from_json reads back: the target and masks exactly int (bool is not
+        # an index), theta a finite int or float
+        kind, target, mask, positive = self.kind, self.target, self.control_mask, self.positive_mask
+        if kind not in KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
         if type(target) is not int:
             raise ValueError(f"gate target must be an integer, got {target!r}")
-        if clash or not 0 <= target <= MAX_QUBIT_INDEX or mask >> target & 1:
-            qs = [c.q for c in controls]
-            if len(set(qs)) != len(qs):
-                raise ValueError(f"duplicate control qubits in {qs}")
-            if target in qs:
-                raise ValueError(f"target {target} also appears as a control")
-            if min(qs + [target]) < 0:
-                raise ValueError(f"negative qubit index in target {target} or controls {qs}")
-            raise ValueError(f"qubit index above {MAX_QUBIT_INDEX} in target {target} "
-                             f"or controls {qs}")
-        object.__setattr__(self, "top_qubit", max(target, mask.bit_length() - 1))
-        object.__setattr__(self, "control_mask", mask)
-        object.__setattr__(self, "positive_mask", positive)
+        if not 0 <= target <= MAX_QUBIT_INDEX:
+            raise ValueError(f"negative qubit index in target {target}" if target < 0
+                             else f"qubit index above {MAX_QUBIT_INDEX} in target {target}")
+        if (type(mask) is not int or type(positive) is not int or not 0 <= mask < _MASK_LIMIT
+                or positive & ~mask):
+            raise ValueError(f"control masks must be ints, a set of qubits 0..{MAX_QUBIT_INDEX} "
+                             "and the positive ones among them")
+        if mask >> target & 1:
+            raise ValueError(f"target {target} also appears as a control")
         theta = self.theta
-        if self.kind in ROTATION_KINDS:
+        if kind in ROTATION_KINDS:
             if (type(theta) is bool or not isinstance(theta, (int, float))
                     or not _is_finite(theta)):
-                raise ValueError(f"{self.kind} gate requires a finite real theta, got {theta!r}")
+                raise ValueError(f"{kind} gate requires a finite real theta, got {theta!r}")
         elif theta is not None:
-            raise ValueError(f"{self.kind} gate takes no theta")
-        if self.kind == "cnot" and len(controls) != 1:
+            raise ValueError(f"{kind} gate takes no theta")
+        if kind == "cnot" and mask.bit_count() != 1:
             raise ValueError("cnot requires exactly one control")
+        object.__setattr__(self, "top_qubit", max(target, mask.bit_length() - 1))
         object.__setattr__(self, "cnot_eq", self.cnot_cost())
+
+    @classmethod
+    def of(cls, kind: str, target: int, controls=(), theta: float | None = None) -> "Gate":
+        """The gate of ``Control``s listed in any order; a fault is named by the
+        first check that fails, in the order below, then ``Gate``'s own."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        controls = tuple(controls)
+        for c in controls:
+            if type(c) is not Control or type(c[0]) is not int or type(c[1]) is not bool:
+                raise ValueError(f"control {c!r} is not a Control(int qubit, bool polarity)")
+        if type(target) is not int:
+            raise ValueError(f"gate target must be an integer, got {target!r}")
+        qs = [c.q for c in controls]
+        if len(set(qs)) != len(qs):
+            raise ValueError(f"duplicate control qubits in {qs}")
+        if target in qs:
+            raise ValueError(f"target {target} also appears as a control")
+        if min(qs + [target]) < 0:
+            raise ValueError(f"negative qubit index in target {target} or controls {qs}")
+        if max(qs + [target]) > MAX_QUBIT_INDEX:
+            raise ValueError(f"qubit index above {MAX_QUBIT_INDEX} in target {target} "
+                             f"or controls {qs}")
+        return cls(kind, target, sum(1 << q for q in qs), sum(1 << q for q, p in controls if p),
+                   theta)
+
+    @property
+    def controls(self) -> tuple[Control, ...]:
+        """The controls, in ascending qubit order."""
+        positive = self.positive_mask
+        return tuple(Control(q, bool(positive >> q & 1)) for q in _qubits(self.control_mask))
 
     def inverse(self) -> "Gate":
         if self.kind == "roty":
-            return Gate("roty", self.target, self.controls, -self.theta)
+            return Gate("roty", self.target, self.control_mask, self.positive_mask, -self.theta)
         return self  # utheta and all flips are involutions
 
     def cnot_cost(self, aux_available: bool = False) -> int:
-        c = len(self.controls)
-        if c == 0:
-            return 0
-        flips = 1 if c == 1 else (c if aux_available else c * c)
+        c = self.control_mask.bit_count()
+        flips = c if c < 2 or aux_available else c * c
         return 2 * flips if self.kind in ROTATION_KINDS else flips
 
 
-# each slot's setter, which a frozen Gate's __setattr__ does not go through
-(_SET_KIND, _SET_TARGET, _SET_CONTROLS, _SET_THETA, _SET_TOP_QUBIT, _SET_CONTROL_MASK,
- _SET_POSITIVE_MASK, _SET_CNOT_EQ) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
-
-
-def _gate(kind: str, target: int, controls: tuple[Control, ...], theta: float | None,
-          control_mask: int, positive_mask: int) -> Gate:
-    """The ``Gate`` of parts that ``__post_init__`` would accept and whose
-    masks the caller holds, unchecked, its other slots derived as there: for
-    synthesis, whose gates are valid by construction, never for a file."""
-    gate = object.__new__(Gate)
-    _SET_KIND(gate, kind)
-    _SET_TARGET(gate, target)
-    _SET_CONTROLS(gate, controls)
-    _SET_THETA(gate, theta)
-    _SET_TOP_QUBIT(gate, max(target, control_mask.bit_length() - 1))
-    _SET_CONTROL_MASK(gate, control_mask)
-    _SET_POSITIVE_MASK(gate, positive_mask)
-    _SET_CNOT_EQ(gate, gate.cnot_cost())
-    return gate
+@lru_cache(maxsize=4096)
+def _qubits(mask: int) -> tuple[int, ...]:
+    """The qubits of a control mask, in ascending order."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 _TOP_QUBIT = attrgetter("top_qubit")
@@ -222,6 +215,12 @@ class RegisterLayout:
     spec: CloneSpec
     n_aux: int = 0
     flag: bool = True
+
+    def __post_init__(self) -> None:
+        if type(self.n_aux) is not int or self.n_aux < 0:
+            raise ValueError(f"n_aux must be an int >= 0, got {self.n_aux!r}")
+        if type(self.flag) is not bool:
+            raise ValueError(f"flag must be a bool, got {self.flag!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -406,16 +405,13 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
     dirty = shift = 0
     table = high = None
     for g in flips:
-        controls, flipped = g.controls, image[g.target]
-        if len(controls) == 1:
-            (q, positive), = controls
-            image[q] ^= flipped
-            dirty |= 1 << q
-            if not positive:
+        controls, flipped = g.control_mask, image[g.target]
+        if not controls & controls - 1:   # at most one control
+            if controls:
+                image[controls.bit_length() - 1] ^= flipped
+                dirty |= controls
+            if not g.positive_mask:
                 shift ^= flipped
-            continue
-        if not controls:
-            shift ^= flipped
             continue
         if high is None:
             high, low, half = _reversal_tables(n)
@@ -471,8 +467,11 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def _line(g: Gate) -> str:
-    """The ``uqcm-circuit/2`` line of a gate: ``kind target c1 c2 ... [@theta]``."""
-    parts = [g.kind, str(g.target)] + [str(q) if p else f"~{q}" for q, p in g.controls]
+    """The ``uqcm-circuit/2`` line of a gate: ``kind target c1 c2 ... [@theta]``,
+    its controls in ascending qubit order."""
+    positive = g.positive_mask
+    parts = [g.kind, str(g.target)] + [str(q) if positive >> q & 1 else f"~{q}"
+                                       for q in _qubits(g.control_mask)]
     theta = g.theta
     if theta is not None:   # float.__repr__ for numpy floats too, whose repr names the type
         parts.append("@" + (float.__repr__ if isinstance(theta, float) else int.__repr__)(theta))
@@ -493,18 +492,6 @@ def to_json(circuit: Circuit) -> str:
     return "\n".join([head, *lines, ""])
 
 
-class _Memo(dict):
-    """A dict that fills each missing key with ``make(key)``."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def from_json(text: str) -> Circuit:
     """Load a circuit file: ``uqcm-circuit/2`` text if its first line is a
     ``/2`` header (``_read_lines``), else ``uqcm-circuit/1`` JSON (``_load``).
@@ -522,13 +509,19 @@ def from_json(text: str) -> Circuit:
     return _read_lines(data, body.split("\n")[:-1])
 
 
+def _control(token: str) -> Control:
+    """The control of a ``/2`` token: ``3`` positive, ``~3`` negative."""
+    return Control(int(token[1:]), False) if token.startswith("~") else Control(int(token), True)
+
+
 def _read_lines(header: dict, lines: list[str]) -> Circuit:
     """The circuit of a ``/2`` header and its gate lines.  Each distinct line
-    is built once by the checked ``Gate``, each distinct control token (``3``
-    positive, ``~3`` negative) once, and an angle is read as an int, else a
-    float; every repeat is one dict lookup."""
-    controls = _Memo(lambda token: Control(int(token[1:]), False) if token.startswith("~")
-                     else Control(int(token), True))
+    is built once by the checked ``Gate``, its masks summed from the bits of
+    its control tokens (0 for a qubit outside 0..MAX_QUBIT_INDEX, which is
+    never shifted), each token read once; an angle is an int, else a float.
+    A repeated or outside qubit sends the line to ``Gate.of``, which names it."""
+    bits = cache(lambda token: 1 << q if 0 <= (q := _control(token).q) <= MAX_QUBIT_INDEX else 0)
+    positive_bits = cache(lambda token: 0 if token.startswith("~") else bits(token))
 
     def gate(line: str) -> Gate:
         try:
@@ -540,11 +533,15 @@ def _read_lines(header: dict, lines: list[str]) -> Circuit:
                     theta = int(theta)
                 except ValueError:
                     theta = float(theta)
-            return Gate(kind, int(target), tuple(map(controls.__getitem__, rest)), theta)
+            target = int(target)
+            mask = sum(map(bits, rest))
+            if mask.bit_count() != len(rest):   # distinct bits add without a carry
+                return Gate.of(kind, target, tuple(map(_control, rest)), theta)
+            return Gate(kind, target, mask, sum(map(positive_bits, rest)), theta)
         except ValueError as exc:
             raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
 
-    gates = tuple(map(_Memo(gate).__getitem__, lines))
+    gates = tuple(map(cache(gate), lines))
     return Circuit(header.get("n_qubits"), gates, _roles(header))
 
 
@@ -573,13 +570,11 @@ def _load(text: str) -> Circuit:
     roles = _roles(data)
     if type(data["gates"]) is not list:
         raise ValueError("gates must be a list")
-    # Each distinct gate object is built and checked once, and each distinct
-    # control object once.  Keys keep each value's type and spelling: 1, 1.0
-    # and true are equal dict keys, and so are 0.0 and -0.0, so bare values
-    # would let a 1.0 or true index reuse a checked gate, or load a -0.0 angle
-    # as 0.0.
+    # Each distinct gate object is built and checked once.  Keys keep each
+    # value's type and spelling: 1, 1.0 and true are equal dict keys, and so
+    # are 0.0 and -0.0, so bare values would let a 1.0 or true index reuse a
+    # checked gate, or load a -0.0 angle as 0.0.
     memo: dict[tuple, Gate] = {}
-    controls: dict[tuple, Control] = {}
     gates = []
     for gd in data["gates"]:
         try:
@@ -593,9 +588,7 @@ def _load(text: str) -> Circuit:
         if gate is None:
             if type(cds) is not list:
                 raise ValueError(f"gate controls must be a list, got {cds!r}")
-            ctl = tuple([controls.get(ck)
-                         or controls.setdefault(ck, Control(ck[0], _polarity(ck[2])))
-                         for ck in cks])
-            gate = memo[key] = Gate(gd["kind"], gd["target"], ctl, gd.get("theta"))
+            ctl = [Control(q, _polarity(p)) for q, _, p in cks]
+            gate = memo[key] = Gate.of(gd["kind"], gd["target"], ctl, gd.get("theta"))
         gates.append(gate)
     return Circuit(data["n_qubits"], tuple(gates), roles)

@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _artifact_path(args, register) -> Path:
     spec = register.spec
-    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{register.n_aux}_v{__version__}.json"
+    name = f"cloner_N{spec.n_in}_M{spec.m_out}_aux{register.n_aux}_v{__version__}.uqcm"
     return Path(args.artifacts) / name
 
 

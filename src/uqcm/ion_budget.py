@@ -126,10 +126,11 @@ def formula_gate_count(spec: CloneSpec, epsilon: float) -> float:
 
 def _gate_count(spec: CloneSpec, params: TrapParams,
                 override: int | float | None) -> float:
-    """The override if given, else the formula count; a negative count raises."""
+    """The override if given, else the formula count; a count that is
+    negative, not finite or a bool raises."""
     count = formula_gate_count(spec, params.epsilon) if override is None else override
-    if count < 0:
-        raise ValueError("gate count must be nonnegative")
+    if type(count) is bool or not 0 <= count < math.inf:
+        raise ValueError(f"gate count must be finite and nonnegative, got {count!r}")
     return count
 
 

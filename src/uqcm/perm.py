@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MAX_QUBIT_INDEX, Circuit, Control, Gate, _bit_tables, _gate, _reversal_tables
+from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, _bit_tables, _reversal_tables
 from .cloner_math import AMP_EPS, weight_components
 from .prep import BasisLayout
 
@@ -259,16 +259,11 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
     if type(n_qubits) is not int or not 0 <= n_qubits <= MAX_QUBIT_INDEX:
         raise ValueError(f"plan on {n_qubits!r} qubits leaves no flag qubit index")
     flag, dim = n_qubits, 1 << n_qubits
-    # every move draws on the same 2n controls and n flag CNOTs, and a basis
-    # met again (one move's destination is often the next one's source) reuses
-    # its flag flip; each gate is built once, by _gate.  A basis's full pattern,
-    # its positive mask (z bit-reversed) and a move's flag CNOTs each join a
-    # high-bit and a low-bit table entry (qubit 0 is the most significant bit).
-    high, low, shift = _bit_tables(
-        [((Control(q, False),), (Control(q, True),)) for q in range(n_qubits)])
-    flips_high, flips_low, _ = _bit_tables(
-        [((), (_gate("cnot", q, (Control(flag, True),), None, 1 << flag, 1 << flag),))
-         for q in range(n_qubits)])
+    # each gate is built once: a basis met again reuses its flag flip, and a
+    # move's flag CNOTs and a flag flip's positive mask (z bit-reversed) each
+    # join a high-bit and a low-bit table entry (qubit 0 the top bit of z)
+    flips_high, flips_low, shift = _bit_tables(
+        [((), (Gate("cnot", q, 1 << flag, 1 << flag),)) for q in range(n_qubits)])
     rev_high, rev_low, half = _reversal_tables(n_qubits)
     mask, rev_mask = (1 << shift) - 1, (1 << half) - 1
     patterns: dict[int, Gate] = {}
@@ -276,8 +271,8 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
     def flag_flip(z: int) -> Gate:
         gate = patterns.get(z)
         if gate is None:
-            gate = patterns[z] = _gate("mcx", flag, high[z >> shift] + low[z & mask], None,
-                                       dim - 1, rev_high[z >> half] | rev_low[z & rev_mask])
+            gate = patterns[z] = Gate("mcx", flag, dim - 1,
+                                      rev_high[z >> half] | rev_low[z & rev_mask])
         return gate
 
     gates: list[Gate] = []

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (MAX_QUBIT_INDEX, Circuit, Control, Gate, RegisterLayout, _bit_tables,
-                      _gate, _reversal_tables)
+from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, RegisterLayout, _reversal_tables
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
@@ -90,23 +89,16 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     smallest register that holds it, ``offset + n`` qubits.
     """
     n = angles.n_qubits
-    polarities = [((Control(offset + q, False),), (Control(offset + q, True),)) for q in range(n)]
-    # _gate takes register qubits and finite float angles; anything else goes
-    # through Gate, which names what is wrong
-    fits = type(offset) is int and 0 <= offset <= MAX_QUBIT_INDEX + 1 - n
+    # the bit of register qubit offset: 0 for an offset Gate refuses as a
+    # target, which the level-1 gate then names
+    unit = 1 << offset if isinstance(offset, int) and 0 <= offset <= MAX_QUBIT_INDEX else 0
     gates = []
     for q, level in enumerate(angles.levels):
-        fast = fits and set(map(type, level)) <= {float} and math.isfinite(sum(level))
-        # each branch's controls, and its positive mask (b bit-reversed), from
-        # its high and low bits' tables
-        high, low, shift = _bit_tables(polarities[:q])
-        rev_high, rev_low, half = _reversal_tables(q)
-        mask, rev_mask = (1 << shift) - 1, (1 << half) - 1
-        controls = ((1 << q) - 1) << offset if fast else 0
-        gates += [_gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta, controls,
-                        (rev_high[b >> half] | rev_low[b & rev_mask]) << offset)
-                  if fast else Gate("utheta", offset + q, high[b >> shift] + low[b & mask], theta)
-                  for b, theta in enumerate(level)]
+        # a branch's positive mask is b bit-reversed, from two half tables
+        high, low, half = _reversal_tables(q)
+        controls, low_bits = (unit << q) - unit, (1 << half) - 1
+        gates += [Gate("utheta", offset + q, controls, (high[b >> half] | low[b & low_bits]) * unit,
+                       theta) for b, theta in enumerate(level)]
     return Circuit(offset + n, tuple(gates))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Gate, RegisterLayout, cnot_cost
+from .circuit import Circuit, Gate, RegisterLayout, cnot_cost
 from .cloner_math import CloneSpec
 from .perm import (PermutationPlan, PermutationSpec, build_permutation, compile_moves,
                    schedule, validate_plan)
@@ -78,15 +78,15 @@ def reference_one_to_two() -> Circuit:
     t1 = math.acos(1 / math.sqrt(5)) / 2
     t2 = math.acos(math.sqrt(5) / 3) / 2
     t3 = math.acos(2 / math.sqrt(5)) / 2
-    gates = (
-        Gate("roty", 1, (), t1),
-        Gate("cnot", 2, (Control(1, True),)),
-        Gate("roty", 2, (), t2),
-        Gate("cnot", 1, (Control(2, True),)),
-        Gate("roty", 1, (), t3),
-        Gate("cnot", 1, (Control(0, True),)),
-        Gate("cnot", 2, (Control(0, True),)),
-        Gate("cnot", 0, (Control(1, True),)),
-        Gate("cnot", 0, (Control(2, True),)),
+    gates = (   # a cnot's control qubit q is bit q of both its masks
+        Gate("roty", 1, theta=t1),
+        Gate("cnot", 2, 1 << 1, 1 << 1),
+        Gate("roty", 2, theta=t2),
+        Gate("cnot", 1, 1 << 2, 1 << 2),
+        Gate("roty", 1, theta=t3),
+        Gate("cnot", 1, 1 << 0, 1 << 0),
+        Gate("cnot", 2, 1 << 0, 1 << 0),
+        Gate("cnot", 0, 1 << 1, 1 << 1),
+        Gate("cnot", 0, 1 << 2, 1 << 2),
     )
     return Circuit(3, gates, RegisterLayout(CloneSpec(1, 2), flag=False).roles())

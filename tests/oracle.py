@@ -22,8 +22,7 @@ permutation one gate's index array at a time.  ``schedule_by_rescan`` orders
 a permutation's moves by rescanning every pending move each round, and
 ``compile_moves_by_bit`` and ``emit_prep_circuit_by_bit`` build each gate's
 controls one bit at a time.  ``gate_slots`` lists every slot of a gate, the
-derived ones that gate equality leaves out included, and ``checked_slots``
-those of the gate ``Gate``'s checked constructor makes of the same parts.
+derived ones that gate equality leaves out included.
 """
 from __future__ import annotations
 
@@ -47,12 +46,6 @@ def gate_slots(gate: Gate) -> tuple[str, list[type]]:
     out included, as their repr (which tells -0.0 from 0.0) and their types."""
     values = [getattr(gate, name) for name in Gate.__slots__]
     return repr(values), list(map(type, values))
-
-
-def checked_slots(gate: Gate) -> tuple[str, list[type]]:
-    """``gate_slots`` of the gate ``Gate``'s checked constructor makes of the
-    parts of ``gate``."""
-    return gate_slots(Gate(gate.kind, gate.target, gate.controls, gate.theta))
 
 
 def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
@@ -289,7 +282,7 @@ def random_circuit(n, n_gates, seed, roles=None):
         k = {"x": 0, "cnot": 1}.get(kind, int(rng.integers(n)))
         controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
         theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
-        gates.append(Gate(kind, int(qubits[0]), controls, theta))
+        gates.append(Gate.of(kind, int(qubits[0]), controls, theta))
     return Circuit(n, tuple(gates), roles)
 
 
@@ -309,7 +302,7 @@ def flip_heavy_circuit(n, n_gates, seed, rotation_share=0.05):
             kind = kinds[rng.integers(len(kinds))]
         controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
         theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
-        gates.append(Gate(kind, int(qubits[0]), controls, theta))
+        gates.append(Gate.of(kind, int(qubits[0]), controls, theta))
     return Circuit(n, tuple(gates))
 
 
@@ -341,12 +334,12 @@ def multiplexed_circuit(n, seed, n_runs=8):
             theta = (int(rng.integers(-3, 4)) if rng.random() < 0.25
                      else float(rng.uniform(-math.pi, math.pi)))
             controls = tuple(Control(q, bool(p >> (c - 1 - i) & 1)) for i, q in enumerate(qs))
-            gates.append(Gate(kind, target, controls, theta))
+            gates.append(Gate.of(kind, target, controls, theta))
         for _ in range(int(rng.integers(1, 3))):
             qubits = rng.permutation(n)
             k = int(rng.integers(n))
             controls = tuple(Control(int(q), bool(rng.integers(2))) for q in qubits[1:1 + k])
-            gates.append(Gate("mcx" if k else "x", int(qubits[0]), controls))
+            gates.append(Gate.of("mcx" if k else "x", int(qubits[0]), controls))
     return Circuit(n, tuple(gates))
 
 
@@ -391,11 +384,11 @@ def compile_moves_by_bit(plan: PermutationPlan) -> Circuit:
     n_qubits = plan.n_qubits
     flag, dim = n_qubits, 1 << n_qubits
     polarities = [(Control(q, False), Control(q, True)) for q in range(n_qubits)]
-    flips = [Gate("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
+    flips = [Gate.of("cnot", q, (Control(flag, True),)) for q in range(n_qubits)]
     width = f"0{n_qubits}b"   # qubit 0 is the most significant bit
 
     def flag_flip(z: int) -> Gate:
-        return Gate("mcx", flag, tuple(
+        return Gate.of("mcx", flag, tuple(
             pair[bit == "1"] for pair, bit in zip(polarities, format(z, width))))
 
     gates: list[Gate] = []
@@ -419,5 +412,5 @@ def emit_prep_circuit_by_bit(angles: AngleTree, offset: int = 0) -> Circuit:
     for lev in range(1, n + 1):
         for b, theta in enumerate(angles.levels[lev - 1]):
             controls = tuple([polarities[q][(b >> (lev - 2 - q)) & 1] for q in range(lev - 1)])
-            gates.append(Gate("utheta", offset + lev - 1, controls, theta))
+            gates.append(Gate.of("utheta", offset + lev - 1, controls, theta))
     return Circuit(offset + n, tuple(gates))

@@ -28,7 +28,7 @@ class TestSynth:
             ["synth", "-N", "1", "-M", "2", "--artifacts", str(tmp_path)], capsys)
         assert code == 0
         assert "feasible: 3 <= 4" in out
-        written = list(tmp_path.glob("cloner_N1_M2_*.json"))
+        written = list(tmp_path.glob("cloner_N1_M2_*.uqcm"))
         assert len(written) == 1
         header = written[0].read_text().split("\n", 1)[0]
         assert json.loads(header)["schema"] == "uqcm-circuit/2"
@@ -36,7 +36,7 @@ class TestSynth:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["synth", "-N", "2", "-M", "4", "--artifacts", str(tmp_path)]
         run_cli(args, capsys)
-        artifact = next(tmp_path.glob("*.json"))
+        artifact = next(tmp_path.glob("*.uqcm"))
         first = artifact.read_bytes()
         run_cli(args, capsys)
         assert artifact.read_bytes() == first
@@ -49,7 +49,7 @@ class TestSynth:
         assert code == 0
         assert "aux=1" in out
         assert "84 > 64 (aux variant used)" in out
-        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N3_M6_aux1_v{__version__}.json"]
+        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N3_M6_aux1_v{__version__}.uqcm"]
         # the paper's gate-count formula at epsilon = 1
         assert "gates paper:    36267.5" in out.splitlines()
         assert "bound" not in out
@@ -72,7 +72,7 @@ class TestSynth:
             ["synth", "-N", "2", "-M", "4", "--artifacts", str(tmp_path)], capsys)
         assert code == 0
         assert "aux=0" in out  # 15 bases fit in the 2^4 prep register
-        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N2_M4_aux0_v{__version__}.json"]
+        assert [p.name for p in tmp_path.iterdir()] == [f"cloner_N2_M4_aux0_v{__version__}.uqcm"]
 
     def test_removed_flags_are_rejected(self, capsys):
         # the register size follows from the spec, gates are counted under
@@ -98,7 +98,7 @@ class TestVerify:
 
     def test_verify_uses_cached_artifact(self, tmp_path, capsys):
         # the artifact synth writes is what verify --circuit reads back
-        path = tmp_path / "one_to_three.json"
+        path = tmp_path / "one_to_three.uqcm"
         run_cli(["synth", "-N", "1", "-M", "3", "--out", str(path)], capsys)
         code, out, _ = run_cli(
             ["verify", "-N", "1", "-M", "3", "--samples", "10",
@@ -109,7 +109,7 @@ class TestVerify:
     def test_compact_copy_of_an_artifact_reports_alike(self, tmp_path, capsys):
         # a uqcm-circuit/1 file of the same circuit, here in compact JSON, is
         # read through json.loads, and verifies to the same report
-        written = tmp_path / "one_to_three.json"
+        written = tmp_path / "one_to_three.uqcm"
         run_cli(["synth", "-N", "1", "-M", "3", "--out", str(written)], capsys)
         compact = tmp_path / "compact.json"
         circuit = from_json(written.read_text())
@@ -129,7 +129,7 @@ class TestVerify:
         # without --circuit, verify checks a fresh synthesis, not whatever
         # sits at synth's default output path
         monkeypatch.chdir(tmp_path)
-        stale = tmp_path / "uqcm-artifacts" / f"cloner_N1_M2_aux0_v{__version__}.json"
+        stale = tmp_path / "uqcm-artifacts" / f"cloner_N1_M2_aux0_v{__version__}.uqcm"
         stale.parent.mkdir()
         stale.write_text(to_json(empty_one_to_two()))
         code, out, _ = run_cli(["verify", "-N", "1", "-M", "2", "--samples", "10"], capsys)
@@ -156,7 +156,7 @@ class TestVerify:
                  lambda d: d.update(roles=[])]
         # no gates and no roles, so only the register check rejects it; and
         # an integer angle too large for a float
-        huge = to_json(Circuit(1, (Gate("roty", 0, (), 0.5),))).replace("0.5", "1" + "0" * 400)
+        huge = to_json(Circuit(1, (Gate("roty", 0, theta=0.5),))).replace("0.5", "1" + "0" * 400)
         texts = ["{ not json", "[]", '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}',
                  huge]
         for edit in edits:

@@ -104,6 +104,19 @@ class TestCloningTime:
         with pytest.raises(ValueError, match="nonnegative"):
             min_emission_probability(SPEC12, species["Ca+"], params, gate_count_override=-5)
 
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, True, False,
+                                       np.float64("nan")])
+    def test_non_finite_or_bool_gate_count_rejected(self, species, count):
+        # a NaN count would give a NaN p_min, which the scan then calls not
+        # feasible without saying why; a bool is not a count
+        params = TrapParams()
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cloning_time(SPEC12, params, 1e6, gate_count_override=count)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            min_emission_probability(SPEC12, species["Ca+"], params, gate_count_override=count)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            feasibility_scan([species["Ca+"]], params, [SPEC12], measured_counts={(1, 2): count})
+
 
 class TestEmissionProbability:
     def test_requires_gamma1(self):

@@ -50,6 +50,21 @@ def test_no_unused_imports():
     assert not unused
 
 
+def test_no_instance_is_built_around_its_constructor():
+    # every Gate goes through its checked __init__ and __post_init__: no
+    # module makes an instance with object.__new__ or fills a slot through
+    # a descriptor's __set__, which would let a second, unchecked gate
+    # constructor come back
+    found = []
+    for path in sorted(Path(uqcm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "__set__" or node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found
+
+
 def test_every_traced_name_resolves_at_its_call_site():
     # the benchmark's traced run wraps each of these names where its caller
     # looks it up; a rename or deletion there would break only that run

@@ -6,7 +6,7 @@ import pytest
 from conftest import SWEEP
 from oracle import compile_moves_by_bit, gate_slots, schedule_by_rescan
 
-from uqcm import (BasisLayout, CloneSpec, PermutationPlan, PermutationSpec, PlanError,
+from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
                   ScheduleError, StateVector, apply, basis_count, build_permutation,
                   cnot_cost, compile_moves, ideal_output, schedule, synthesize_cloner,
                   validate_plan, weight_components)
@@ -375,18 +375,17 @@ class TestCompileMoves:
     def test_builds_each_distinct_gate_once(self, nm, monkeypatch):
         # the flag CNOTs and each basis's flag flip are built once, however
         # many moves reach that basis; building per move fails here.  Every
-        # gate of the stage is built by the unchecked builder perm calls.
+        # gate of the stage is built by the Gate perm calls.
         spec = CloneSpec(*nm)
         plan = schedule(build_permutation(BasisLayout.packed(spec)))
         built = []
-        build = perm._gate
 
         def counted(*parts):
-            gate = build(*parts)
+            gate = Gate(*parts)
             built.append(gate)
             return gate
 
-        monkeypatch.setattr(perm, "_gate", counted)
+        monkeypatch.setattr(perm, "Gate", counted)
         circ = compile_moves(plan)
         monkeypatch.undo()
         assert len(built) == len(set(circ.gates)) < len(circ.gates)
