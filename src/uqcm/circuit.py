@@ -27,9 +27,8 @@ import numpy as np
 from .cloner_math import CloneSpec
 from .statevec import StateVector
 
-# the schema to_json writes; from_json also reads the JSON files of /1
+# the schema of the circuit files to_json writes and from_json reads
 CIRCUIT_SCHEMA = "uqcm-circuit/2"
-_SCHEMA_V1 = "uqcm-circuit/1"
 
 # the highest qubit index a gate may name: a gate holds its control qubits
 # as bitmasks, which grow with the highest of them
@@ -191,7 +190,8 @@ class Circuit:
                 raise ValueError(f"role names must be strings, got {list(roles)}")
             if not all(type(q) is int for q in claimed):
                 raise ValueError(f"role qubits must be integers, got {roles}")
-            if sorted(claimed) != list(range(self.n_qubits)):
+            # the count first, so a huge register builds no list of its qubits
+            if len(claimed) != self.n_qubits or sorted(claimed) != list(range(self.n_qubits)):
                 raise ValueError(f"roles {roles} do not partition qubits 0..{self.n_qubits - 1}")
 
     def __len__(self) -> int:
@@ -493,20 +493,23 @@ def to_json(circuit: Circuit) -> str:
 
 
 def from_json(text: str) -> Circuit:
-    """Load a circuit file: ``uqcm-circuit/2`` text if its first line is a
-    ``/2`` header (``_read_lines``), else ``uqcm-circuit/1`` JSON (``_load``).
-    ValueError (KeyError for a missing field of a /1 file) unless it holds a
-    circuit."""
+    """Load ``uqcm-circuit/2`` text: a JSON header line of the register size,
+    roles and schema, then one gate line each (``_read_lines``).  ValueError
+    unless it holds a circuit."""
     head, _, body = text.partition("\n")
     try:
-        data = json.loads(head)
-    except (ValueError, RecursionError):   # a /1 file, or no circuit: _load says which
-        data = None
-    if type(data) is not dict or data.get("schema") != CIRCUIT_SCHEMA:
-        return _load(text)
+        header = json.loads(head)
+    except RecursionError:
+        raise ValueError("circuit header line is nested too deeply") from None
+    except ValueError:
+        header = None
+    if type(header) is not dict or header.get("schema") != CIRCUIT_SCHEMA:
+        raise ValueError(f'not a {CIRCUIT_SCHEMA} text: its first line must be a JSON object with '
+                         f'"schema": "{CIRCUIT_SCHEMA}" (regenerate a uqcm-circuit/1 file with '
+                         "uqcm synth)")
     if not text.endswith("\n"):
         raise ValueError(f"a {CIRCUIT_SCHEMA} text must end with a newline")
-    return _read_lines(data, body.split("\n")[:-1])
+    return _read_lines(header, body.split("\n")[:-1])
 
 
 def _control(token: str) -> Control:
@@ -542,53 +545,7 @@ def _read_lines(header: dict, lines: list[str]) -> Circuit:
             raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
 
     gates = tuple(map(cache(gate), lines))
-    return Circuit(header.get("n_qubits"), gates, _roles(header))
-
-
-def _roles(data: dict) -> dict | None:
-    roles = data.get("roles", {})
+    roles = header.get("roles", {})
     if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
         raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")
-    return roles or None
-
-
-def _polarity(name: object) -> bool:
-    if name not in ("positive", "negative"):
-        raise ValueError(f"control polarity must be 'positive' or 'negative', got {name!r}")
-    return name == "positive"
-
-
-def _load(text: str) -> Circuit:
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError("circuit JSON is nested too deeply") from None
-    if type(data) is not dict:
-        raise ValueError(f"a circuit file must hold a JSON object, got {type(data).__name__}")
-    if data.get("schema") != _SCHEMA_V1:
-        raise ValueError(f"unsupported circuit schema {data.get('schema')!r}")
-    roles = _roles(data)
-    if type(data["gates"]) is not list:
-        raise ValueError("gates must be a list")
-    # Each distinct gate object is built and checked once.  Keys keep each
-    # value's type and spelling: 1, 1.0 and true are equal dict keys, and so
-    # are 0.0 and -0.0, so bare values would let a 1.0 or true index reuse a
-    # checked gate, or load a -0.0 angle as 0.0.
-    memo: dict[tuple, Gate] = {}
-    gates = []
-    for gd in data["gates"]:
-        try:
-            cds = gd["controls"]
-            cks = [(cd["q"], type(cd["q"]), cd["polarity"]) for cd in cds]
-            key = (gd["kind"], gd["target"], type(gd["target"]), repr(gd.get("theta")),
-                   type(cds), *cks)
-            gate = memo.get(key)
-        except TypeError:   # not an object, or a list or object where a scalar goes
-            raise ValueError(f"malformed gate {str(gd)[:200]}") from None
-        if gate is None:
-            if type(cds) is not list:
-                raise ValueError(f"gate controls must be a list, got {cds!r}")
-            ctl = [Control(q, _polarity(p)) for q, _, p in cks]
-            gate = memo[key] = Gate.of(gd["kind"], gd["target"], ctl, gd.get("theta"))
-        gates.append(gate)
-    return Circuit(data["n_qubits"], tuple(gates), roles)
+    return Circuit(header.get("n_qubits"), gates, roles or None)

@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     if args.circuit:
         try:
             circuit = from_json(Path(args.circuit).read_text())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(f"cannot load circuit {args.circuit!r}: {exc}")
     else:
         result = synthesize_cloner(spec)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a circuit against the ideal transformation")
     _add_spec_args(p)
     p.add_argument("--circuit", default=None,
-                   help="circuit file, uqcm-circuit/2 or /1, to verify (default: synthesize one)")
+                   help="uqcm-circuit/2 file to verify (default: synthesize one)")
     p.add_argument("--samples", type=int, default=50, help="random input samples")
     p.add_argument("--seed", type=int, default=7, help="random stream seed")
     p.add_argument("--json-out", default=None, help="write the report as JSON")

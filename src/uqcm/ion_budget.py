@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
@@ -127,9 +128,9 @@ def formula_gate_count(spec: CloneSpec, epsilon: float) -> float:
 def _gate_count(spec: CloneSpec, params: TrapParams,
                 override: int | float | None) -> float:
     """The override if given, else the formula count; a count that is
-    negative, not finite or a bool raises."""
+    negative, not finite (an int past the largest float too) or a bool raises."""
     count = formula_gate_count(spec, params.epsilon) if override is None else override
-    if type(count) is bool or not 0 <= count < math.inf:
+    if type(count) is bool or not 0 <= count <= sys.float_info.max:
         raise ValueError(f"gate count must be finite and nonnegative, got {count!r}")
     return count
 

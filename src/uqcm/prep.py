@@ -88,6 +88,8 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     for 0 bits).  Tree qubit q is register qubit ``offset + q`` of the
     smallest register that holds it, ``offset + n`` qubits.
     """
+    if type(offset) is bool:   # True + q is a plain int, which Gate would take
+        raise ValueError(f"offset must be an integer, got {offset!r}")
     n = angles.n_qubits
     # the bit of register qubit offset: 0 for an offset Gate refuses as a
     # target, which the level-1 gate then names

@@ -8,12 +8,11 @@ verification report by running that oracle once per basis input and once per
 Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone;
 ``haar_qubit_by_key`` draws each of those samples from a generator of its own.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
-``to_json_by_dumps`` writes a ``uqcm-circuit/1`` circuit file through the
-circuit's dict and ``json.dumps``.  ``angle_tree_coefficients`` multiplies out a preparation
-angle tree one level at a time.  ``ideal_output_by_kron`` builds the ideal
-cloner output from Kronecker products over every placement of the flipped
-factors, and ``weight_components_by_kron`` solves the weight decomposition on
-those dense vectors.  ``random_circuit`` makes the structureless circuits
+``angle_tree_coefficients`` multiplies out a preparation angle tree one level
+at a time.  ``ideal_output_by_kron`` builds the ideal cloner output from
+Kronecker products over every placement of the flipped factors, and
+``weight_components_by_kron`` solves the weight decomposition on those dense
+vectors.  ``random_circuit`` makes the structureless circuits
 they are compared on, ``flip_heavy_circuit`` the long flip runs that
 ``apply`` turns into one basis permutation each, and ``multiplexed_circuit``
 the runs of rotations on one target and control set that it applies as one
@@ -26,7 +25,6 @@ derived ones that gate equality leaves out included.
 """
 from __future__ import annotations
 
-import json
 import math
 from itertools import combinations
 
@@ -234,29 +232,6 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
         n_samples=n_samples,
         seed=seed,
     )
-
-
-def to_json_by_dumps(circuit: Circuit) -> str:
-    """The ``uqcm-circuit/1`` text, which ``from_json`` still reads: the
-    circuit's dict through ``json.dumps``."""
-    data = {
-        "schema": "uqcm-circuit/1",
-        "n_qubits": circuit.n_qubits,
-        "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()},
-        "gates": [
-            {
-                "kind": g.kind,
-                **({"theta": g.theta} if g.theta is not None else {}),
-                "target": g.target,
-                "controls": [
-                    {"q": c.q, "polarity": "positive" if c.positive else "negative"}
-                    for c in g.controls
-                ],
-            }
-            for g in circuit.gates
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def angle_tree_coefficients(tree: AngleTree) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Tests of the circuit-file writer and loader.
+"""Tests of the circuit-file writer and reader.
 
 ``to_json`` writes ``uqcm-circuit/2`` text: a one-line JSON header of the
 register size, roles and schema, then one line per gate.  ``from_json``
-reads each distinct gate line once through the checked ``Gate``, and reads a
-``uqcm-circuit/1`` file (``oracle.to_json_by_dumps``) through ``json.loads``
-(``_load``); both give the same circuit.  Whatever ``Gate`` and ``Circuit``
-accept, ``from_json`` reads back, angle types and signs included; every
-edited text either loads to a circuit that round-trips or is a ValueError.
+reads each distinct gate line once through the checked ``Gate``, and refuses
+any other text, a file of the older ``uqcm-circuit/1`` schema included.
+Whatever ``Gate`` and ``Circuit`` accept, ``from_json`` reads back, angle
+types and signs included; every edited text either loads to a circuit that
+round-trips or is a ValueError.
 """
 import json
 import math
@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from oracle import random_circuit, to_json_by_dumps
+from oracle import random_circuit
 
 from uqcm import Circuit, CloneSpec, Control, Gate, reference_one_to_two, synthesize_cloner
 from uqcm.circuit import KINDS, from_json, to_json
@@ -34,7 +34,7 @@ def same_angles(a, b):
 
 def assert_round_trips(circ):
     """The written text reads back to ``circ``, angle types and signs kept, and
-    writes back to the same bytes; the /1 text of ``circ`` loads to it too."""
+    writes back to the same bytes."""
     text = to_json(circ)
     again = from_json(text)
     assert again == circ
@@ -42,7 +42,6 @@ def assert_round_trips(circ):
     assert to_json(again) == text
     assert text.isascii() and text.endswith("\n")
     assert text.count("\n") == 1 + len(circ.gates)
-    assert from_json(to_json_by_dumps(circ)) == circ
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +113,7 @@ class TestWriter:
         assert json.loads(head)["roles"] == {"ñ\n𝜓": [1], "a\r\nb": [0]}
 
     def test_4_to_8_text_is_small(self, large_circuits):
-        # the /1 JSON of the same circuit is 23.5 MB
+        # the uqcm-circuit/1 JSON this format replaced took 23.5 MB
         circ = large_circuits[(4, 8)]
         text = to_json(circ)
         assert len(text) < 1_500_000, len(text)
@@ -156,18 +155,46 @@ class TestWriter:
         check()
 
 
-class TestVersionOneFiles:
-    def test_v1_texts_load_to_the_same_circuit(self, sweep_results):
-        for nm, res in sweep_results.items():
-            circ = res.circuit
-            old, new = from_json(to_json_by_dumps(circ)), from_json(to_json(circ))
-            assert old == new == circ, nm
-            assert same_angles(old, new), nm
+# a uqcm-circuit/1 file, JSON with an object per gate and control, as it
+# was written (indented) and on one line
+VERSION_ONE_TEXT = """{
+  "gates": [
+    {
+      "controls": [
+        {
+          "polarity": "positive",
+          "q": 1
+        }
+      ],
+      "kind": "cnot",
+      "target": 0
+    }
+  ],
+  "n_qubits": 2,
+  "roles": {},
+  "schema": "uqcm-circuit/1"
+}"""
+VERSION_ONE_COMPACT = ('{"gates": [{"controls": [{"polarity": "positive", "q": 1}], '
+                       '"kind": "cnot", "target": 0}], "n_qubits": 2, "roles": {}, '
+                       '"schema": "uqcm-circuit/1"}\n')
 
-    def test_compact_v1_text_loads(self):
-        # a /1 file on one line: its first line is JSON, but not a /2 header
-        circ = reference_one_to_two()
-        assert from_json(json.dumps(json.loads(to_json_by_dumps(circ)))) == circ
+
+class TestOtherTexts:
+    @pytest.mark.parametrize("text", [
+        VERSION_ONE_TEXT,
+        VERSION_ONE_COMPACT,
+        "",
+        "[]",
+        "{ not json\n",
+        '{"schema": "bogus", "n_qubits": 1, "roles": {}}\n',
+        '{"n_qubits": 1, "roles": {}}\n',
+    ], ids=["version-1", "version-1-compact", "empty", "array", "not-json", "schema-unknown",
+            "schema-missing"])
+    def test_refused_as_not_a_version_2_text(self, text):
+        # only a uqcm-circuit/2 header starts a circuit file; the message
+        # names it, and says how to replace a /1 file
+        with pytest.raises(ValueError, match="not a uqcm-circuit/2 text.*uqcm synth"):
+            from_json(text)
 
 
 # what an edit inserts or writes over: the characters of numbers, controls,
@@ -182,6 +209,9 @@ class TestReader:
         circ = from_json(text)
         assert circ == Circuit(10 ** 12, (gate,))
         assert to_json(circ) == text   # nor does writing it back
+        # nor do roles, which cannot cover that many qubits
+        with pytest.raises(ValueError, match="do not partition"):
+            from_json(text.replace('"roles": {}', '"roles": {"input": [0]}'))
 
     def test_wide_control_index_builds_no_wide_mask(self):
         # a gate holds its controls as bitmasks, so a control index past
@@ -193,10 +223,8 @@ class TestReader:
 
     def test_integer_angle_too_large_for_a_float(self):
         circ = Circuit(1, (Gate("roty", 0, theta=0.5),))
-        for text in (to_json(circ).replace("@0.5", "@1" + "0" * 400),
-                     to_json_by_dumps(circ).replace("0.5", "1" + "0" * 400)):
-            with pytest.raises(ValueError, match="finite real theta"):
-                from_json(text)
+        with pytest.raises(ValueError, match="finite real theta"):
+            from_json(to_json(circ).replace("@0.5", "@1" + "0" * 400))
 
     def test_edited_texts_load_or_fail(self, sweep_results):
         # one-character inserts, deletes and replaces of written texts, half
@@ -228,6 +256,7 @@ class TestReader:
         ("roty 1 0 ~2 @0.5", "roty -1 0 ~2 @0.5", "negative qubit index"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~-2 @0.5", "negative qubit index"),
         ("roty 1 0 ~2 @0.5", "roty 1.5 0 ~2 @0.5", "invalid literal for int"),
+        ("roty 1 0 ~2 @0.5", "roty true 0 ~2 @0.5", "invalid literal for int"),
         ("roty 1 0 ~2 @0.5", "roty 1 0.0 ~2 @0.5", "invalid literal for int"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~~2 @0.5", "invalid literal for int"),
         ("roty 1 0 ~2 @0.5", "roty 1 0  ~2 @0.5", "invalid literal for int"),
@@ -235,6 +264,7 @@ class TestReader:
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @", "could not convert"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @nan", "finite real theta"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @-inf", "finite real theta"),
+        ("roty 1 0 ~2 @0.5", "roty 1 0 ~2 @true", "could not convert"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~2", "finite real theta"),
         ("roty 1 0 ~2 @0.5", "roty 1 @0.5 0 ~2", "invalid literal for int"),
         ("roty 1 0 ~2 @0.5", "roty 1 0 ~0 @0.5", "duplicate control qubits"),
@@ -248,17 +278,21 @@ class TestReader:
         ("x 3\n", "x 3\n\n", "not enough values"),
         ("x 3\n", "x 3", "must end with a newline"),
         ('"n_qubits": 4', '"n_qubits": "4"', "n_qubits must be an integer"),
+        ('"n_qubits": 4', '"n_qubits": 4.0', "n_qubits must be an integer"),
+        ('"n_qubits": 4', '"n_qubits": true', "n_qubits must be an integer"),
+        ('"n_qubits": 4', '"n_qubits": -3', "n_qubits must not be negative"),
         ('"roles": {}', '"roles": []', "roles must map each name"),
         ('"roles": {}', '"roles": {"a": 0}', "roles must map each name"),
         ('"roles": {}', '"roles": {"a": [0.0, 1, 2, 3]}', "role qubits must be integers"),
-        ('"uqcm-circuit/2"', '"uqcm-circuit/3"', "Extra data"),
-    ], ids=["target-negative", "control-negative", "target-float", "control-float",
-            "control-double-tilde", "double-space", "trailing-space", "theta-empty", "theta-nan",
-            "theta-infinity", "rotation-without-theta", "theta-before-control",
-            "control-repeated", "target-among-controls", "cnot-two-controls", "kind-unknown",
-            "target-1024", "line-split", "theta-on-a-flip", "target-outside-register",
-            "empty-line", "no-final-newline", "n-qubits-string", "roles-array", "role-not-list",
-            "role-float-qubit", "schema-unknown"])
+        ('"uqcm-circuit/2"', '"uqcm-circuit/3"', "not a uqcm-circuit/2 text"),
+    ], ids=["target-negative", "control-negative", "target-float", "target-bool",
+            "control-float", "control-double-tilde", "double-space", "trailing-space",
+            "theta-empty", "theta-nan", "theta-infinity", "theta-bool", "rotation-without-theta",
+            "theta-before-control", "control-repeated", "target-among-controls",
+            "cnot-two-controls", "kind-unknown", "target-1024", "line-split", "theta-on-a-flip",
+            "target-outside-register", "empty-line", "no-final-newline", "n-qubits-string",
+            "n-qubits-float", "n-qubits-bool", "n-qubits-negative", "roles-array",
+            "role-not-list", "role-float-qubit", "schema-unknown"])
     def test_near_miss_texts(self, old, new, message):
         circ = Circuit(4, (Gate.of("roty", 1, (Control(0, True), Control(2, False)), 0.5),
                            Gate("x", 3)))
@@ -292,67 +326,21 @@ class TestReader:
         assert line not in str(info.value)
 
 
-def twice(gate, edit):
-    """A /1 file of ``gate`` twice, the second copy edited."""
-    data = json.loads(to_json_by_dumps(Circuit(3, (gate, gate))))
-    edit(data["gates"][1])
-    return json.dumps(data)
-
-
 class TestLoaderMemo:
-    @pytest.mark.parametrize("gate, edit", [
-        (Gate.of("mcx", 1, (Control(0, True), Control(2, False))),
-         lambda g: g.update(target=True)),
-        (Gate.of("cnot", 0, (Control(1, True),)),
-         lambda g: g["controls"][0].update(q=1.0)),
-        (Gate.of("cnot", 0, (Control(1, True),)),
-         lambda g: g["controls"][0].update(q=True)),
-        (Gate.of("cnot", 0, (Control(1, True),)),
-         lambda g: g.update(controls={})),
-        (Gate("x", 0), lambda g: g.update(controls="")),
-    ], ids=["true-target", "float-control", "true-control", "object-controls",
-            "string-controls"])
-    def test_reused_gate_does_not_excuse_a_bad_copy(self, gate, edit):
-        with pytest.raises(ValueError):
-            from_json(twice(gate, edit))
-
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
     def test_equal_angles_of_another_spelling_stay_distinct(self, first, second):
-        # the /1 memo keys on each value's type and spelling, the /2 memo on
-        # the line, so neither reuses the first gate for the equal second one
+        # the memo keys on the line, so it does not reuse the first gate for
+        # the equal second one
         circ = Circuit(1, (Gate("roty", 0, theta=first), Gate("roty", 0, theta=second)))
-        data = json.loads(to_json_by_dumps(Circuit(1, (Gate("roty", 0, theta=first),) * 2)))
-        data["gates"][1]["theta"] = second
-        v1 = json.dumps(data, indent=2, sort_keys=True)
-        assert v1 == to_json_by_dumps(circ)
-        for text in (v1, to_json(circ)):
-            read = from_json(text)
-            assert same_angles(read, circ)
-            for gate, want in zip(read.gates, (first, second)):
-                assert math.copysign(1, gate.theta) == math.copysign(1, want)
+        read = from_json(to_json(circ))
+        assert same_angles(read, circ)
+        for gate, want in zip(read.gates, (first, second)):
+            assert math.copysign(1, gate.theta) == math.copysign(1, want)
 
     def test_repeated_gates_are_shared(self, sweep_results):
         circ = sweep_results[(2, 4)].circuit
-        for read in (from_json(to_json(circ)), from_json(to_json_by_dumps(circ))):
-            assert len({id(g) for g in read.gates}) == len(set(read.gates)) < len(read.gates)
-
-    @pytest.mark.parametrize("text", [
-        "[]",
-        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": [], "gates": []}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {"input": 0}, "gates": []}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": {}}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": [5]}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 1, "roles": {}, "gates": [[]]}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 2, "roles": {}, "gates": '
-        '[{"kind": "cnot", "target": 1, "controls": [[0, "positive"]]}]}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": 2, "roles": {}, "gates": '
-        '[{"kind": "cnot", "target": [1], "controls": [{"q": 0, "polarity": "positive"}]}]}',
-        '{"schema": "uqcm-circuit/1", "n_qubits": -3, "gates": []}',
-    ], ids=["array", "roles-array", "role-not-list", "gates-object", "gate-number",
-            "gate-array", "control-array", "unhashable-target", "negative-n-qubits"])
-    def test_rejects_malformed_structure(self, text):
-        with pytest.raises(ValueError):
-            from_json(text)
+        read = from_json(to_json(circ))
+        assert len({id(g) for g in read.gates}) == len(set(read.gates)) < len(read.gates)
 
 
 class TestConstructorMatchesLoader:

@@ -105,10 +105,12 @@ class TestCloningTime:
             min_emission_probability(SPEC12, species["Ca+"], params, gate_count_override=-5)
 
     @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, True, False,
-                                       np.float64("nan")])
+                                       np.float64("nan"),
+                                       pytest.param(10 ** 400, id="int-past-float-max")])
     def test_non_finite_or_bool_gate_count_rejected(self, species, count):
         # a NaN count would give a NaN p_min, which the scan then calls not
-        # feasible without saying why; a bool is not a count
+        # feasible without saying why; a bool is not a count; an int too
+        # large for a float overflowed in the arithmetic
         params = TrapParams()
         with pytest.raises(ValueError, match="finite and nonnegative"):
             cloning_time(SPEC12, params, 1e6, gate_count_override=count)

@@ -151,6 +151,12 @@ class TestEmitCircuit:
         with pytest.raises(ValueError, match=message):
             emit_prep_circuit_by_bit(tree, offset=offset)
 
+    @pytest.mark.parametrize("offset", [True, False])
+    def test_bool_offset_fails(self, offset):
+        # True + q is a plain int, so a bool offset would build on qubit 1
+        with pytest.raises(ValueError, match="offset must be an integer, got"):
+            emit_prep_circuit(AngleTree(((0.5,),)), offset=offset)
+
 
 class TestPrepForSpec:
     def test_one_to_two_values(self):
