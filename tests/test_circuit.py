@@ -416,6 +416,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json('{"schema": "bogus", "n_qubits": 1, "gates": []}')
 
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace('"n_qubits": 2', '"n_qubits": true'),
+        lambda t: t.replace('"n_qubits": 2', '"n_qubits": 2.0'),
+        lambda t: t.replace("roty 0 1", "roty true 1"),
+        lambda t: t.replace("roty 0 1", "roty 0 1.0"),
+        lambda t: t.replace("@0.5", "@inf"),
+        lambda t: t.replace("@0.5", "@true"),
+        lambda t: t.replace("@0.5", "@[0.5]"),
+        lambda t: t.replace('"input": [0]', '"input": [0.0]'),
+    ])
+    def test_rejects_non_integer_index_and_non_finite_theta(self, edit):
+        circ = Circuit(2, (Gate.of("roty", 0, (Control(1, True),), 0.5),),
+                       roles={"input": (0,), "ancilla-flag": (1,)})
+        text = to_json(circ)
+        assert edit(text) != text
+        with pytest.raises(ValueError):
+            from_json(edit(text))
+
     @pytest.mark.parametrize("layout", ["bare", "written"])
     def test_deeply_nested_json_is_a_value_error(self, layout):
         # json.loads runs out of stack on deep nesting; from_json, on a bare

@@ -326,7 +326,29 @@ class TestReader:
         assert line not in str(info.value)
 
 
+def twice(gate, edit):
+    """The written text of ``gate`` twice, the second gate line edited."""
+    head, first, second = to_json(Circuit(3, (gate, gate))).splitlines(keepends=True)
+    assert edit(second) != second
+    return head + first + edit(second)
+
+
 class TestLoaderMemo:
+    @pytest.mark.parametrize("gate, edit", [
+        (Gate.of("mcx", 1, (Control(0, True), Control(2, False))),
+         lambda g: g.replace("mcx 1", "mcx true")),
+        (Gate.of("cnot", 0, (Control(1, True),)), lambda g: g.replace("0 1", "0 1.0")),
+        (Gate.of("cnot", 0, (Control(1, True),)), lambda g: g.replace("0 1", "0 true")),
+        (Gate.of("cnot", 0, (Control(1, True),)), lambda g: g.replace("0 1", "0 {}")),
+        (Gate("x", 0), lambda g: g.replace("x 0", 'x 0 ""')),
+    ], ids=["true-target", "float-control", "true-control", "object-controls",
+            "string-controls"])
+    def test_reused_gate_does_not_excuse_a_bad_copy(self, gate, edit):
+        # the memo keys on the whole line, so an edited copy of a gate already
+        # read is read, and checked, on its own
+        with pytest.raises(ValueError):
+            from_json(twice(gate, edit))
+
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
     def test_equal_angles_of_another_spelling_stay_distinct(self, first, second):
         # the memo keys on the line, so it does not reuse the first gate for
