@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--circuit", default=None,
                    help="uqcm-circuit/2 file to verify (default: synthesize one)")
-    p.add_argument("--samples", type=int, default=50, help="random input samples")
-    p.add_argument("--seed", type=int, default=7, help="random stream seed")
+    p.add_argument("--samples", type=int, default=50,
+                   help="recorded in the report; the statistics are exact, so no input is sampled")
+    p.add_argument("--seed", type=int, default=7,
+                   help="recorded in the report; no random stream is drawn")
     p.add_argument("--json-out", default=None, help="write the report as JSON")
     p.set_defaults(func=cmd_verify)
 

@@ -126,10 +126,11 @@ def _weight_tables(spec: CloneSpec, machine_complement: bool) -> list[np.ndarray
 
 
 def _dense(spec: CloneSpec, table: np.ndarray) -> np.ndarray:
-    """Scatter a class table onto the 2^(2M-N) basis states, clone bits first."""
+    """Scatter a class table, or a stack of them on the leading axes, onto the
+    2^(2M-N) basis states, clone bits first."""
     clone_pc = _popcounts(spec.m_out)
     machine_pc = _popcounts(spec.m_out - spec.n_in)
-    return table[clone_pc[:, None], machine_pc].reshape(-1)
+    return table[..., clone_pc[:, None], machine_pc].reshape(*table.shape[:-2], -1)
 
 
 def ideal_output(spec: CloneSpec, psi: StateVector,

@@ -187,7 +187,7 @@ class TestVerify:
         assert code == 0
         data = json.loads(report_path.read_text())
         assert data["passed"] is True
-        assert data["schema"] == "uqcm-verification/2"
+        assert data["schema"] == "uqcm-verification/3"
         assert data["gate_counts"]["paper"] == pytest.approx(41.53230594569169, rel=1e-12)
         assert "bound" not in data["gate_counts"]
 

@@ -6,20 +6,23 @@ group of rotations on one target and control set at once, must give the same
 bits as the masked ``apply_by_mask`` on random, flip-heavy and multiplexed
 circuits, one state or a batch of rows at a time; each flip run, of every
 shape of flip and of a synthesized circuit, must give the basis permutation
-that composing its gates one index array at a time gives; and ``verify``,
-which runs the circuit once on the 2^N input patterns and combines the
-outputs linearly, must give the report that one oracle run per sample gives.
-The Haar inputs, drawn for a whole chunk of samples from one re-keyed
-generator, must be the bits one fresh generator per sample draws; chunks are
-sized so that neither their outputs nor their residue matrices
-outgrow the budget, and a layout whose single residue matrix would is refused.
+that composing its gates one index array at a time gives.  The sampled
+oracle ``verify_sampled``, which runs the circuit once on the 2^N input
+patterns and combines the outputs linearly, must give the report that one
+mask-oracle run per sample gives; its Haar inputs, drawn for a whole chunk of
+samples from one re-keyed generator, must be the bits one fresh generator per
+sample draws, and its chunks are sized so that neither their outputs nor
+their residue matrices outgrow the budget.  The exact ``verify``, which runs
+the circuit once on the N+1 Dicke rows, must agree with the sampled
+statistics within their own bounds, and a layout whose single residue matrix
+would outgrow the budget is refused.
 """
 from itertools import groupby
 
 import numpy as np
 import pytest
 from oracle import (apply_by_mask, flip_heavy_circuit, flip_sources_by_gate, haar_qubit_by_key,
-                    multiplexed_circuit, random_circuit, verify_per_sample)
+                    multiplexed_circuit, random_circuit, verify_per_sample, verify_sampled)
 
 from uqcm import circuit as circuit_module
 from uqcm import simulator
@@ -217,8 +220,8 @@ def test_batch_shape_must_match_register():
 
 
 def assert_reports_match(spec, circuit, n_samples, seed, gate_counts=None):
-    fast = verify(spec, circuit, n_samples=n_samples, seed=seed,
-                  gate_counts=gate_counts).to_dict()
+    fast = verify_sampled(spec, circuit, n_samples=n_samples, seed=seed,
+                          gate_counts=gate_counts).to_dict()
     slow = verify_per_sample(spec, circuit, n_samples=n_samples, seed=seed,
                              gate_counts=gate_counts).to_dict()
     assert fast.keys() == slow.keys()
@@ -247,6 +250,43 @@ def test_linear_verify_matches_per_sample_on_random_circuit():
     report = assert_reports_match(layout.spec, circ, 20, 3)
     assert report["clone_fidelity_std"] > 1e-2
     assert report["ancilla_purity_error"] > 1e-2
+
+
+def assert_exact_within_sampled_bounds(spec, circuit, n_samples, seed):
+    """The exact report against the sampled one on the same circuit: the
+    sample mean within 5 standard errors of the exact mean; the sampled
+    symmetry error and residue at most N+1 times the exact ones, since
+    sum_w |c_w| <= sqrt(N+1) bounds each sample's combination of the Dicke
+    rows; the same verdict; and the same basis-state error, to the bit."""
+    exact = verify(spec, circuit, n_samples=n_samples, seed=seed)
+    sampled = verify_sampled(spec, circuit, n_samples=n_samples, seed=seed)
+    bound = 5 * exact.clone_fidelity_std / n_samples ** 0.5 + 1e-12
+    assert abs(sampled.clone_fidelity_mean - exact.clone_fidelity_mean) <= bound
+    n_rows = spec.n_in + 1
+    assert sampled.clone_symmetry_error <= n_rows * exact.clone_symmetry_error + 1e-12
+    assert sampled.ancilla_purity_error <= n_rows * exact.ancilla_purity_error + 1e-12
+    assert sampled.passed == exact.passed
+    assert sampled.max_state_error == exact.max_state_error
+    return exact
+
+
+def test_exact_verify_agrees_with_sampled_on_sweep(sweep_results):
+    for nm, res in sweep_results.items():
+        exact = assert_exact_within_sampled_bounds(res.spec, res.circuit, 200, 31)
+        assert exact.passed == (nm[0] == 1), nm
+
+
+def test_exact_verify_agrees_with_sampled_on_reference():
+    assert assert_exact_within_sampled_bounds(
+        CloneSpec(1, 2), reference_one_to_two(), 200, 31).passed
+
+
+def test_exact_verify_agrees_with_sampled_on_random_circuit():
+    layout = RegisterLayout(CloneSpec(2, 3), n_aux=1)
+    circ = random_circuit(layout.n_qubits, 60, seed=5, roles=layout.roles())
+    exact = assert_exact_within_sampled_bounds(layout.spec, circ, 200, 31)
+    assert exact.clone_fidelity_std > 1e-2
+    assert exact.ancilla_purity_error > 1e-2
 
 
 def oracle_rows(seed, start, stop):
@@ -278,9 +318,9 @@ def test_verify_draws_the_oracle_inputs_chunk_by_chunk(monkeypatch):
     # verified 8 samples at a time, so 20 samples take three chunks
     layout = RegisterLayout(CloneSpec(1, 9), flag=False)
     circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
-    fast = verify(layout.spec, circ, n_samples=20, seed=-5).to_json()
+    fast = verify_sampled(layout.spec, circ, n_samples=20, seed=-5).to_dict()
     chunks = record_chunks(monkeypatch)
-    assert verify(layout.spec, circ, n_samples=20, seed=-5).to_json() == fast
+    assert verify_sampled(layout.spec, circ, n_samples=20, seed=-5).to_dict() == fast
     assert chunks == [(0, 8), (8, 16), (16, 20)]
 
 
@@ -290,7 +330,7 @@ def test_residue_matrices_share_the_chunk_budget(monkeypatch):
     layout = RegisterLayout(CloneSpec(1, 2), n_aux=8)
     circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
     chunks = record_chunks(monkeypatch)
-    assert verify(layout.spec, circ, n_samples=10, seed=3).passed
+    assert verify_sampled(layout.spec, circ, n_samples=10, seed=3).passed
     assert chunks == [(0, 4), (4, 8), (8, 10)]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracle import input_state
 
-from uqcm import (Circuit, CloneSpec, RegisterLayout, StateVector, apply,
+from uqcm import (Circuit, CloneSpec, Gate, RegisterLayout, StateVector, apply,
                   haar_random_qubit, partial_trace, reference_one_to_two,
                   theoretical_fidelity, verify)
 
@@ -147,12 +147,12 @@ class TestVerifySynthesized:
     def test_non_finite_output_rejected(self, monkeypatch, bad):
         # NaN fails every comparison, so the norm check must read `not drift <= tol`
         monkeypatch.setattr("uqcm.simulator.apply", lambda circuit, rows: rows * bad)
-        with pytest.raises(ValueError, match="pattern output is not normalized"):
+        with pytest.raises(ValueError, match="Dicke-row output is not normalized"):
             verify(CloneSpec(1, 2), reference_one_to_two(), n_samples=1)
 
     def test_spec_over_the_dense_cap_is_refused_before_the_circuit_runs(self, monkeypatch):
-        # 1->12 needs 23 qubits; the batch of its pattern inputs alone would
-        # be 2 x 2^24 amplitudes on the flagged register
+        # 1->12 needs 23 qubits; the batch of its Dicke rows alone would be
+        # 2 x 2^24 amplitudes on the flagged register
         def no_run(circuit, rows):
             raise AssertionError("apply called on an over-cap spec")
         monkeypatch.setattr("uqcm.simulator.apply", no_run)
@@ -182,6 +182,64 @@ class TestVerifySynthesized:
         r2 = verify(res.spec, res.circuit, n_samples=10, seed=3)
         assert r1.to_json() == r2.to_json()
 
+    def test_samples_and_seed_change_no_number(self, sweep_results):
+        # both are only recorded: the statistics are exact, not sampled
+        res = sweep_results[(2, 4)]
+        base = verify(res.spec, res.circuit, n_samples=1, seed=0).to_dict()
+        for n_samples, seed in ((1, 5), (1000, 0), (7, -2**70)):
+            got = verify(res.spec, res.circuit, n_samples=n_samples, seed=seed).to_dict()
+            assert (got.pop("n_samples"), got.pop("seed")) == (n_samples, seed)
+            assert got == {k: v for k, v in base.items() if k not in ("n_samples", "seed")}
+
+
+class TestExactStatistics:
+    @pytest.mark.parametrize("nm, mean", [
+        ((2, 3), 7 / 9), ((2, 4), 0.7375), ((3, 4), 0.805),
+        ((3, 5), 15617 / 22500),   # 0.694088888889
+        ((2, 5), 0.696),
+    ])
+    def test_paper_route_means_are_exact(self, sweep_results, nm, mean):
+        # Haar means of the N >= 2 shortfall (criterion 7); 50 samples read
+        # 0.755, 0.718, 0.782, 0.666 and 0.675
+        res = sweep_results[nm]
+        report = verify(res.spec, res.circuit, gate_counts=res.gate_counts())
+        assert abs(report.clone_fidelity_mean - mean) <= 1e-12
+        assert report.clone_fidelity_std > 1e-2
+        assert report.superposition_state_error > 0.4
+
+    def test_single_input_spread_is_centred(self, sweep_results):
+        # E[F^2] - m^2 leaves about 1e-8 of rounding; centring first does not
+        for nm, res in sweep_results.items():
+            if nm[0] == 1:
+                report = verify(res.spec, res.circuit, gate_counts=res.gate_counts())
+                assert report.clone_fidelity_std < 1e-12, nm
+                assert report.superposition_state_error < 1e-12, nm
+
+    @pytest.mark.parametrize("nm", [(3, 6), (4, 8)])
+    def test_circuit_runs_once_on_the_dicke_rows(self, monkeypatch, nm):
+        # N+1 rows, not the 2^N input patterns: 4 for 3->6, 5 for 4->8
+        from uqcm import simulator, synthesize_cloner
+        res = synthesize_cloner(CloneSpec(*nm))
+        shapes = []
+
+        def recording(circuit, rows):
+            shapes.append(rows.shape)
+            return apply(circuit, rows)
+
+        monkeypatch.setattr(simulator, "apply", recording)
+        verify(res.spec, res.circuit, n_samples=50, seed=1, gate_counts=res.gate_counts())
+        assert shapes == [(nm[0] + 1, 2 ** res.circuit.n_qubits)]
+
+    def test_superposition_check_takes_one_phase_for_all_rows(self):
+        # Z on the input first (utheta at 0) negates the output of |1> but not
+        # that of |0>: each basis input stays exact up to its own phase, a
+        # superposition does not
+        ref = reference_one_to_two()
+        z_first = Circuit(3, (Gate("utheta", 0, theta=0.0),) + ref.gates, ref.roles)
+        report = verify(CloneSpec(1, 2), z_first)
+        assert report.max_state_error < 1e-12
+        assert report.superposition_state_error > 0.5
+        assert not report.passed
 
 def test_three_to_six_aux_variant_is_basis_exact():
     from uqcm import synthesize_cloner
@@ -205,7 +263,7 @@ def test_clone_marginals_equal_on_basis_inputs(sweep_results):
 
 def test_one_to_seven_verifies_fifty_samples():
     # 14 qubits and 32 673 gates: affordable because verify runs the circuit
-    # once on the two input patterns, not once per sample
+    # once on the two Dicke rows, not once per sample
     from uqcm import synthesize_cloner
     spec = CloneSpec(1, 7)
     res = synthesize_cloner(spec)
@@ -216,8 +274,8 @@ def test_one_to_seven_verifies_fifty_samples():
 
 
 def test_four_to_eight_aux_variant_is_basis_exact():
-    # 14 qubits, 63 083 gates and 16 input patterns: about 1 s once a run of
-    # flips is one basis permutation, against some 40 s one flip at a time.
+    # 14 qubits, 63 083 gates and 5 Dicke rows: one batched run, each run of
+    # flips one basis permutation (some 40 s one flip at a time).
     # N >= 2 is not universal (criterion 7), so the verdict is not asserted,
     # and neither is the report's residue over aux and flag: the aux register
     # is not clean on superposed inputs here.  The basis-state error covers

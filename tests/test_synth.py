@@ -65,9 +65,9 @@ class TestSynthesize:
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     @pytest.mark.parametrize("nm, digest", [
-        ((1, 5), "14249d7baad598c215ce4fc9a7395cc6322a319dc5b5738287a9fd9a49646a0d"),
-        ((2, 4), "a91d76788db8eeb0d308abc299e3577e05a7e8eaecf0b8d6ef77d4bcd626a0cf"),
-        ((3, 6), "13b7c4af9a93c159761a710d8f6cf5d31885faac8c4acdd336c45fd7c5c0ccf5"),
+        ((1, 5), "3b9d15b051ba7a18a2aa454cecd4fd41eaee69d2d9631279f6d567f97a91a9da"),
+        ((2, 4), "c31236827990dd8747628025c7166b600632300ebd86b336a42bcce184c21320"),
+        ((3, 6), "ea435e5a3b59692f411162dc9ce658d4557de8eb7af4af9550732e7f10dcc285"),
     ])
     def test_verify_report_bytes_are_pinned(self, nm, digest):
         # a simulation change that moves a single bit of an output amplitude
