@@ -126,10 +126,11 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     spec = CloneSpec(args.n_in, args.m_out)
     check = feasibility(spec)
+    paper = formula_gate_count(spec, 1.0)   # before the first print, so bad input prints nothing
     print(f"spec: N={spec.n_in} M={spec.m_out} total_qubits={spec.total_qubits}")
     print(f"bases populated: {basis_count(spec)}")
     print(f"prep register fits: {check}")
-    print(f"gates paper: {formula_gate_count(spec, 1.0):.6g}")
+    print(f"gates paper: {paper:.6g}")
     try:
         result = synthesize_cloner(spec)
     except ValueError as exc:

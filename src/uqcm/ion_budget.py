@@ -197,10 +197,18 @@ def feasibility_threshold(species: IonSpecies, params: TrapParams) -> float:
 
 
 def lhs_mmax(spec: CloneSpec) -> float:
-    """Circuit-side factor 2^(2M) (2M-N) (M-N)^2 (2^-2N + 1/sqrt(pi M))."""
+    """Circuit-side factor 2^(2M) (2M-N) (M-N)^2 (2^-2N + 1/sqrt(pi M)),
+    or a ValueError naming the spec where that is not a finite float."""
     n, m = spec.n_in, spec.m_out
-    return (2.0 ** (2 * m) * spec.total_qubits * (m - n) ** 2
-            * (2.0 ** (-2 * n) + 1.0 / math.sqrt(math.pi * m)))
+    try:
+        factor = (2.0 ** (2 * m) * spec.total_qubits * (m - n) ** 2
+                  * (2.0 ** (-2 * n) + 1.0 / math.sqrt(math.pi * m)))
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise ValueError(f"{spec}: the circuit factor 2^(2M) (2M-N) (M-N)^2 "
+                         f"(2^-2N + 1/sqrt(pi M)) overflows a float")
+    return factor
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .circuit import Circuit, RegisterLayout, apply, cnot_cost
 from .cloner_math import (CloneSpec, _check_dense, _dense, _popcounts, _weight_tables,
                           theoretical_fidelity)
 from .ion_budget import formula_gate_count
-from .statevec import ASSERT_ATOL, StateVector
+from .statevec import ASSERT_ATOL, MAX_QUBITS, StateVector
 # unused here; perfbench/spans.py wraps them at these names in this module
 from .cloner_math import ideal_output  # noqa: F401
 from .statevec import fidelity_against_pure, partial_trace  # noqa: F401
@@ -34,41 +34,18 @@ ANCILLA_TOL = 1e-12
 _BUDGET_BITS = 20
 
 
-_KEY_MASK = 2**64 - 1
-
-
-def _haar_rows(seed: int, start: int, stop: int) -> np.ndarray:
-    """Haar-uniform pure qubit states for samples ``start`` to ``stop - 1`` of
-    stream ``seed``, one per row of an ``(stop - start, 2)`` array.
-
-    Sample i is keyed on (seed, i), both taken mod 2^64, so it is reproducible
-    without drawing its predecessors: its amplitudes are the first four
-    standard normals of the Philox stream with that key, as two real and two
-    imaginary parts, divided by their norm.  One generator serves every row,
-    re-keyed through its public state, which draws exactly what a fresh
-    generator per key would.
-    """
-    bits = np.random.Philox(key=np.array([seed & _KEY_MASK, 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    normals = np.empty((stop - start, 4))
-    for i, row in zip(range(start, stop), normals):
-        key[1] = i & _KEY_MASK
-        bits.state = state
-        gen.standard_normal(out=row)
-    z = normals[:, :2] + 1j * normals[:, 2:]
-    # per row the two strided dot products np.linalg.norm takes, so the norm
-    # is bit-equal to it (a plain sum of squares differs in the last bit)
-    re, im = z.real[:, np.newaxis], z.imag[:, np.newaxis]
-    z /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-    return z
-
-
 def haar_random_qubit(seed: int, index: int = 0) -> StateVector:
-    """Haar-uniform pure qubit state: sample ``index`` of stream ``seed``, the
-    single-row case of ``_haar_rows``."""
-    return StateVector(_haar_rows(seed, index, index + 1)[0])
+    """Haar-uniform pure qubit state: sample ``index`` of stream ``seed``.
+
+    The sample is keyed on (seed, index), both taken mod 2^64, so it is
+    reproducible without drawing its predecessors: its amplitudes are the
+    first four standard normals of the Philox stream with that key, as two
+    real and two imaginary parts, divided by their norm.
+    """
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    z = gen.normal(size=2) + 1j * gen.normal(size=2)
+    return StateVector(z / np.linalg.norm(z))
 
 
 @dataclass(frozen=True)
@@ -180,9 +157,10 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
 
     ``n_samples`` and ``seed`` are checked (an int each, at least one
     sample) and recorded in the report, but change no number.  A spec over
-    the dense-representation cap, and a layout with more than 10 aux and
-    flag qubits, whose residue matrix would pass 2^20 entries, are refused
-    before the circuit runs.
+    the dense-representation cap, a register wider than that cap plus the
+    flag, and a layout with more than 10 aux and flag qubits, whose (w, w')
+    residue block would pass 2^20 entries, are refused before the circuit
+    runs.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if type(value) is not int:
@@ -190,14 +168,19 @@ def verify(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n_in, m = spec.n_in, spec.m_out
-    _check_dense(spec)   # before the batch of N+1 rows of 2^n amplitudes is built
+    # each before the batch of N+1 rows of 2^n amplitudes is built
+    _check_dense(spec)
+    if circuit.n_qubits > MAX_QUBITS + 1:
+        raise ValueError(
+            f"cannot verify a {circuit.n_qubits}-qubit register: above the "
+            f"dense-representation cap of {MAX_QUBITS} qubits plus the flag")
     layout = RegisterLayout.of(spec, circuit)
     n, n_trailing = circuit.n_qubits, len(layout.trailing)
     if 2 * n_trailing > _BUDGET_BITS:
         raise ValueError(
-            f"cannot check the residue on {n_trailing} aux and flag qubits: one sample's "
-            f"2^{n_trailing} x 2^{n_trailing} matrix exceeds the 2^{_BUDGET_BITS}-entry "
-            f"budget (at most {_BUDGET_BITS // 2} such qubits)")
+            f"cannot check the residue on {n_trailing} aux and flag qubits: each (w, w') "
+            f"residue block of 2^{n_trailing} x 2^{n_trailing} entries exceeds the "
+            f"2^{_BUDGET_BITS}-entry budget (at most {_BUDGET_BITS // 2} such qubits)")
     rows = n_in + 1
     root_sizes = np.sqrt([math.comb(n_in, w) for w in range(rows)])
     weight = _popcounts(n_in)

@@ -3,13 +3,11 @@
 ``input_state`` builds a cloner's input one Kronecker factor at a time, and
 ``states_close`` compares two states up to global phase;
 ``apply_by_mask`` applies each gate through a 2^n boolean mask over basis
-indices, one amplitude pair at a time.  ``verify_sampled`` estimates the
-statistics that ``uqcm.verify`` computes exactly, as a ``SampledReport``
-(schema ``uqcm-verification/2``) over Haar samples drawn a chunk at a time,
-from one batched run on the 2^N input patterns; ``verify_per_sample`` rebuilds
-that report by running the mask oracle once per basis input and once per
-Haar sample, with ``partial_trace`` and ``fidelity_against_pure`` per clone;
-``haar_qubit_by_key`` draws each of those samples from a generator of its own.
+indices, one amplitude pair at a time.  ``verify_per_sample`` estimates the
+statistics that ``uqcm.verify`` computes exactly, as a ``SampledReport`` over
+the Haar samples of ``uqcm.haar_random_qubit``, by running the mask oracle
+once per basis input and once per sample, with ``partial_trace`` and
+``fidelity_against_pure`` per clone.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
 ``angle_tree_coefficients`` multiplies out a preparation angle tree one level
 at a time.  ``ideal_output_by_kron`` builds the ideal cloner output from
@@ -29,20 +27,17 @@ derived ones that gate equality leaves out included.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, PermutationPlan,
                   PermutationSpec, RegisterLayout, ScheduleError, StateVector, alphas,
-                  apply, cnot_cost, fidelity_against_pure, ideal_output, partial_trace,
-                  simulator)
+                  fidelity_against_pure, haar_random_qubit, ideal_output, partial_trace)
 from uqcm.circuit import ROTATION_KINDS
-from uqcm.cloner_math import AMP_EPS, _check_dense
-from uqcm.ion_budget import formula_gate_count
-from uqcm.simulator import _BUDGET_BITS, ANCILLA_TOL, PASS_TOL, _check_normalized
-from uqcm.statevec import ASSERT_ATOL, DRIFT_ATOL
+from uqcm.cloner_math import AMP_EPS
+from uqcm.simulator import ANCILLA_TOL, PASS_TOL
 
 
 def gate_slots(gate: Gate) -> tuple[str, list[type]]:
@@ -169,30 +164,16 @@ def flip_sources_by_gate(flips, n: int) -> np.ndarray:
     return src
 
 
-def haar_qubit_by_key(seed: int, index: int) -> StateVector:
-    """Sample ``index`` of Haar stream ``seed`` from a fresh Philox generator
-    keyed on (seed, index) mod 2^64: two normals for the real parts, two for
-    the imaginary parts, divided by their norm."""
-    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    z = gen.normal(size=2) + 1j * gen.normal(size=2)
-    z /= np.linalg.norm(z)
-    return StateVector(z)
-
-
 @dataclass(frozen=True)
 class SampledReport:
-    """A ``uqcm-verification/2`` report: fidelity statistics over Haar samples,
-    and the state check on the computational-basis inputs only."""
+    """Fidelity statistics over Haar samples, and the state check on the
+    computational-basis inputs only."""
     spec: CloneSpec
     max_state_error: float
     clone_fidelity_mean: float
     clone_fidelity_std: float
     clone_symmetry_error: float
     ancilla_purity_error: float
-    gate_counts: dict
-    n_samples: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -203,106 +184,16 @@ class SampledReport:
             and self.ancilla_purity_error < ANCILLA_TOL
         )
 
-    def to_dict(self) -> dict:
-        fields = asdict(self)
-        return {"schema": "uqcm-verification/2", **fields.pop("spec"), **fields,
-                "passed": self.passed}
 
+def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int,
+                      seed: int) -> SampledReport:
+    """``uqcm.verify``'s checks estimated the slow way: one mask-oracle run
+    per input, with ``partial_trace`` and ``fidelity_against_pure`` per clone.
 
-def verify_sampled(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
-                   seed: int = 7, gate_counts: dict | None = None) -> SampledReport:
-    """The sampled report, from one batched run on the 2^N input patterns.
-
-    psi^(x)N (x) |0...0> = sum_p a^(N-|p|) b^|p| |p>|0...0> over the N-bit
-    input patterns p (input qubit 0 the most significant bit), so each
-    sample's output is the matching combination of the pattern outputs.  The
-    Haar inputs come from ``simulator._haar_rows`` for a chunk of samples at
-    a time, sized so that the chunk's outputs and its residue matrices over
-    the trailing qubits each stay near 2^20 entries.
+    The basis-state error is taken on the inputs |0>^N and |1>^N; the
+    fidelity mean and spread, the clone symmetry error and the ancilla
+    residue over ``n_samples`` Haar inputs ``uqcm.haar_random_qubit(seed, i)``.
     """
-    for name, value in (("n_samples", n_samples), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    n_in, m = spec.n_in, spec.m_out
-    _check_dense(spec)
-    layout = RegisterLayout.of(spec, circuit)
-    n, n_trailing = circuit.n_qubits, len(layout.trailing)
-    if 2 * n_trailing > _BUDGET_BITS:
-        raise ValueError(f"cannot check the residue on {n_trailing} aux and flag qubits")
-    patterns = np.arange(2 ** n_in)
-    inputs = np.zeros((patterns.size, 2 ** n), dtype=complex)
-    inputs[patterns, patterns << (n - n_in)] = 1.0
-    outs = _check_normalized(apply(circuit, inputs), "pattern output")
-
-    def state_error(out: np.ndarray, ideal: np.ndarray) -> float:
-        ext = layout.embed(ideal)
-        anchor = int(np.argmax(np.abs(ext)))
-        phase = out[anchor] / ext[anchor]
-        if abs(abs(phase) - 1) > 1e-6:
-            phase = 1.0
-        return float(np.max(np.abs(out - phase * ext)))
-
-    # patterns 0...0 and 1...1, each under its own phase and the better
-    # machine-bit convention (complemented: the machine index reversed)
-    max_state_error = 0.0
-    for b, out in ((0, outs[0]), (1, outs[-1])):
-        ideal = ideal_output(spec, StateVector.basis(1, b)).amps
-        complemented = ideal.reshape(2 ** m, -1)[:, ::-1].reshape(-1)
-        err = min(state_error(out, ideal), state_error(out, complemented))
-        max_state_error = max(max_state_error, err)
-
-    chunk = max(1, (1 << _BUDGET_BITS) >> max(n, 2 * n_trailing))
-    fidelities = []
-    symmetry_error = 0.0
-    ancilla_error = 0.0
-    for start in range(0, n_samples, chunk):
-        psi = _check_normalized(
-            simulator._haar_rows(seed, start, min(start + chunk, n_samples)), "sample input")
-        s = len(psi)
-        coef = psi   # coef[i, p]: amplitude of pattern p in sample i's input
-        for _ in range(n_in - 1):
-            coef = (coef[:, :, np.newaxis] * psi[:, np.newaxis, :]).reshape(s, -1)
-        out = _check_normalized(coef @ outs, "sample output")
-        rhos = np.stack([
-            np.einsum("iaxb,iayb->ixy", t, t.conj())
-            for t in (out.reshape(s, 2 ** q, 2, -1) for q in range(m))], axis=1)
-        fid = np.einsum("ix,iqxy,iy->iq", psi.conj(), rhos, psi)
-        if np.max(np.abs(fid.imag)) > DRIFT_ATOL:
-            raise ValueError(
-                f"fidelity has non-negligible imaginary part {np.max(np.abs(fid.imag))!r}")
-        fid = np.minimum(np.maximum(fid.real, 0.0), 1.0 + ASSERT_ATOL)
-        fidelities.append(np.mean(fid, axis=1))
-        symmetry_error = max(symmetry_error, float(np.max(np.abs(
-            rhos[:, :, np.newaxis] - rhos[:, np.newaxis, :]))))
-        if layout.trailing:
-            t = out.reshape(s, -1, 2 ** n_trailing)
-            delta = np.einsum("iax,iay->ixy", t, t.conj())
-            delta[:, 0, 0] -= 1.0
-            ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))
-    fidelities = np.concatenate(fidelities)
-
-    counts = dict(gate_counts or {})
-    if "total" not in counts:
-        counts["total"] = cnot_cost(circuit)
-    counts["paper"] = formula_gate_count(spec, 1.0)
-    return SampledReport(
-        spec=spec,
-        max_state_error=max_state_error,
-        clone_fidelity_mean=float(np.mean(fidelities)),
-        clone_fidelity_std=float(np.std(fidelities)),
-        clone_symmetry_error=symmetry_error,
-        ancilla_purity_error=ancilla_error,
-        gate_counts=counts,
-        n_samples=n_samples,
-        seed=seed,
-    )
-
-
-def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
-                      seed: int = 7, gate_counts: dict | None = None) -> SampledReport:
-    """The report ``verify_sampled`` gives, computed one circuit run per input."""
     m = spec.m_out
     layout = RegisterLayout.of(spec, circuit)
 
@@ -329,7 +220,7 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
     symmetry_error = 0.0
     ancilla_error = 0.0
     for i in range(n_samples):
-        psi = haar_qubit_by_key(seed, i)
+        psi = haar_random_qubit(seed, i)
         out = run(psi)
         rhos = [partial_trace(out, {q}) for q in range(m)]
         fidelities.append(float(np.mean([fidelity_against_pure(r, psi) for r in rhos])))
@@ -344,9 +235,6 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
             delta[0, 0] -= 1.0
             ancilla_error = max(ancilla_error, float(np.max(np.abs(delta))))
 
-    counts = dict(gate_counts) if gate_counts else {"total": cnot_cost(circuit)}
-    counts.setdefault("total", cnot_cost(circuit))
-    counts["paper"] = formula_gate_count(spec, 1.0)
     return SampledReport(
         spec=spec,
         max_state_error=max_state_error,
@@ -354,9 +242,6 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int = 50,
         clone_fidelity_std=float(np.std(fidelities)),
         clone_symmetry_error=symmetry_error,
         ancilla_purity_error=ancilla_error,
-        gate_counts=counts,
-        n_samples=n_samples,
-        seed=seed,
     )
 
 

@@ -170,6 +170,19 @@ class TestVerify:
         assert "cannot load circuit" in err and "not a uqcm-circuit/2 text" in err
         assert "regenerate a uqcm-circuit/1 file with uqcm synth" in err
 
+    def test_register_over_the_dense_cap_is_refused(self, tmp_path, monkeypatch, capsys):
+        # a 1->10 layout with 9 aux qubits: 29 qubits, no gates
+        def no_run(circuit, rows):
+            raise AssertionError("apply called on an over-cap register")
+        monkeypatch.setattr("uqcm.simulator.apply", no_run)
+        layout = RegisterLayout(CloneSpec(1, 10), n_aux=9)
+        wide = tmp_path / "wide.uqcm"
+        wide.write_text(to_json(Circuit(layout.n_qubits, (), layout.roles())))
+        code, out, err = run_cli(["verify", "-N", "1", "-M", "10", "--circuit", str(wide)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot verify a 29-qubit register") and err.count("\n") == 1
+
     def test_verification_failure_exit_code(self, tmp_path, capsys):
         broken = tmp_path / "empty.json"
         broken.write_text(to_json(empty_one_to_two()))
@@ -311,6 +324,17 @@ class TestValidationErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""  # rejected before any part of the report
+
+    @pytest.mark.parametrize("m_out", ["511", "600"])
+    @pytest.mark.parametrize("command", ["count", "budget", "scan"])
+    def test_circuit_factor_past_a_float_is_refused(self, command, m_out, capsys):
+        # 600 ended in an OverflowError traceback; 511 printed "gates paper:
+        # inf" or blamed a gate count of inf that was never given
+        code, out, err = run_cli([command, "-N", "1", "-M", m_out], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: 1->{m_out}: the circuit factor 2^(2M) (2M-N) (M-N)^2 "
+                       "(2^-2N + 1/sqrt(pi M)) overflows a float\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--omega1", "-1e6", "omega1_rabi must be finite and positive"),

@@ -220,6 +220,13 @@ class TestThresholdTable:
             vals = [lhs_mmax(CloneSpec(n, m)) for m in range(n + 1, n + 11)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("m", [511, 600])
+    def test_lhs_past_a_float_is_refused(self, m):
+        # 2.0 ** (2 M) raised an OverflowError from M = 512, and at M = 511
+        # the product became inf
+        with pytest.raises(ValueError, match=f"^1->{m}: the circuit factor .* overflows a float"):
+            lhs_mmax(CloneSpec(1, m))
+
     def test_two_to_three_exceeds_every_species_threshold(self, species):
         params = TrapParams(eta=0.01, epsilon=100.0, delta2=1e13)
         lhs = lhs_mmax(CloneSpec(2, 3))

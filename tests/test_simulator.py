@@ -48,6 +48,17 @@ class TestHaarSampling:
         np.testing.assert_array_equal(haar_random_qubit(-1, 4).amps,
                                       haar_random_qubit(2**64 - 1, 4).amps)
 
+    @pytest.mark.parametrize("seed, index, amps", [
+        (0, 0, "b8e64b97ac23b03fc738a903bfcce03f215384f32d78e6bfa28abef25584de3f"),
+        (7, 5, "f79e87782adfd03f94be411210fbdd3fb99ee3c014c4e83fd3fb62302d6dd53f"),
+        (2**63 + 5, 2**40, "9381942ba872dc3f37a318a70ec2dcbff04f3be2f5fd9cbf0fe247b0f5c7e8bf"),
+        (-3, 2**64 - 2, "2ffd7d2db196d63fe70e1fc10beee0bf99a60fa7e49ea83f7571442481a5e83f"),
+    ])
+    def test_stream_is_pinned_to_the_bit(self, seed, index, amps):
+        # the acceptance criteria draw their inputs from this stream, so a
+        # change of generator, key or normalization would change their inputs
+        assert haar_random_qubit(seed, index).amps.tobytes().hex() == amps
+
     def test_mean_bloch_vector_is_small(self):
         total = np.zeros(3)
         n = 10_000
@@ -161,6 +172,20 @@ class TestVerifySynthesized:
         empty = Circuit(layout.n_qubits, (), layout.roles())
         with pytest.raises(ValueError, match="dense-representation cap"):
             verify(spec, empty, n_samples=1)
+
+    @pytest.mark.parametrize("n_aux", [2, 9])
+    def test_register_over_the_dense_cap_is_refused_before_the_circuit_runs(
+            self, monkeypatch, n_aux):
+        # 1->10 fits the cap on 19 qubits, but its file may declare more aux:
+        # with 9 and the flag, the Dicke rows alone would take 16 GiB
+        def no_run(circuit, rows):
+            raise AssertionError("apply called on an over-cap register")
+        monkeypatch.setattr("uqcm.simulator.apply", no_run)
+        layout = RegisterLayout(CloneSpec(1, 10), n_aux=n_aux)
+        wide = Circuit(layout.n_qubits, (), layout.roles())
+        with pytest.raises(ValueError, match=f"^cannot verify a {19 + n_aux + 1}-qubit register: "
+                                             "above the dense-representation cap of 20"):
+            verify(layout.spec, wide, n_samples=1)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_needs_at_least_one_sample(self, n_samples):
