@@ -7,22 +7,25 @@ bits as the masked ``apply_by_mask`` on random, flip-heavy and multiplexed
 circuits, one state or a batch of rows at a time; each flip run, of every
 shape of flip and of a synthesized circuit, must give the basis permutation
 that composing its gates one index array at a time gives.  The exact
-``verify``, which runs the circuit once on the N+1 Dicke rows, must agree
-with ``verify_per_sample``, one mask-oracle run per Haar sample, within the
-sampled statistics' own bounds, and a layout whose (w, w') residue block
-would outgrow the budget is refused.
+``verify`` runs the circuit once on the N+1 Dicke rows: the combination of
+those outputs that it reads as a Haar sample's output must be the mask
+oracle's output at that sample, and its report must agree with
+``verify_per_sample``, one mask-oracle run per Haar sample, within the
+sampled statistics' own bounds.  A layout whose (w, w') residue block would
+outgrow the budget is refused, and one whose block just fits is checked.
 """
+import math
 from itertools import groupby
 
 import numpy as np
 import pytest
-from oracle import (apply_by_mask, flip_heavy_circuit, flip_sources_by_gate, multiplexed_circuit,
-                    random_circuit, verify_per_sample)
+from oracle import (apply_by_mask, flip_heavy_circuit, flip_sources_by_gate, input_state,
+                    multiplexed_circuit, random_circuit, verify_per_sample)
 
 from uqcm import circuit as circuit_module
 from uqcm import simulator
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector, apply,
-                  reference_one_to_two, synthesize_cloner, verify)
+                  haar_random_qubit, reference_one_to_two, synthesize_cloner, verify)
 from uqcm.circuit import FLIP_KINDS
 
 
@@ -214,6 +217,52 @@ def test_batch_shape_must_match_register():
             apply(circ, bad)
 
 
+def assert_linear_outputs_match_per_sample(monkeypatch, spec, circuit, n_samples, seed):
+    """The N+1 Dicke-row outputs out_w that ``verify`` runs the circuit to,
+    recorded from its one call of ``apply``, combined as sum_w c_w out_w with
+    c_w = sqrt(C(N, w)) a^(N-w) b^w, must be the mask oracle's output on
+    psi^(x)N (x) |0...0> at each Haar sample psi = a|0> + b|1>."""
+    calls = []
+
+    def recorded(circ, rows):
+        outs = apply(circ, rows)
+        calls.append((rows.shape, outs))
+        return outs
+
+    monkeypatch.setattr(simulator, "apply", recorded)
+    verify(spec, circuit, n_samples=n_samples, seed=seed)
+    monkeypatch.undo()
+    (shape, outs), = calls
+    assert shape == (spec.n_in + 1, 2 ** circuit.n_qubits)
+    layout = RegisterLayout.of(spec, circuit)
+    n_in = spec.n_in
+    for i in range(n_samples):
+        psi = haar_random_qubit(seed, i)
+        a, b = psi.amps
+        coef = np.array([math.sqrt(math.comb(n_in, w)) * a ** (n_in - w) * b ** w
+                         for w in range(n_in + 1)])
+        want = apply_by_mask(circuit, input_state(layout, psi)).amps
+        assert np.max(np.abs(coef @ outs - want)) <= 1e-12, (spec, i)
+
+
+def test_linear_verify_matches_per_sample_on_sweep(monkeypatch, sweep_results):
+    for res in sweep_results.values():
+        assert_linear_outputs_match_per_sample(monkeypatch, res.spec, res.circuit, 10, 11)
+
+
+def test_linear_verify_matches_per_sample_on_reference(monkeypatch):
+    assert_linear_outputs_match_per_sample(
+        monkeypatch, CloneSpec(1, 2), reference_one_to_two(), 40, 11)
+
+
+def test_linear_verify_matches_per_sample_on_random_circuit(monkeypatch):
+    # no structure to lean on: a wrong row order, pattern order or
+    # coefficient gives a different output at almost every sample
+    layout = RegisterLayout(CloneSpec(2, 3), n_aux=1)
+    circ = random_circuit(layout.n_qubits, 60, seed=5, roles=layout.roles())
+    assert_linear_outputs_match_per_sample(monkeypatch, layout.spec, circ, 20, 3)
+
+
 def assert_exact_within_sampled_bounds(spec, circuit, n_samples, seed):
     """The exact report against the per-sample oracle's on the same circuit:
     the sample mean within 5 standard errors of the exact mean; the sampled
@@ -264,3 +313,16 @@ def test_residue_check_too_wide_for_the_budget_is_rejected(monkeypatch):
     with pytest.raises(ValueError, match=r"on 14 aux and flag qubits: each \(w, w'\) residue "
                                          r"block of 2\^14 x 2\^14 entries exceeds"):
         verify(layout.spec, circ, n_samples=2)
+
+
+def test_residue_check_at_the_budget_is_run():
+    # 9 aux qubits and a flag: each (w, w') block has 2^10 x 2^10 = 2^20
+    # entries, the whole budget, so the check runs; one more aux is refused
+    layout = RegisterLayout(CloneSpec(1, 2), n_aux=9)
+    circ = Circuit(layout.n_qubits, reference_one_to_two().gates, layout.roles())
+    report = verify(layout.spec, circ, n_samples=2)
+    assert report.passed
+    assert report.ancilla_purity_error < 1e-12
+    wider = RegisterLayout(CloneSpec(1, 2), n_aux=10)
+    with pytest.raises(ValueError, match="on 11 aux and flag qubits"):
+        verify(wider.spec, Circuit(wider.n_qubits, circ.gates, wider.roles()), n_samples=2)

@@ -59,6 +59,15 @@ class TestHaarSampling:
         # change of generator, key or normalization would change their inputs
         assert haar_random_qubit(seed, index).amps.tobytes().hex() == amps
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, -3])
+    def test_index_is_taken_mod_2_64(self, seed):
+        # indices -2 .. 1 and 2^64 - 2 .. 2^64 + 1 are one run of the stream
+        for index in range(-2, 2):
+            np.testing.assert_array_equal(haar_random_qubit(seed, index).amps,
+                                          haar_random_qubit(seed, index + 2**64).amps)
+        assert np.max(np.abs(haar_random_qubit(seed, -1).amps
+                             - haar_random_qubit(seed, 0).amps)) > 1e-3
+
     def test_mean_bloch_vector_is_small(self):
         total = np.zeros(3)
         n = 10_000
