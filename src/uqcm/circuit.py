@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
@@ -51,7 +51,7 @@ def _is_finite(theta: int | float) -> bool:
         return False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, slots=True)
 class Gate:
     # the control qubits, and the positive ones among them, as bitmasks: bit
     # q is qubit q (least significant first), while an amplitude index has
@@ -66,11 +66,12 @@ class Gate:
     # cnot_cost(), summed by cnot_cost(circuit) without a call per gate
     cnot_eq: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, target: int, control_mask: int = 0, positive_mask: int = 0,
+                 theta: float | None = None) -> None:
         # the rules a circuit file is loaded by, so whatever to_json writes
         # from_json reads back: the target and masks exactly int (bool is not
         # an index), theta a finite int or float
-        kind, target, mask, positive = self.kind, self.target, self.control_mask, self.positive_mask
+        mask, positive = control_mask, positive_mask
         if kind not in KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         if type(target) is not int:
@@ -84,7 +85,6 @@ class Gate:
                              "and the positive ones among them")
         if mask >> target & 1:
             raise ValueError(f"target {target} also appears as a control")
-        theta = self.theta
         if kind in ROTATION_KINDS:
             if (type(theta) is bool or not isinstance(theta, (int, float))
                     or not _is_finite(theta)):
@@ -93,8 +93,31 @@ class Gate:
             raise ValueError(f"{kind} gate takes no theta")
         if kind == "cnot" and mask.bit_count() != 1:
             raise ValueError("cnot requires exactly one control")
-        object.__setattr__(self, "top_qubit", max(target, mask.bit_length() - 1))
-        object.__setattr__(self, "cnot_eq", self.cnot_cost())
+        # the gate's own __setattr__ refuses every assignment, so its slots
+        # are filled past it
+        set_slot = object.__setattr__
+        set_slot(self, "kind", kind)
+        set_slot(self, "target", target)
+        set_slot(self, "control_mask", mask)
+        set_slot(self, "positive_mask", positive)
+        set_slot(self, "theta", theta)
+        top = mask.bit_length() - 1
+        set_slot(self, "top_qubit", top if top > target else target)
+        set_slot(self, "cnot_eq", self.cnot_cost())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        # the frozen dataclass's hash, over the compared fields
+        return hash((self.kind, self.target, self.control_mask, self.positive_mask, self.theta))
+
+    def __reduce__(self):
+        # copy and pickle rebuild the gate through __init__, not by assignment
+        return Gate, (self.kind, self.target, self.control_mask, self.positive_mask, self.theta)
 
     @classmethod
     def of(cls, kind: str, target: int, controls=(), theta: float | None = None) -> "Gate":
@@ -466,12 +489,40 @@ def inverse(circuit: Circuit) -> Circuit:
                    circuit.roles)
 
 
-def _line(g: Gate) -> str:
+class _Memo(dict):
+    """A dict that fills each missing key with ``fill(key)``, for a memo that
+    lives for one ``to_json`` or ``from_json`` call."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _chunk_text(key: tuple[int, int, int]) -> str:
+    """The control tokens of one 8-qubit chunk: ``key`` is the chunk's first
+    qubit and its control and positive masks over the chunk's 8 bits."""
+    base, mask, positive = key
+    return " ".join(str(base + q) if positive >> q & 1 else f"~{base + q}"
+                    for q in range(8) if mask >> q & 1)
+
+
+def _gate_line(g: Gate, chunks: _Memo) -> str:
     """The ``uqcm-circuit/2`` line of a gate: ``kind target c1 c2 ... [@theta]``,
-    its controls in ascending qubit order."""
-    positive = g.positive_mask
-    parts = [g.kind, str(g.target)] + [str(q) if positive >> q & 1 else f"~{q}"
-                                       for q in _qubits(g.control_mask)]
+    its controls in ascending qubit order, joined from the text of each
+    8-qubit chunk that holds one (``chunks``, a memo of ``_chunk_text``)."""
+    parts = [g.kind, str(g.target)]
+    mask, positive, base = g.control_mask, g.positive_mask, 0
+    while mask:
+        if mask & 255:
+            parts.append(chunks[base, mask & 255, positive & 255])
+        mask >>= 8
+        positive >>= 8
+        base += 8
     theta = g.theta
     if theta is not None:   # float.__repr__ for numpy floats too, whose repr names the type
         parts.append("@" + (float.__repr__ if isinstance(theta, float) else int.__repr__)(theta))
@@ -480,16 +531,18 @@ def _line(g: Gate) -> str:
 
 def to_json(circuit: Circuit) -> str:
     """The circuit as ``uqcm-circuit/2`` text: a one-line JSON header of the
-    register size, roles and schema, then one ``_line`` per gate, each line
-    ended by a newline."""
+    register size, roles and schema, then one ``_gate_line`` per gate, each
+    line ended by a newline."""
     head = json.dumps({"n_qubits": circuit.n_qubits, "schema": CIRCUIT_SCHEMA,
                        "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()}},
                       sort_keys=True)
-    # a gate object met again (synthesis shares them) reuses its line; the
-    # circuit holds every gate, so no id is reused meanwhile
-    texts: dict[int, str] = {}
-    lines = [texts.get(id(g)) or texts.setdefault(id(g), _line(g)) for g in circuit.gates]
-    return "\n".join([head, *lines, ""])
+    # each gate object's line is built once and repeated (synthesis shares
+    # gate objects); the circuit holds every gate, so no id is reused meanwhile
+    gates = circuit.gates
+    ids = list(map(id, gates))
+    chunks = _Memo(_chunk_text)
+    texts = {i: _gate_line(g, chunks) for i, g in dict(zip(ids, gates)).items()}
+    return "\n".join([head, *map(texts.__getitem__, ids), ""])
 
 
 def from_json(text: str) -> Circuit:
@@ -522,9 +575,10 @@ def _read_lines(header: dict, lines: list[str]) -> Circuit:
     is built once by the checked ``Gate``, its masks summed from the bits of
     its control tokens (0 for a qubit outside 0..MAX_QUBIT_INDEX, which is
     never shifted), each token read once; an angle is an int, else a float.
-    A repeated or outside qubit sends the line to ``Gate.of``, which names it."""
-    bits = cache(lambda token: 1 << q if 0 <= (q := _control(token).q) <= MAX_QUBIT_INDEX else 0)
-    positive_bits = cache(lambda token: 0 if token.startswith("~") else bits(token))
+    A repeated or outside qubit sends the line to ``Gate.of``, which names it.
+    The memos of lines and tokens live for this call alone."""
+    bits = _Memo(lambda token: 1 << q if 0 <= (q := _control(token).q) <= MAX_QUBIT_INDEX else 0)
+    positive_bits = _Memo(lambda token: 0 if token.startswith("~") else bits[token])
 
     def gate(line: str) -> Gate:
         try:
@@ -537,14 +591,14 @@ def _read_lines(header: dict, lines: list[str]) -> Circuit:
                 except ValueError:
                     theta = float(theta)
             target = int(target)
-            mask = sum(map(bits, rest))
+            mask = sum(map(bits.__getitem__, rest))
             if mask.bit_count() != len(rest):   # distinct bits add without a carry
                 return Gate.of(kind, target, tuple(map(_control, rest)), theta)
-            return Gate(kind, target, mask, sum(map(positive_bits, rest)), theta)
+            return Gate(kind, target, mask, sum(map(positive_bits.__getitem__, rest)), theta)
         except ValueError as exc:
             raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
 
-    gates = tuple(map(cache(gate), lines))
+    gates = tuple(map(_Memo(gate).__getitem__, lines))
     roles = header.get("roles", {})
     if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
         raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")

@@ -9,6 +9,7 @@ the Haar samples of ``uqcm.haar_random_qubit``, by running the mask oracle
 once per basis input and once per sample, with ``partial_trace`` and
 ``fidelity_against_pure`` per clone.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
+``circuit_text_by_qubit`` writes a circuit file one control qubit at a time.
 ``angle_tree_coefficients`` multiplies out a preparation angle tree one level
 at a time.  ``ideal_output_by_kron`` builds the ideal cloner output from
 Kronecker products over every placement of the flipped factors, and
@@ -26,6 +27,7 @@ derived ones that gate equality leaves out included.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,7 +37,7 @@ import numpy as np
 from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, PermutationPlan,
                   PermutationSpec, RegisterLayout, ScheduleError, StateVector, alphas,
                   fidelity_against_pure, haar_random_qubit, ideal_output, partial_trace)
-from uqcm.circuit import ROTATION_KINDS
+from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
 from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import ANCILLA_TOL, PASS_TOL
 
@@ -122,6 +124,26 @@ def gate_matrix(g: Gate) -> np.ndarray:
         rows = [[c, -s], [s, c]] if g.kind == "roty" else [[c, s], [s, -c]]
         return np.array(rows, dtype=complex)
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def circuit_text_by_qubit(circuit: Circuit) -> str:
+    """The ``uqcm-circuit/2`` text of ``circuit``, each gate line written one
+    control qubit at a time: ``kind target c1 c2 ... [@theta]``, controls in
+    ascending qubit order, a negative one as ``~q``."""
+    def line(g: Gate) -> str:
+        positive = g.positive_mask
+        parts = [g.kind, str(g.target)] + [
+            str(q) if positive >> q & 1 else f"~{q}"
+            for q in range(g.control_mask.bit_length()) if g.control_mask >> q & 1]
+        theta = g.theta
+        if theta is not None:   # float.__repr__ for numpy floats, whose repr names the type
+            parts.append("@" + (float.__repr__ if isinstance(theta, float) else int.__repr__)(theta))
+        return " ".join(parts)
+
+    head = json.dumps({"n_qubits": circuit.n_qubits, "schema": CIRCUIT_SCHEMA,
+                       "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()}},
+                      sort_keys=True)
+    return "".join(f"{text}\n" for text in [head, *map(line, circuit.gates)])
 
 
 def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from oracle import random_circuit, states_close
+from oracle import gate_slots, random_circuit, states_close
 
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector, apply,
                   cnot_cost, inverse)
@@ -233,17 +235,23 @@ class TestStoredCost:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("name", ["cnot_eq", "top_qubit", "control_mask", "positive_mask",
-                                      "target", "controls"])
+                                      "target", "controls", "foo"])
     def test_gate_is_frozen(self, name):
         gate = Gate("x", 0)
-        # controls is a property read off the masks, not a field: a slotted
-        # frozen dataclass refuses it with AttributeError, or on Python 3.11
-        # with the TypeError of its __setattr__'s super() call
-        with pytest.raises((AttributeError, TypeError) if name == "controls"
-                           else dataclasses.FrozenInstanceError):
-            setattr(gate, name, 3)
+        # a field, the controls property read off the masks, or a name the
+        # gate does not have: each assignment and deletion is refused alike
+        for change in (lambda: setattr(gate, name, 3), lambda: delattr(gate, name)):
+            with pytest.raises(dataclasses.FrozenInstanceError) as err:
+                change()
+            assert type(err.value) is dataclasses.FrozenInstanceError
         assert gate.controls == ()
         assert not hasattr(gate, "__dict__")   # slots: no per-gate dict
+
+    def test_copies_and_pickles_are_equal_checked_gates(self):
+        gate = Gate.of("roty", 3, (Control(1, False), Control(9, True)), -0.0)
+        for again in (copy.copy(gate), copy.deepcopy(gate), pickle.loads(pickle.dumps(gate))):
+            assert again == gate and hash(again) == hash(gate)
+            assert gate_slots(again) == gate_slots(gate)
 
     def test_control_order_leaves_equality_and_hash_alone(self):
         # seeded: each control list, shuffled, gives an equal gate with an
@@ -259,6 +267,8 @@ class TestStoredCost:
             rng.shuffle(controls)
             again = Gate.of(kind, target, controls, theta)
             assert again == gate and hash(again) == hash(gate)
+            # the hash a frozen dataclass gives: that of its compared fields
+            assert hash(gate) == hash((kind, target, gate.control_mask, gate.positive_mask, theta))
             assert gate.controls == tuple(sorted(controls))
 
     def test_any_mask_tuple_is_refused_or_round_trips(self):

@@ -14,10 +14,10 @@ import random
 
 import numpy as np
 import pytest
-from oracle import random_circuit
+from oracle import circuit_text_by_qubit, random_circuit
 
 from uqcm import Circuit, CloneSpec, Control, Gate, reference_one_to_two, synthesize_cloner
-from uqcm.circuit import KINDS, from_json, to_json
+from uqcm.circuit import KINDS, MAX_QUBIT_INDEX, _gate_line, from_json, to_json
 
 THETA_EDGES = Circuit(2, tuple(Gate.of("roty", 0, (Control(1, False),), t)
                                for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70)))
@@ -42,6 +42,39 @@ def assert_round_trips(circ):
     assert to_json(again) == text
     assert text.isascii() and text.endswith("\n")
     assert text.count("\n") == 1 + len(circ.gates)
+
+
+def chunk_edge_circuit(seed):
+    """Seeded gates on 1024 qubits whose controls straddle every 8-qubit
+    chunk edge (7/8, 15/16, ...) and reach MAX_QUBIT_INDEX, of mixed
+    polarity, with int, float, -0.0 and numpy angles; some gate objects
+    repeat, and some gates recur as fresh equal objects."""
+    rng = np.random.default_rng(seed)
+    n = MAX_QUBIT_INDEX + 1
+    angles = (3, -7, 2 ** 70, 0.5, -0.0, 0.0, 1e-300, np.float64(-1.25), np.float64(0.0))
+    gates = []
+    for edge in [*range(8, n, 8), MAX_QUBIT_INDEX]:
+        extra = rng.choice(n, size=int(rng.integers(0, 6)), replace=False)
+        qubits = sorted({edge - 1, edge, *map(int, extra)})
+        target = int(rng.choice(sorted(set(range(n)) - set(qubits))))
+        controls = [Control(q, bool(rng.integers(2))) for q in qubits]
+        kind = ("roty", "utheta", "x", "mcx")[rng.integers(4)]
+        theta = angles[rng.integers(len(angles))] if kind in ("roty", "utheta") else None
+        gates.append(Gate.of(kind, target, controls, theta))
+        # one control alone on each side of the edge, and a chunk that is all
+        # controls
+        gates.append(Gate.of("cnot", target, [Control(edge - 1, bool(rng.integers(2)))]))
+        gates.append(Gate.of("cnot", edge - 1, [Control(edge, bool(rng.integers(2)))]))
+        base = edge - edge % 8
+        gates.append(Gate.of("mcx", 0, [Control(q, bool(rng.integers(2)))
+                                        for q in range(base, base + 8)]))
+    gates += [Gate("x", MAX_QUBIT_INDEX), Gate("roty", 0, theta=-0.0)]
+    shared = [gates[i] for i in rng.integers(len(gates), size=200)]
+    fresh = [Gate(g.kind, g.target, g.control_mask, g.positive_mask, g.theta)
+             for g in (gates[i] for i in rng.integers(len(gates), size=200))]
+    everything = gates + shared + fresh
+    order = rng.permutation(len(everything))
+    return Circuit(n, tuple(everything[i] for i in order), roles={"all": tuple(range(n))})
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +137,16 @@ class TestWriter:
     ], ids=["no-gates", "no-roles", "empty-role", "escaped-role-name", "newline-role-name",
             "theta-edges", "numpy-theta"])
     def test_edge_cases(self, circ):
+        assert_round_trips(circ)
+
+    @pytest.mark.parametrize("seed", [3101, 3102, 3103])
+    def test_chunked_writer_matches_the_per_qubit_oracle(self, seed):
+        circ = chunk_edge_circuit(seed)
+        objects = len({id(g) for g in circ.gates})
+        assert len(set(circ.gates)) < objects < len(circ.gates)   # fresh copies, shared objects
+        text = to_json(circ)
+        assert text == circuit_text_by_qubit(circ)
+        assert f" ~{MAX_QUBIT_INDEX}" in text or f" {MAX_QUBIT_INDEX}" in text
         assert_round_trips(circ)
 
     def test_header_is_one_ascii_line(self):
@@ -331,6 +374,35 @@ def twice(gate, edit):
     head, first, second = to_json(Circuit(3, (gate, gate))).splitlines(keepends=True)
     assert edit(second) != second
     return head + first + edit(second)
+
+
+class TestBuildCounts:
+    def test_each_distinct_gate_is_built_and_written_once(self, large_circuits, monkeypatch):
+        # the 4->8 circuit has 63 083 gates but 8 579 distinct gate objects
+        # and lines: to_json builds no gate and each object's line once, and
+        # from_json builds one gate per distinct line
+        circ = large_circuits[(4, 8)]
+        built, written = [], []
+        init = Gate.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counted_line(gate, chunks):
+            written.append(id(gate))
+            return _gate_line(gate, chunks)
+
+        monkeypatch.setattr(Gate, "__init__", counted_init)
+        monkeypatch.setattr("uqcm.circuit._gate_line", counted_line)
+        text = to_json(circ)
+        assert len(circ.gates) == text.count("\n") - 1 == 63_083
+        assert sorted(written) == sorted({id(g) for g in circ.gates})
+        assert len(written) == len(set(text.split("\n")[1:-1])) == 8_579
+        assert not built
+        read = from_json(text)
+        assert len(built) == 8_579
+        assert read == circ
 
 
 class TestLoaderMemo:

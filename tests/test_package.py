@@ -51,10 +51,9 @@ def test_no_unused_imports():
 
 
 def test_no_instance_is_built_around_its_constructor():
-    # every Gate goes through its checked __init__ and __post_init__: no
-    # module makes an instance with object.__new__ or fills a slot through
-    # a descriptor's __set__, which would let a second, unchecked gate
-    # constructor come back
+    # every Gate goes through its checked __init__: no module makes an
+    # instance with object.__new__ or fills a slot through a descriptor's
+    # __set__, which would let a second, unchecked gate constructor come back
     found = []
     for path in sorted(Path(uqcm.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
