@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
@@ -147,8 +146,9 @@ class Gate:
     @property
     def controls(self) -> tuple[Control, ...]:
         """The controls, in ascending qubit order."""
-        positive = self.positive_mask
-        return tuple(Control(q, bool(positive >> q & 1)) for q in _qubits(self.control_mask))
+        mask, positive = self.control_mask, self.positive_mask
+        return tuple(Control(q, bool(positive >> q & 1))
+                     for q in range(mask.bit_length()) if mask >> q & 1)
 
     def inverse(self) -> "Gate":
         if self.kind == "roty":
@@ -161,30 +161,20 @@ class Gate:
         return 2 * flips if self.kind in ROTATION_KINDS else flips
 
 
-@lru_cache(maxsize=4096)
-def _qubits(mask: int) -> tuple[int, ...]:
-    """The qubits of a control mask, in ascending order."""
-    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+# each byte value with its 8 bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bits(z: int, n: int) -> int:
+    """The n low bits of z in reverse order: a basis index over n qubits
+    (qubit 0 its most significant bit) as a control mask (bit q is qubit q),
+    and a mask back as an index.  z must lie in 0..2^n - 1."""
+    width = n + 7 >> 3
+    return int.from_bytes(z.to_bytes(width, "little").translate(_REVERSED_BYTES),
+                          "big") >> 8 * width - n
 
 
 _TOP_QUBIT = attrgetter("top_qubit")
-
-
-def _bit_tables(options: list[tuple[tuple, tuple]]) -> tuple[list[tuple], list[tuple], int]:
-    """Tables ``(high, low, shift)`` that give, for an index z over
-    ``len(options)`` bits (bit i of z its i-th most significant), the
-    concatenation over i of ``options[i][bit i of z]`` as
-    ``high[z >> shift] + low[z & (1 << shift) - 1]``.  Each table covers half
-    the bits, so building them costs 2^(n/2) concatenations, not 2^n.
-    """
-    def table(half):
-        rows = [()]
-        for zero, one in half:
-            rows = [row + option for row in rows for option in (zero, one)]
-        return rows
-
-    split = len(options) // 2
-    return table(options[:split]), table(options[split:]), len(options) - split
 
 
 @dataclass(frozen=True)
@@ -387,46 +377,33 @@ def _group_update(out: np.ndarray, gates: tuple[Gate, ...]):
     return t[:, :, 0], t[:, :, 1], table.T[:, pair]
 
 
-def _reversal_tables(n: int) -> tuple[list[int], list[int], int]:
-    """Tables ``(high, low, shift)`` that give, for a mask m over n qubits
-    (bit q is qubit q), the index over n bits with the same qubits set (qubit
-    0 its most significant bit) as ``high[m >> shift] | low[m & mask]``,
-    where mask is ``(1 << shift) - 1``.  Each table covers half the qubits,
-    so building them costs 2^(n/2) steps, as ``_bit_tables`` does."""
-    def table(qubits):
-        rows = [0]
-        for q in qubits:
-            unit = 1 << (n - 1 - q)
-            rows += [row | unit for row in rows]
-        return rows
-
-    shift = n // 2
-    return table(range(shift, n)), table(range(shift)), shift
-
-
 def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
     """Index array ``src`` such that the run ``flips`` moves basis state
     ``src[j]`` to ``j``, for every basis index j over n qubits.
 
     src is the composition of the flips' own index maps, the first gate's
     innermost, so it is built from the first gate on as j -> table[L(j)]:
-    L is an affine map of the index bits, kept as the image of each qubit's
-    unit index (qubit 0 the most significant bit) and a shift, and ``table``
-    starts as the identity.  A flip with at most one control is affine, so it
-    only changes L, by one or two XORs of small ints; its control's image is
-    no longer the unit index, and the qubit is marked dirty.  A flip with
+    L is an affine map of the index bits in mask order (bit q is qubit q),
+    kept as the image of each qubit's unit mask and a shift, and ``table``
+    starts as the identity.  A flip with at most one control is affine, so
+    it only changes L, by one or two XORs of small ints; its control's image
+    is no longer the unit mask, and the qubit is marked dirty.  A flip with
     c >= 2 controls swaps the table entries at L of each of its 2^(n-1-c)
     index pairs: one pair for the full-pattern mcx of the permutation stage,
     swapped in a list, and more in one vectorized swap.  L of a gate's
     control pattern is the shift XOR the images of its positive controls:
-    those of the clean ones are their ``positive_mask`` bit-reversed, two
-    table lookups, and each dirty one's image is XORed in on its own.  No
-    gate costs work over all 2^n indices; only building src at the end does.
+    the clean ones' are their bits of ``positive_mask``, and each dirty
+    one's image is XORed in on its own.  The table holds indices at mask
+    positions, so src is one gather of it, or, with no table, the span of
+    the shift and images bit-reversed.  No gate costs work over all 2^n
+    indices.
     """
-    image = [1 << (n - 1 - q) for q in range(n)]
+    # the identity table: entry p, a mask, holds p as an index
+    units = [1 << q for q in range(n)]
+    image = units.copy()
     full = (1 << n) - 1
     dirty = shift = 0
-    table = high = None
+    table = None
     for g in flips:
         controls, flipped = g.control_mask, image[g.target]
         if not controls & controls - 1:   # at most one control
@@ -436,12 +413,8 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
             if not g.positive_mask:
                 shift ^= flipped
             continue
-        if high is None:
-            high, low, half = _reversal_tables(n)
-            low_bits = (1 << half) - 1
         positive = g.positive_mask
-        clean = positive & ~dirty
-        at = shift ^ high[clean >> half] ^ low[clean & low_bits]
+        at = shift ^ positive & ~dirty
         stained = positive & dirty
         while stained:
             q = stained.bit_length() - 1
@@ -449,18 +422,19 @@ def _flip_sources(flips: tuple[Gate, ...], n: int) -> np.ndarray:
             stained ^= 1 << q
         if g.control_mask | 1 << g.target == full:
             if table is None:
-                table = list(range(1 << n))
+                table = _span(0, units).tolist()
             other = at ^ flipped
             table[at], table[other] = table[other], table[at]
             continue
         if type(table) is not np.ndarray:
-            table = np.arange(1 << n) if table is None else np.array(table)
+            table = _span(0, units) if table is None else np.array(table)
         free = full ^ g.control_mask ^ 1 << g.target
         at = _span(at, [image[q] for q in range(n) if free >> q & 1])
         other = at ^ flipped
         table[at], table[other] = table[other], table[at]
-    src = _span(shift, image)
-    return src if table is None else np.take(table, src)
+    if table is None:
+        return _span(_reversed_bits(shift, n), [_reversed_bits(i, n) for i in image])
+    return np.take(table, _span(shift, image))
 
 
 def _span(shift: int, images: list[int]) -> np.ndarray:
@@ -491,7 +465,7 @@ def inverse(circuit: Circuit) -> Circuit:
 
 class _Memo(dict):
     """A dict that fills each missing key with ``fill(key)``, for a memo that
-    lives for one ``to_json`` or ``from_json`` call."""
+    lives for one call."""
 
     __slots__ = ("fill",)
 

@@ -62,6 +62,9 @@ class TrapParams:
     gamma1: float | None = None
 
     def __post_init__(self) -> None:
+        for attr in ("eta", "epsilon", "delta2", "gamma1"):
+            if type(getattr(self, attr)) is bool:
+                raise ValueError(f"{attr} must be a number, not a bool")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         # chained against inf, so NaN and inf fail where `<= 0` lets them by

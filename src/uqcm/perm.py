@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, _bit_tables, _reversal_tables
+from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, _Memo, _reversed_bits
 from .cloner_math import AMP_EPS, weight_components
 from .prep import BasisLayout
 
@@ -53,6 +53,8 @@ class PermutationSpec:
     mapping: dict[int, int]
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int or self.n_qubits < 0:
+            raise ValueError(f"n_qubits must be an int >= 0, got {self.n_qubits!r}")
         dim = 2 ** self.n_qubits
         dests = list(self.mapping.values())
         if len(set(dests)) != len(dests):
@@ -259,21 +261,31 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
     if type(n_qubits) is not int or not 0 <= n_qubits <= MAX_QUBIT_INDEX:
         raise ValueError(f"plan on {n_qubits!r} qubits leaves no flag qubit index")
     flag, dim = n_qubits, 1 << n_qubits
-    # each gate is built once: a basis met again reuses its flag flip, and a
-    # move's flag CNOTs and a flag flip's positive mask (z bit-reversed) each
-    # join a high-bit and a low-bit table entry (qubit 0 the top bit of z)
-    flips_high, flips_low, shift = _bit_tables(
-        [((), (Gate("cnot", q, 1 << flag, 1 << flag),)) for q in range(n_qubits)])
-    rev_high, rev_low, half = _reversal_tables(n_qubits)
-    mask, rev_mask = (1 << shift) - 1, (1 << half) - 1
+    # each gate is built once, in memos that live for this call: a basis met
+    # again reuses its flag flip, and a move's flag CNOTs join the tuples of
+    # the high and the low bits of s ^ d (qubit 0 the top bit).  Both read a
+    # half's qubits from a memo of _reversed_bits, one call per half value,
+    # so the work grows with the moves, not with 2^(n/2)
+    half = n_qubits - n_qubits // 2   # the low half's width
+    low_bits = (1 << half) - 1
+    high_masks = _Memo(lambda high: _reversed_bits(high << half, n_qubits))
+    low_masks = _Memo(lambda low: _reversed_bits(low, n_qubits))
     patterns: dict[int, Gate] = {}
 
     def flag_flip(z: int) -> Gate:
         gate = patterns.get(z)
         if gate is None:
             gate = patterns[z] = Gate("mcx", flag, dim - 1,
-                                      rev_high[z >> half] | rev_low[z & rev_mask])
+                                      high_masks[z >> half] | low_masks[z & low_bits])
         return gate
+
+    flag_cnots = _Memo(lambda q: Gate("cnot", q, 1 << flag, 1 << flag))
+
+    def cnots(qubits: int) -> tuple[Gate, ...]:
+        return tuple(flag_cnots[q] for q in range(qubits.bit_length()) if qubits >> q & 1)
+
+    high_cnots = _Memo(lambda high: cnots(high_masks[high]))
+    low_cnots = _Memo(lambda low: cnots(low_masks[low]))
 
     gates: list[Gate] = []
     for s, d in plan.moves:
@@ -285,7 +297,7 @@ def compile_moves(plan: PermutationPlan) -> Circuit:
             continue
         gates.append(flag_flip(s))
         differ = s ^ d
-        gates += flips_high[differ >> shift]
-        gates += flips_low[differ & mask]
+        gates += high_cnots[differ >> half]
+        gates += low_cnots[differ & low_bits]
         gates.append(flag_flip(d))
     return Circuit(n_qubits + 1, tuple(gates))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, RegisterLayout, _reversal_tables
+from .circuit import MAX_QUBIT_INDEX, Circuit, Gate, RegisterLayout
 from .cloner_math import AMP_EPS, CloneSpec, basis_count, weight_components
 from .statevec import qubit_count_for
 
@@ -95,12 +95,16 @@ def emit_prep_circuit(angles: AngleTree, offset: int = 0) -> Circuit:
     # target, which the level-1 gate then names
     unit = 1 << offset if isinstance(offset, int) and 0 <= offset <= MAX_QUBIT_INDEX else 0
     gates = []
+    # each branch's positive mask over the tree qubits, b bit-reversed: a
+    # level's branches are the previous level's, each followed by a 0 or a 1
+    # on the qubit before the target
+    masks = [0]
     for q, level in enumerate(angles.levels):
-        # a branch's positive mask is b bit-reversed, from two half tables
-        high, low, half = _reversal_tables(q)
-        controls, low_bits = (unit << q) - unit, (1 << half) - 1
-        gates += [Gate("utheta", offset + q, controls, (high[b >> half] | low[b & low_bits]) * unit,
-                       theta) for b, theta in enumerate(level)]
+        if q:
+            masks = [m | c << q - 1 for m in masks for c in (0, 1)]
+        controls = (unit << q) - unit
+        gates += [Gate("utheta", offset + q, controls, m * unit, theta)
+                  for m, theta in zip(masks, level)]
     return Circuit(offset + n, tuple(gates))
 
 

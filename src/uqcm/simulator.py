@@ -40,8 +40,11 @@ def haar_random_qubit(seed: int, index: int = 0) -> StateVector:
     The sample is keyed on (seed, index), both taken mod 2^64, so it is
     reproducible without drawing its predecessors: its amplitudes are the
     first four standard normals of the Philox stream with that key, as two
-    real and two imaginary parts, divided by their norm.
+    real and two imaginary parts, divided by their norm.  Both must be ints.
     """
+    for name, value in (("seed", seed), ("index", index)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     z = gen.normal(size=2) + 1j * gen.normal(size=2)

@@ -9,7 +9,7 @@ from oracle import gate_slots, random_circuit, states_close
 
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector, apply,
                   cnot_cost, inverse)
-from uqcm.circuit import MAX_QUBIT_INDEX, from_json, to_json
+from uqcm.circuit import MAX_QUBIT_INDEX, _reversed_bits, from_json, to_json
 
 
 def random_state(n, seed):
@@ -293,6 +293,21 @@ class TestStoredCost:
             circ = Circuit(gate.top_qubit + 1, (gate,))
             assert from_json(to_json(circ)) == circ
         assert built >= 100 and refused >= 1000, (built, refused)
+
+
+class TestReversedBits:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1023])
+    def test_reverses_the_low_n_bits(self, n):
+        # an index (qubit 0 its top bit) as a mask (bit q qubit q) and back:
+        # each value equals its digits read backward, and reversing twice
+        # gives the value back, on widths around each byte boundary
+        rng = np.random.default_rng(n)
+        zs = [0, (1 << n) - 1] + [int.from_bytes(rng.bytes((n + 7) // 8), "big") >> (-n % 8)
+                                  for _ in range(20)]
+        for z in zs:
+            mask = _reversed_bits(z, n)
+            assert mask == int(format(z, f"0{n}b")[::-1] or "0", 2), (n, z)
+            assert _reversed_bits(mask, n) == z
 
 
 class TestInverse:

@@ -138,6 +138,13 @@ class TestEmissionProbability:
         with pytest.raises(ValueError, match="epsilon and delta2 must be finite and positive"):
             TrapParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["eta", "epsilon", "delta2", "gamma1"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_parameter_rejected(self, field, value):
+        # eta=True passed its range check as eta = 1
+        with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+            TrapParams(**{field: value})
+
     def test_linear_in_run_time(self, species):
         params = TrapParams(gamma1=1.0)
         p1 = emission_probability(SPEC12, species["Ca+"], params, omega1_rabi=1e5,

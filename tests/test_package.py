@@ -64,6 +64,23 @@ def test_no_instance_is_built_around_its_constructor():
     assert not found
 
 
+def test_no_cache_outlives_a_call():
+    # a memo lives for one call (a dict or _Memo it builds), so nothing one
+    # call works out is kept for the next: no module wraps a function or
+    # property in functools' lru_cache, cache or cached_property
+    caches = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted(Path(uqcm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an imported name, a bare name or an attribute such as functools.cache
+            named = (node.name.rpartition(".")[2] if isinstance(node, ast.alias)
+                     else node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute) else None)
+            if named in caches:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found
+
+
 def test_every_traced_name_resolves_at_its_call_site():
     # the benchmark's traced run wraps each of these names where its caller
     # looks it up; a rename or deletion there would break only that run

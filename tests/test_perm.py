@@ -142,6 +142,13 @@ class TestPermutationSpec:
             PermutationSpec(3, mapping)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("n_qubits", [-1, True, False, 2.0, np.int64(3), None])
+    def test_register_that_is_not_one_rejected(self, n_qubits):
+        # -1, True and 2.0 were accepted, and schedule returned plans on them
+        with pytest.raises(ValueError) as err:
+            PermutationSpec(n_qubits, {0: 0})
+        assert str(err.value) == f"n_qubits must be an int >= 0, got {n_qubits!r}"
+
 
 class TestSchedule:
     def test_identity_permutation_needs_no_moves(self):
@@ -369,6 +376,22 @@ class TestCompileMoves:
         assert circ.n_qubits == want.n_qubits == width + 1
         assert circ.gates == want.gates
         # and so do the masks, highest qubit and cost stored beside them
+        assert list(map(gate_slots, circ.gates)) == list(map(gate_slots, want.gates))
+
+    @pytest.mark.parametrize("width", [36, 64, 1023])
+    def test_wide_plans_build_the_per_bit_gates(self, width):
+        # a few moves on a register too wide for any table over half its
+        # bits: 0, 2^n - 1, a fixed point and a repeat among them
+        top = (1 << width) - 1
+        rng = np.random.default_rng(width)
+        z = [int.from_bytes(rng.bytes((width + 7) // 8), "big") >> (-width % 8)
+             for _ in range(3)]
+        moves = ((0, top), (z[0], z[1]), (z[2], z[2]), (top, 0), (z[0], z[1]), (z[1], 0))
+        plan = PermutationPlan(width, moves)
+        circ = compile_moves(plan)
+        want = compile_moves_by_bit(plan)
+        assert circ.n_qubits == want.n_qubits == width + 1
+        assert len(circ.gates) == len(want.gates) > 0
         assert list(map(gate_slots, circ.gates)) == list(map(gate_slots, want.gates))
 
     @pytest.mark.parametrize("nm", [(2, 4), (3, 6)])

@@ -68,6 +68,18 @@ class TestHaarSampling:
         assert np.max(np.abs(haar_random_qubit(seed, -1).amps
                              - haar_random_qubit(seed, 0).amps)) > 1e-3
 
+    @pytest.mark.parametrize("seed, index, name", [
+        (1.5, 0, "seed"), (True, 0, "seed"), (np.int64(1), 0, "seed"),
+        (1, 0.7, "index"), (1, False, "index"), (1, 2.0, "index"),
+    ])
+    def test_key_that_is_not_an_int_rejected(self, seed, index, name):
+        # a float was cut to an int: seed 1.5 gave seed 1's sample, and
+        # index 0.7 index 0's
+        value = seed if name == "seed" else index
+        with pytest.raises(ValueError) as err:
+            haar_random_qubit(seed, index)
+        assert str(err.value) == f"{name} must be an int, got {value!r}"
+
     def test_mean_bloch_vector_is_small(self):
         total = np.zeros(3)
         n = 10_000
