@@ -544,17 +544,45 @@ def _control(token: str) -> Control:
     return Control(int(token[1:]), False) if token.startswith("~") else Control(int(token), True)
 
 
+def _gate_of_tokens(kind: str, target: int, tokens: list[str], theta) -> Gate:
+    """The gate of a line whose control tokens repeat a qubit or name one
+    outside the register, read as masks over qubits 0..MAX_QUBIT_INDEX
+    would be: controls on distinct qubits in that range make the gate that
+    ``Gate`` checks, a qubit past the register left to ``Circuit`` to name;
+    any others go through ``Gate.of``, which names the fault in the words
+    the checked constructor used for a list of controls."""
+    controls = tuple(map(_control, tokens))
+    qs = {q for q, _ in controls}
+    if len(qs) < len(controls) or not all(0 <= q <= MAX_QUBIT_INDEX for q in qs):
+        return Gate.of(kind, target, controls, theta)
+    return Gate(kind, target, sum(1 << q for q in qs), sum(1 << q for q, p in controls if p), theta)
+
+
 def _read_lines(header: dict, lines: list[str]) -> Circuit:
     """The circuit of a ``/2`` header and its gate lines.  Each distinct line
-    is built once by the checked ``Gate``, its masks summed from the bits of
-    its control tokens (0 for a qubit outside 0..MAX_QUBIT_INDEX, which is
-    never shifted), each token read once; an angle is an int, else a float.
-    A repeated or outside qubit sends the line to ``Gate.of``, which names it.
-    The memos of lines and tokens live for this call alone."""
-    bits = _Memo(lambda token: 1 << q if 0 <= (q := _control(token).q) <= MAX_QUBIT_INDEX else 0)
-    positive_bits = _Memo(lambda token: 0 if token.startswith("~") else bits[token])
+    is read once, in file order, and built by the checked ``Gate``; an angle
+    is an int, else a float.  Both masks come from one sum over the line's
+    control tokens, each token's value looked up in a table that lives for
+    this call alone: a control on qubit q is worth bit q, plus bit q + W
+    when it is positive, W being the header's ``n_qubits`` when that is an
+    int in 1..MAX_QUBIT_INDEX + 1 and MAX_QUBIT_INDEX + 1 otherwise; a qubit
+    outside 0..W - 1 is worth 0, so it is never shifted.  The low W bits of
+    the sum are the control mask and the rest the positive mask.  Distinct
+    bits add without a carry, so low bits with fewer set bits than the line
+    has tokens mean a repeated qubit or one outside the register, and that
+    line goes to ``_gate_of_tokens``."""
+    width = header.get("n_qubits")
+    if type(width) is not int or not 0 < width <= MAX_QUBIT_INDEX + 1:
+        width = MAX_QUBIT_INDEX + 1
+    low = (1 << width) - 1
 
-    def gate(line: str) -> Gate:
+    def token_value(token: str) -> int:
+        q, positive = _control(token)
+        return 1 << q | positive << q + width if 0 <= q < width else 0
+
+    table = _Memo(token_value)
+    built = {}
+    for line in dict.fromkeys(lines):
         try:
             kind, target, *rest = line.split(" ")
             theta = None
@@ -565,14 +593,14 @@ def _read_lines(header: dict, lines: list[str]) -> Circuit:
                 except ValueError:
                     theta = float(theta)
             target = int(target)
-            mask = sum(map(bits.__getitem__, rest))
-            if mask.bit_count() != len(rest):   # distinct bits add without a carry
-                return Gate.of(kind, target, tuple(map(_control, rest)), theta)
-            return Gate(kind, target, mask, sum(map(positive_bits.__getitem__, rest)), theta)
+            both = sum(map(table.__getitem__, rest))
+            mask = both & low
+            built[line] = (Gate(kind, target, mask, both >> width, theta)
+                           if mask.bit_count() == len(rest)
+                           else _gate_of_tokens(kind, target, rest, theta))
         except ValueError as exc:
             raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
-
-    gates = tuple(map(_Memo(gate).__getitem__, lines))
+    gates = tuple(map(built.__getitem__, lines))
     roles = header.get("roles", {})
     if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
         raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")

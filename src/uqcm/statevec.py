@@ -43,6 +43,11 @@ class StateVector:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
         """Computational basis state |index> on ``n_qubits`` qubits."""
+        # exactly int: numpy reads a bool index as a mask and refuses a float
+        if type(n_qubits) is not int:
+            raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+        if type(index) is not int:
+            raise ValueError(f"basis index must be an integer, got {index!r}")
         if not 0 <= index < 2 ** n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2 ** n_qubits, dtype=complex)

@@ -9,7 +9,9 @@ the Haar samples of ``uqcm.haar_random_qubit``, by running the mask oracle
 once per basis input and once per sample, with ``partial_trace`` and
 ``fidelity_against_pure`` per clone.
 ``gate_matrix`` is the 2x2 matrix that oracle applies per gate.
-``circuit_text_by_qubit`` writes a circuit file one control qubit at a time.
+``circuit_text_by_qubit`` writes a circuit file one control qubit at a time,
+and ``read_lines_by_token`` reads its gate lines through two token memos and
+one call per line.
 ``angle_tree_coefficients`` multiplies out a preparation angle tree one level
 at a time.  ``ideal_output_by_kron`` builds the ideal cloner output from
 Kronecker products over every placement of the flipped factors, and
@@ -37,7 +39,7 @@ import numpy as np
 from uqcm import (AngleTree, Circuit, CloneSpec, Control, Gate, PermutationPlan,
                   PermutationSpec, RegisterLayout, ScheduleError, StateVector, alphas,
                   fidelity_against_pure, haar_random_qubit, ideal_output, partial_trace)
-from uqcm.circuit import CIRCUIT_SCHEMA, ROTATION_KINDS
+from uqcm.circuit import CIRCUIT_SCHEMA, MAX_QUBIT_INDEX, ROTATION_KINDS, _control, _Memo
 from uqcm.cloner_math import AMP_EPS
 from uqcm.simulator import ANCILLA_TOL, PASS_TOL
 
@@ -144,6 +146,41 @@ def circuit_text_by_qubit(circuit: Circuit) -> str:
                        "roles": {name: list(qs) for name, qs in (circuit.roles or {}).items()}},
                       sort_keys=True)
     return "".join(f"{text}\n" for text in [head, *map(line, circuit.gates)])
+
+
+def read_lines_by_token(header: dict, lines: list[str]) -> Circuit:
+    """The circuit that ``uqcm.circuit._read_lines`` reads from a ``/2``
+    header and its gate lines.  A memo of lines calls ``gate`` once per
+    distinct line, and the control and positive masks are two sums over two
+    memos of token bits: a token naming a qubit outside 0..MAX_QUBIT_INDEX
+    gets 0, so a sum with fewer set bits than tokens (a repeated or outside
+    qubit) sends the line to ``Gate.of``."""
+    bits = _Memo(lambda token: 1 << q if 0 <= (q := _control(token).q) <= MAX_QUBIT_INDEX else 0)
+    positive_bits = _Memo(lambda token: 0 if token.startswith("~") else bits[token])
+
+    def gate(line: str) -> Gate:
+        try:
+            kind, target, *rest = line.split(" ")
+            theta = None
+            if rest and rest[-1].startswith("@"):
+                theta = rest.pop()[1:]
+                try:
+                    theta = int(theta)
+                except ValueError:
+                    theta = float(theta)
+            target = int(target)
+            mask = sum(map(bits.__getitem__, rest))
+            if mask.bit_count() != len(rest):
+                return Gate.of(kind, target, tuple(map(_control, rest)), theta)
+            return Gate(kind, target, mask, sum(map(positive_bits.__getitem__, rest)), theta)
+        except ValueError as exc:
+            raise ValueError(f"gate line {line[:200]!r}: {exc}") from None
+
+    gates = tuple(map(_Memo(gate).__getitem__, lines))
+    roles = header.get("roles", {})
+    if type(roles) is not dict or not all(type(qs) is list for qs in roles.values()):
+        raise ValueError(f"roles must map each name to a list of qubits, got {roles!r}")
+    return Circuit(header.get("n_qubits"), gates, roles or None)
 
 
 def apply_by_mask(circuit: Circuit, state: StateVector) -> StateVector:

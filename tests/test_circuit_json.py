@@ -6,7 +6,9 @@ reads each distinct gate line once through the checked ``Gate``, and refuses
 any other text, a file of the older ``uqcm-circuit/1`` schema included.
 Whatever ``Gate`` and ``Circuit`` accept, ``from_json`` reads back, angle
 types and signs included; every edited text either loads to a circuit that
-round-trips or is a ValueError.
+round-trips or is a ValueError.  Each edited text, each synth-ladder file and
+each register width reads to the circuit, or the message, that the two-memo
+reader in ``oracle.read_lines_by_token`` gives.
 """
 import json
 import math
@@ -14,10 +16,14 @@ import random
 
 import numpy as np
 import pytest
-from oracle import circuit_text_by_qubit, random_circuit
+from oracle import circuit_text_by_qubit, random_circuit, read_lines_by_token
 
-from uqcm import Circuit, CloneSpec, Control, Gate, reference_one_to_two, synthesize_cloner
+from uqcm import (Circuit, CloneSpec, Control, Gate, circuit, reference_one_to_two,
+                  synthesize_cloner)
 from uqcm.circuit import KINDS, MAX_QUBIT_INDEX, _gate_line, from_json, to_json
+
+# the specs of the benchmark's synth-ladder workload
+LADDER = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (3, 6), (4, 8))
 
 THETA_EDGES = Circuit(2, tuple(Gate.of("roty", 0, (Control(1, False),), t)
                                for t in (-0.0, 0.0, 1e-300, 3, 5e-324, 1e17, -2.5e-7, 2 ** 70)))
@@ -80,6 +86,34 @@ def chunk_edge_circuit(seed):
 @pytest.fixture(scope="module")
 def large_circuits():
     return {nm: synthesize_cloner(CloneSpec(*nm)).circuit for nm in ((3, 6), (4, 8))}
+
+
+@pytest.fixture(scope="module")
+def ladder_texts(large_circuits):
+    return {nm: to_json(large_circuits[nm] if nm in large_circuits
+                        else synthesize_cloner(CloneSpec(*nm)).circuit) for nm in LADDER}
+
+
+def outcome(text):
+    """The circuit ``from_json`` reads from ``text``, or its ValueError's message."""
+    try:
+        return from_json(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_reads_as_the_oracle(text, monkeypatch):
+    """``from_json`` reads ``text`` to the circuit, angle types and signs
+    included, or the ValueError message that ``read_lines_by_token`` gives;
+    returns that outcome."""
+    got = outcome(text)
+    with monkeypatch.context() as patch:
+        patch.setattr("uqcm.circuit._read_lines", read_lines_by_token)
+        want = outcome(text)
+    assert type(got) is type(want) and got == want, text[:300]
+    if isinstance(got, Circuit):
+        assert same_angles(got, want)
+    return got
 
 
 class TestWriter:
@@ -245,6 +279,22 @@ class TestOtherTexts:
 EDIT_CHARS = '0123456789-+.eE_~@ \n\t{}[]":,\\acdegiklnoqrstuvxy'
 
 
+def edited_texts(sweep_results):
+    """3 000 seeded one-character inserts, deletes and replaces of written
+    texts, half of them at a digit, each as ``(op, position, new), text``."""
+    rng = random.Random(2626)
+    circuits = [reference_one_to_two(), sweep_results[(2, 3)].circuit, THETA_EDGES,
+                random_circuit(5, 20, seed=16, roles={"a": (0, 1), "b": (2, 3, 4)})]
+    for circ in circuits:
+        text = to_json(circ)
+        digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+        for _ in range(750):
+            i = rng.choice(digits) if rng.random() < 0.5 else rng.randrange(len(text) + 1)
+            op = rng.choice(("insert", "delete", "replace"))
+            new = "" if op == "delete" else rng.choice(EDIT_CHARS)
+            yield (op, i, new), text[:i] + new + text[i + (op != "insert"):]
+
+
 class TestReader:
     def test_wide_register_builds_no_wide_table(self):
         gate = Gate.of("cnot", 0, (Control(1, True),))
@@ -270,28 +320,17 @@ class TestReader:
             from_json(to_json(circ).replace("@0.5", "@1" + "0" * 400))
 
     def test_edited_texts_load_or_fail(self, sweep_results):
-        # one-character inserts, deletes and replaces of written texts, half
-        # of them at a digit: each is a ValueError or a circuit that round-trips
-        rng = random.Random(2626)
-        circuits = [reference_one_to_two(), sweep_results[(2, 3)].circuit, THETA_EDGES,
-                    random_circuit(5, 20, seed=16, roles={"a": (0, 1), "b": (2, 3, 4)})]
+        # each edited text is a ValueError or a circuit that round-trips
         loaded = failed = 0
-        for circ in circuits:
-            text = to_json(circ)
-            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
-            for _ in range(750):
-                i = rng.choice(digits) if rng.random() < 0.5 else rng.randrange(len(text) + 1)
-                op = rng.choice(("insert", "delete", "replace"))
-                new = "" if op == "delete" else rng.choice(EDIT_CHARS)
-                edited = text[:i] + new + text[i + (op != "insert"):]
-                try:
-                    read = from_json(edited)
-                except ValueError:
-                    failed += 1
-                    continue
-                loaded += 1
-                again = from_json(to_json(read))
-                assert again == read and same_angles(again, read), (op, i, new)
+        for edit, edited in edited_texts(sweep_results):
+            try:
+                read = from_json(edited)
+            except ValueError:
+                failed += 1
+                continue
+            loaded += 1
+            again = from_json(to_json(read))
+            assert again == read and same_angles(again, read), edit
         # both outcomes are common: 755 of the 3000 edited texts load
         assert loaded >= 500 and failed >= 1500, (loaded, failed)
 
@@ -369,6 +408,85 @@ class TestReader:
         assert line not in str(info.value)
 
 
+class TestReaderMatchesTheOracle:
+    def test_edited_texts(self, sweep_results, monkeypatch):
+        outcomes = [assert_reads_as_the_oracle(text, monkeypatch)
+                    for _, text in edited_texts(sweep_results)]
+        loaded = sum(isinstance(read, Circuit) for read in outcomes)
+        assert loaded >= 500 and len(outcomes) - loaded >= 1500
+
+    @pytest.mark.parametrize("spec", LADDER, ids=[f"{n}-{m}" for n, m in LADDER])
+    def test_synth_ladder_texts(self, spec, ladder_texts, monkeypatch):
+        assert isinstance(assert_reads_as_the_oracle(ladder_texts[spec], monkeypatch), Circuit)
+
+
+def header(n_qubits):
+    """A ``/2`` header line of ``n_qubits``, the JSON text given, and no roles."""
+    return f'{{"n_qubits": {n_qubits}, "roles": {{}}, "schema": "uqcm-circuit/2"}}\n'
+
+
+class TestRegisterWidth:
+    """The reader sums each line's control tokens over a table as wide as
+    the register (W qubits, or MAX_QUBIT_INDEX + 1 where the header names no
+    register of 1..MAX_QUBIT_INDEX + 1): whatever the width, a text reads as
+    the oracle reads it."""
+
+    @pytest.mark.parametrize("n_qubits, message", [
+        ("true", "n_qubits must be an integer"),
+        ("0", "exceeds register of 0 qubits"),
+        ("-1", "n_qubits must not be negative"),
+        ("1025", None),
+        ('"4"', "n_qubits must be an integer"),
+        (str(10 ** 12), None),
+    ], ids=["true", "zero", "negative", "1025", "string", "10^12"])
+    def test_header_width(self, n_qubits, message, monkeypatch):
+        read = assert_reads_as_the_oracle(
+            header(n_qubits) + "mcx 0 1 ~1023\ncnot 1023 ~0\nroty 1 @0.5\n", monkeypatch)
+        if message is None:
+            assert read == Circuit(int(n_qubits), (
+                Gate.of("mcx", 0, (Control(1, True), Control(1023, False))),
+                Gate.of("cnot", 1023, (Control(0, False),)), Gate("roty", 1, theta=0.5)))
+        else:
+            assert message in read
+
+    @pytest.mark.parametrize("line, message", [
+        ("x 0 4", "exceeds register of 4 qubits"),
+        ("x 0 ~1023", "exceeds register of 4 qubits"),
+        ("mcx 0 1 4 ~1023", "exceeds register of 4 qubits"),
+        ("x -1 4", "negative qubit index in target -1"),
+        ("x 1024 ~4", "qubit index above 1023 in target 1024"),
+        ("x 0 4 ~4", "duplicate control qubits in [4, 4]"),
+        ("x -1 4 ~4", "duplicate control qubits in [4, 4]"),
+        ("x 0 1024", "qubit index above 1023 in target 0 or controls [1024]"),
+        ("cnot 0 1 4", "cnot requires exactly one control"),
+    ], ids=["at-w", "at-1023", "both", "negative-target", "target-1024", "repeat",
+            "repeat-negative-target", "control-1024", "cnot-two-controls"])
+    def test_control_past_the_register(self, line, message, monkeypatch):
+        # a control at qubit W or above is worth nothing in the table, so the
+        # line is read on its own, and a fault in its target is still named
+        # as the checked constructor names it
+        read = assert_reads_as_the_oracle(header(4) + "x 3\n" + line + "\n", monkeypatch)
+        assert read.endswith(message)
+
+    @pytest.mark.parametrize("line, qubits", [
+        ("mcx 0 1 1", "[1, 1]"), ("mcx 0 1 ~1", "[1, 1]"), ("mcx 0 ~1 ~1", "[1, 1]"),
+        ("mcx 1 0 0 0", "[0, 0, 0]"), ("mcx 1 ~0 0 ~0", "[0, 0, 0]"),
+    ])
+    def test_repeats_that_carry_across_the_width(self, line, qubits, monkeypatch):
+        # on 2 qubits, twice bit 1 carries into bit W of the positive half
+        read = assert_reads_as_the_oracle(header(2) + line + "\n", monkeypatch)
+        assert f"duplicate control qubits in {qubits}" in read
+
+    def test_widest_register_round_trips(self, monkeypatch):
+        top = MAX_QUBIT_INDEX
+        circ = Circuit(top + 1, (
+            Gate.of("mcx", 0, (Control(top, True), Control(1, False), Control(top - 1, True))),
+            Gate.of("roty", top - 1, (Control(top, False),), -0.0), Gate("x", top),
+            Gate.of("cnot", 5, (Control(top, True),))))
+        assert_round_trips(circ)
+        assert assert_reads_as_the_oracle(to_json(circ), monkeypatch) == circ
+
+
 def twice(gate, edit):
     """The written text of ``gate`` twice, the second gate line edited."""
     head, first, second = to_json(Circuit(3, (gate, gate))).splitlines(keepends=True)
@@ -380,10 +498,11 @@ class TestBuildCounts:
     def test_each_distinct_gate_is_built_and_written_once(self, large_circuits, monkeypatch):
         # the 4->8 circuit has 63 083 gates but 8 579 distinct gate objects
         # and lines: to_json builds no gate and each object's line once, and
-        # from_json builds one gate per distinct line
+        # from_json builds one gate per distinct line, each from one token
+        # sum: no line leaves that path for Gate.of or _gate_of_tokens
         circ = large_circuits[(4, 8)]
-        built, written = [], []
-        init = Gate.__init__
+        built, written, slow = [], [], []
+        init, of, fallback = Gate.__init__, Gate.of, circuit._gate_of_tokens
 
         def counted_init(self, *args, **kwargs):
             built.append(1)
@@ -393,8 +512,18 @@ class TestBuildCounts:
             written.append(id(gate))
             return _gate_line(gate, chunks)
 
+        def counted_of(cls, *args, **kwargs):
+            slow.append("Gate.of")
+            return of(*args, **kwargs)
+
+        def counted_fallback(*args):
+            slow.append("_gate_of_tokens")
+            return fallback(*args)
+
         monkeypatch.setattr(Gate, "__init__", counted_init)
-        monkeypatch.setattr("uqcm.circuit._gate_line", counted_line)
+        monkeypatch.setattr(Gate, "of", classmethod(counted_of))
+        monkeypatch.setattr(circuit, "_gate_line", counted_line)
+        monkeypatch.setattr(circuit, "_gate_of_tokens", counted_fallback)
         text = to_json(circ)
         assert len(circ.gates) == text.count("\n") - 1 == 63_083
         assert sorted(written) == sorted({id(g) for g in circ.gates})
@@ -402,6 +531,7 @@ class TestBuildCounts:
         assert not built
         read = from_json(text)
         assert len(built) == 8_579
+        assert not slow
         assert read == circ
 
 

@@ -128,6 +128,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateVector.basis(2, 4)
 
+    # numpy reads a bool index as a mask, so basis(2, True) would set every
+    # amplitude, and it refuses a float index with a bare IndexError
+    @pytest.mark.parametrize("n_qubits, index, name", [
+        (2, True, "basis index"), (2, 1.0, "basis index"), (2, np.int64(1), "basis index"),
+        (2.0, 1, "n_qubits"), (True, 0, "n_qubits")])
+    def test_rejects_basis_arguments_that_are_not_ints(self, n_qubits, index, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            StateVector.basis(n_qubits, index)
+
     # a NaN or inf anywhere makes el - el^H NaN, so the Hermitian check is
     # the one that refuses it
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
