@@ -254,12 +254,6 @@ class RegisterLayout:
             roles["ancilla-flag"] = (self.n_qubits - 1,)
         return roles
 
-    def embed(self, ideal: np.ndarray) -> np.ndarray:
-        """Amplitudes over the 2M-N cloner qubits, with the trailing qubits in |0>."""
-        out = np.zeros(2 ** self.n_qubits, dtype=complex)
-        out[np.arange(ideal.size) << len(self.trailing)] = ideal
-        return out
-
     @classmethod
     def of(cls, spec: CloneSpec, circuit: "Circuit") -> "RegisterLayout":
         """The layout ``circuit`` carries; ValueError unless it is one for ``spec``."""

@@ -114,8 +114,7 @@ def cmd_verify(args) -> int:
         result = synthesize_cloner(spec)
         circuit = result.circuit
         gate_counts = result.gate_counts()
-    report = verify(spec, circuit, n_samples=args.samples, seed=args.seed,
-                    gate_counts=gate_counts)
+    report = verify(spec, circuit, gate_counts=gate_counts)
     print(report.format_table())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())
@@ -243,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--circuit", default=None,
                    help="uqcm-circuit/2 file to verify (default: synthesize one)")
-    p.add_argument("--samples", type=int, default=50,
-                   help="recorded in the report; the statistics are exact, so no input is sampled")
-    p.add_argument("--seed", type=int, default=7,
-                   help="recorded in the report; no random stream is drawn")
     p.add_argument("--json-out", default=None, help="write the report as JSON")
     p.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ ASSERT_ATOL = 1e-10    # default tolerance for user-facing assertions
 DRIFT_ATOL = 1e-12     # allowed internal normalization drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of ``n_qubits`` qubits (2**n complex amplitudes)."""
 
@@ -25,8 +25,10 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amps, dtype=complex)
+        if amps.ndim != 1:
+            raise ValueError(f"amplitude array must be one-dimensional, got shape {amps.shape}")
         n = int(amps.size).bit_length() - 1
-        if amps.ndim != 1 or amps.size != 2 ** n:
+        if amps.size != 2 ** n:
             raise ValueError(f"amplitude array length {amps.size} is not a power of two")
         if n < 1:
             raise ValueError("at least one qubit required")
@@ -48,30 +50,17 @@ class StateVector:
             raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
         if type(index) is not int:
             raise ValueError(f"basis index must be an integer, got {index!r}")
+        # before np.zeros, which would allocate 2^n_qubits amplitudes
+        if not 1 <= n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
         if not 0 <= index < 2 ** n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
 
-    @classmethod
-    def single_qubit(cls, a: complex, b: complex) -> "StateVector":
-        """One-qubit state a|0> + b|1> (must be normalized)."""
-        return cls(np.array([a, b], dtype=complex))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amps, other.amps))
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.n_qubits == other.n_qubits and bool(np.array_equal(self.amps, other.amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +109,13 @@ def _check_keep(keep: Iterable[int], n: int) -> list[int]:
     return sorted(keep)
 
 
-def partial_trace(rho_or_state: StateVector | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (ascending qubit order preserved)."""
-    n = rho_or_state.n_qubits
+def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density matrix of ``state`` on ``keep`` (ascending qubit order preserved)."""
+    n = state.n_qubits
     kept = _check_keep(keep, n)
     traced = [q for q in range(n) if q not in kept]
-    if isinstance(rho_or_state, StateVector):
-        t = rho_or_state.amps.reshape([2] * n)
-        rho = np.tensordot(t, t.conj(), axes=(traced, traced))
-    else:
-        t = rho_or_state.elements.reshape([2] * (2 * n))
-        for ax in reversed(traced):
-            t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-        rho = t
+    t = state.amps.reshape([2] * n)
+    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
     d = 2 ** len(kept)
     return DensityMatrix(rho.reshape(d, d))
 

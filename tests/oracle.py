@@ -59,6 +59,13 @@ def input_state(layout: RegisterLayout, psi: StateVector) -> StateVector:
     return reg.tensor(StateVector.basis(layout.n_qubits - layout.spec.n_in, 0))
 
 
+def embed_ideal(layout: RegisterLayout, ideal: np.ndarray) -> np.ndarray:
+    """Ideal amplitudes over the 2M-N cloner qubits, with the trailing qubits in |0>."""
+    out = np.zeros(2 ** layout.n_qubits, dtype=complex)
+    out[np.arange(ideal.size) << len(layout.trailing)] = ideal
+    return out
+
+
 def states_close(a: StateVector, b: StateVector, atol: float) -> bool:
     """Equality up to global phase, max-norm over amplitudes."""
     if a.n_qubits != b.n_qubits:
@@ -104,7 +111,7 @@ def weight_components_by_kron(spec: CloneSpec, machine_complement: bool = False)
     n = spec.n_in
 
     def exact(a: float, b: float) -> np.ndarray:
-        return ideal_output_by_kron(spec, StateVector.single_qubit(a, b), machine_complement).real
+        return ideal_output_by_kron(spec, StateVector(np.array([a, b])), machine_complement).real
 
     comps = [None] * (n + 1)
     comps[0], comps[n] = exact(1.0, 0.0), exact(0.0, 1.0)
@@ -260,7 +267,7 @@ def verify_per_sample(spec: CloneSpec, circuit: Circuit, n_samples: int,
         return apply_by_mask(circuit, input_state(layout, psi))
 
     def state_error(out: StateVector, ideal: np.ndarray) -> float:
-        ext = layout.embed(ideal)
+        ext = embed_ideal(layout, ideal)
         anchor = int(np.argmax(np.abs(ext)))
         phase = out.amps[anchor] / ext[anchor]
         if abs(abs(phase) - 1) > 1e-6:

@@ -8,7 +8,7 @@ import pytest
 from oracle import gate_slots, random_circuit, states_close
 
 from uqcm import (Circuit, CloneSpec, Control, Gate, RegisterLayout, StateVector, apply,
-                  cnot_cost, inverse)
+                  cnot_cost, inverse, reference_one_to_two)
 from uqcm.circuit import MAX_QUBIT_INDEX, _reversed_bits, from_json, to_json
 
 
@@ -52,7 +52,7 @@ class TestApply:
     def test_norm_preserved_by_random_circuit(self):
         circ = random_circuit(5, 60, seed=4)
         out = apply(circ, random_state(5, seed=9))
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
 
 class TestCost:
@@ -403,6 +403,9 @@ class TestValidation:
     def test_roles_must_partition(self):
         with pytest.raises(ValueError):
             Circuit(2, (), roles={"input": (0,)})
+
+    def test_absent_role_has_no_qubits(self):
+        assert reference_one_to_two().role_qubits("aux") == ()
 
     @pytest.mark.parametrize("n_aux, flag, message", [
         # n_aux = -1 would make qubit 2 of a 1->2 cloner both machine and flag

@@ -75,9 +75,12 @@ class TestSynth:
 
     def test_removed_flags_are_rejected(self, capsys):
         # the register size follows from the spec, gates are counted under
-        # one cost model, and scan measures by default
+        # one cost model, scan measures by default, and verify is exact, so
+        # it has no sample count or seed to set
         for argv in (["synth", "-N", "2", "-M", "4", "--aux"],
                      ["verify", "-N", "2", "-M", "4", "--aux"],
+                     ["verify", "-N", "1", "-M", "2", "--samples", "10"],
+                     ["verify", "-N", "1", "-M", "2", "--seed", "7"],
                      ["count", "-N", "2", "-M", "4", "--aux"],
                      ["scan", "--aux"],
                      ["scan", "--measured"],
@@ -90,7 +93,7 @@ class TestSynth:
 class TestVerify:
     def test_verify_passes_for_one_to_two(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["verify", "-N", "1", "-M", "2", "--samples", "40", "--seed", "7"], capsys)
+            ["verify", "-N", "1", "-M", "2"], capsys)
         assert code == 0
         assert "0.833333333" in out
         assert "PASS" in out
@@ -100,8 +103,7 @@ class TestVerify:
         path = tmp_path / "one_to_three.uqcm"
         run_cli(["synth", "-N", "1", "-M", "3", "--out", str(path)], capsys)
         code, out, _ = run_cli(
-            ["verify", "-N", "1", "-M", "3", "--samples", "10",
-             "--circuit", str(path)], capsys)
+            ["verify", "-N", "1", "-M", "3", "--circuit", str(path)], capsys)
         assert code == 0
         assert "PASS" in out
 
@@ -112,7 +114,7 @@ class TestVerify:
         stale = tmp_path / "uqcm-artifacts" / f"cloner_N1_M2_aux0_v{__version__}.uqcm"
         stale.parent.mkdir()
         stale.write_text(to_json(empty_one_to_two()))
-        code, out, _ = run_cli(["verify", "-N", "1", "-M", "2", "--samples", "10"], capsys)
+        code, out, _ = run_cli(["verify", "-N", "1", "-M", "2"], capsys)
         assert code == 0
         assert "PASS" in out
 
@@ -187,16 +189,14 @@ class TestVerify:
         broken = tmp_path / "empty.json"
         broken.write_text(to_json(empty_one_to_two()))
         code, out, _ = run_cli(
-            ["verify", "-N", "1", "-M", "2", "--samples", "10",
-             "--circuit", str(broken)], capsys)
+            ["verify", "-N", "1", "-M", "2", "--circuit", str(broken)], capsys)
         assert code == 2
         assert "FAIL" in out
 
     def test_json_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code, _, _ = run_cli(
-            ["verify", "-N", "1", "-M", "2", "--samples", "10",
-             "--json-out", str(report_path)], capsys)
+            ["verify", "-N", "1", "-M", "2", "--json-out", str(report_path)], capsys)
         assert code == 0
         data = json.loads(report_path.read_text())
         assert data["passed"] is True
@@ -379,12 +379,6 @@ class TestValidationErrors:
         assert code == 1
         assert err.startswith("error: ") and "db.json" in err
         assert out == ""
-
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_verify_needs_a_sample(self, samples, capsys):
-        code, _, err = run_cli(["verify", "-N", "1", "-M", "2", "--samples", samples], capsys)
-        assert code == 1
-        assert "n_samples" in err
 
     def test_missing_species_db(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

@@ -83,10 +83,14 @@ class TestIdealOutput:
             np.testing.assert_allclose(out1, out0[::-1], atol=1e-14)
 
     def test_superposition_input_clone_fidelity(self):
-        psi = StateVector.single_qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
+        psi = StateVector(np.array([1, 1]) / math.sqrt(2))
         out = ideal_output(CloneSpec(1, 2), psi)
         rho = partial_trace(out, {0})
         assert fidelity_against_pure(rho, psi) == pytest.approx(5 / 6, abs=1e-12)
+
+    def test_psi_must_be_one_qubit(self):
+        with pytest.raises(ValueError, match="^psi must be a single-qubit state$"):
+            ideal_output(CloneSpec(1, 2), StateVector.basis(2, 0))
 
     def test_machine_complement_flips_machine_register_only(self):
         # the 2->4 display puts sqrt(3/5) on machine |11>, the literal form on |00>

@@ -347,6 +347,10 @@ class TestSpeciesDatabase:
             load_species(path)
         assert str(path) in str(info.value)
 
+    def test_rejects_a_name_that_is_not_a_string(self):
+        with pytest.raises(ValueError, match="^species name must be a string, got 3$"):
+            IonSpecies(name=3, omega1=1e15, omega2=2e15, gamma2=1e7)
+
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
             IonSpecies(name="bad", omega1=-1.0, omega2=1.0, gamma2=1.0)

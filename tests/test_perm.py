@@ -7,9 +7,9 @@ from conftest import SWEEP
 from oracle import compile_moves_by_bit, gate_slots, schedule_by_rescan
 
 from uqcm import (BasisLayout, CloneSpec, Gate, PermutationPlan, PermutationSpec, PlanError,
-                  ScheduleError, StateVector, apply, basis_count, build_permutation,
-                  cnot_cost, compile_moves, ideal_output, schedule, synthesize_cloner,
-                  validate_plan, weight_components)
+                  RegisterLayout, ScheduleError, StateVector, SynthesisError, apply, basis_count,
+                  build_permutation, cnot_cost, compile_moves, ideal_output, schedule,
+                  synthesize_cloner, validate_plan, weight_components)
 from uqcm import perm
 from uqcm.statevec import MAX_QUBITS
 
@@ -92,6 +92,13 @@ class TestBuildPermutation:
     def test_mixed_patterns_flagged_when_not_value_matchable(self):
         res = synthesize_cloner(CloneSpec(2, 4))
         assert not res.universal  # amplitude multiset cannot split across blocks
+
+    def test_placed_amplitudes_must_match_the_ideal_multiset(self):
+        # built directly, skipping BasisLayout.custom's own multiset check
+        layout = BasisLayout(RegisterLayout(CloneSpec(1, 2)), tuple((k, 0.5) for k in range(4)))
+        with pytest.raises(SynthesisError, match="^1->2: preparation amplitudes do not match "
+                                                 "the target output multiset$"):
+            build_permutation(layout)
 
     def test_mixed_weights_have_too_few_destinations_to_match(self):
         # value matching the C(N, w) patterns of weight w needs C(N, w)

@@ -248,3 +248,11 @@ class TestValidation:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             PrepTarget(np.zeros(4))
+
+    def test_target_length_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="^3 is not a power of two$"):
+            PrepTarget(np.full(3, 1 / math.sqrt(3)))
+
+    def test_angle_tree_level_needs_one_angle_per_branch(self):
+        with pytest.raises(ValueError, match="^level 2 must have 2 angles$"):
+            AngleTree(((0.1,), (0.2,)))
